@@ -56,7 +56,6 @@ from .lrmc import (
     noisy_als,
     resolve_loss_alpha,
     rmse,
-    row_index_sets,
 )
 from .data_io import (
     ParseReport,

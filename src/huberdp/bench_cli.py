@@ -98,7 +98,6 @@ class ExperimentPlan:
     log_base: str = "natural"
     trial_mode: str = "fresh_mask"
     holdout_fraction: float = 0.1
-    clip: bool = False
     out: str | None = None
 
     def __post_init__(self):
@@ -118,15 +117,6 @@ class ExperimentPlan:
             raise ValueError("at least one mechanism is required")
         if not self.solvers:
             raise ValueError("at least one solver is required")
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentPlan":
-        with Path(path).open("r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        unknown = set(payload) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown plan fields: {sorted(unknown)}")
-        return cls(**payload)
 
     def cells(self) -> list[tuple[str, str, float | None, float]]:
         """Deterministic cell enumeration; mechanism 'none' collapses the
@@ -221,8 +211,6 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
                 huber_loss_alpha=plan.huber_loss_alpha,
                 mechanism=mech,
                 seed=plan.seed,
-                trials=plan.trials,
-                clip=plan.clip,
             )
             counters = DrawCounters()
             trial_rmse = []
@@ -306,7 +294,6 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
                     "log_base": plan.log_base,
                     "trial_mode": plan.trial_mode,
                     "holdout_fraction": plan.holdout_fraction if scope == "holdout" else None,
-                    "clip": plan.clip,
                     "trial_streams": [
                         [plan.seed, _DOMAIN_SOLVER, cell_idx, t]
                         for t in range(plan.trials)
@@ -569,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--log-base", choices=["natural", "base10"], default=None, dest="log_base")
     p_run.add_argument("--trial-mode", choices=["fresh_mask", "fresh_matrix"], default=None, dest="trial_mode")
     p_run.add_argument("--holdout", type=float, default=None, dest="holdout_fraction")
-    p_run.add_argument("--clip", action=argparse.BooleanOptionalAction, default=None)
     p_run.add_argument("--out", default=None, help="directory for run records and summary.csv")
     p_run.set_defaults(func=cmd_run)
 

@@ -1,15 +1,22 @@
 """Differentially private low-rank matrix completion.
 
 Two alternating solvers estimate factors U (m x r) and V (n x r) of a
-partially observed matrix X: noisy alternating least squares, and an
-alternating scheme whose column updates run regularized IRLS under the Huber
-loss. Both protect the user rows by injecting mechanism noise only into the
-column-factor updates; the row half-sweep never touches the noise stream,
-which the draw counters make auditable.
+partially observed matrix X, and both run one engine. Every sweep updates
+each row of U by a noiseless ridge solve against the fixed V, then each
+column of V by K iterations of regularized IRLS under the Huber loss with
+transition alpha against the fixed U, adding a fresh mechanism noise vector
+to the right-hand side of every iteration. Noisy alternating least squares
+is the case alpha = infinity (every weight 1) with K = 1, where the IRLS
+update is the ridge update; irls_huber uses the resolved loss alpha and
+K = inner_iterations. Noise enters only the column half-sweep; the row
+half-sweep never touches the noise stream, which the draw counters make
+auditable.
 
-Per-column noise is drawn from streams derived by a counter-based split
-(solver entropy, sweep index, column index), so results are independent of
-the order in which columns are processed.
+Column j of sweep s draws from its own stream, split from (solver entropy,
+s, j) by a SeedSequence, so results are independent of the order in which
+columns are processed. The IRLS solver takes the column's N(0, I) starting
+point from that stream first, then one r-vector of noise per iteration, the
+order r_irls consumes a stream in; ALS takes a single r-vector of noise.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ __all__ = [
     "FactorPair",
     "SolverConfig",
     "DrawCounters",
-    "row_index_sets",
     "noisy_als",
     "irls_huber",
     "rmse",
@@ -164,8 +170,6 @@ class SolverConfig:
     huber_loss_alpha: float | None = None
     mechanism: MechanismConfig = MechanismConfig.none()
     seed: int = 0
-    trials: int = 1
-    clip: bool = False
 
     def __post_init__(self):
         if self.rank < 1:
@@ -174,10 +178,9 @@ class SolverConfig:
             raise ValueError("lam must be > 0")
         if self.outer_iterations < 1 or self.inner_iterations < 1:
             raise ValueError("iteration counts must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.huber_loss_alpha is not None and self.huber_loss_alpha <= 0:
-            raise ValueError("huber_loss_alpha must be positive")
+        alpha = self.huber_loss_alpha
+        if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError("huber_loss_alpha must be a positive real")
 
 
 @dataclass
@@ -200,21 +203,6 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
     return huber_alpha_for_variance(mech.variance())[0]
 
 
-def row_index_sets(obs: ObservedMatrix) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Observed column indices per row and observed row indices per column."""
-    by_row = np.argsort(obs.rows, kind="stable")
-    row_ptr = np.concatenate(([0], np.cumsum(np.bincount(obs.rows, minlength=obs.m))))
-    row_sets = [
-        obs.cols[by_row[row_ptr[i] : row_ptr[i + 1]]] for i in range(obs.m)
-    ]
-    by_col = np.argsort(obs.cols, kind="stable")
-    col_ptr = np.concatenate(([0], np.cumsum(np.bincount(obs.cols, minlength=obs.n))))
-    col_sets = [
-        obs.rows[by_col[col_ptr[j] : col_ptr[j + 1]]] for j in range(obs.n)
-    ]
-    return row_sets, col_sets
-
-
 # ---------------------------------------------------------------------------
 # Batched half-sweep engine
 # ---------------------------------------------------------------------------
@@ -231,52 +219,35 @@ def _target_groups(target_idx, other_idx, values, num_targets):
     groups = []
     for c in np.unique(counts):
         ids = np.flatnonzero(counts == c)
-        if c == 0:
-            groups.append((0, ids, None, None))
-            continue
         entry = order[ptr[ids][:, None] + np.arange(c)[None, :]]
-        groups.append((int(c), ids, other_idx[entry], values[entry]))
+        groups.append((ids, other_idx[entry], values[entry]))
     return groups
 
 
-def _ridge_sweep(groups, other, lam, noise, num_targets):
+def _half_sweep(groups, other, lam, alpha, iterations, init, noise, num_targets):
+    """Regularized Huber IRLS for every target against the fixed factor.
+
+    Iteration k solves (A^T W A + lam I) theta = A^T W y + noise[:, k] with
+    W = diag(min(1, alpha/|y - A theta|)) from the previous iterate (init at
+    k = 0). With alpha infinite every weight is 1, so the weight step is
+    skipped and one iteration is exactly the ridge update. A target with no
+    observations solves lam I theta = noise, i.e. theta = noise / lam or 0.
+    """
     r = other.shape[1]
     out = np.empty((num_targets, r))
     lam_eye = lam * np.eye(r)
-    for c, ids, oidx, vals in groups:
-        if c == 0:
-            out[ids] = 0.0 if noise is None else noise[ids] / lam
-            continue
+    reweight = math.isfinite(alpha)
+    for ids, oidx, vals in groups:
         ag = other[oidx]
-        gram = np.einsum("gci,gcj->gij", ag, ag) + lam_eye
-        rhs = np.einsum("gci,gc->gi", ag, vals)
-        if noise is not None:
-            rhs = rhs + noise[ids]
-        out[ids] = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-    return out
-
-
-def _irls_sweep(groups, other, lam, alpha, iterations, init, noise, num_targets):
-    r = other.shape[1]
-    out = np.empty((num_targets, r))
-    lam_eye = lam * np.eye(r)
-    for c, ids, oidx, vals in groups:
-        theta = init[ids]
-        if c == 0:
-            if noise is not None:
-                theta = noise[ids, -1] / lam
-            else:
-                theta = np.zeros((len(ids), r))
-            out[ids] = theta
-            continue
-        ag = other[oidx]
+        theta = init[ids] if reweight else None
         for k in range(iterations):
-            resid = vals - np.einsum("gcr,gr->gc", ag, theta)
-            absr = np.abs(resid)
-            w = np.ones_like(resid)
-            big = absr >= ZERO_RESIDUAL_TOL
-            w[big] = np.minimum(1.0, alpha / absr[big])
-            aw = ag * w[:, :, None]
+            aw = ag
+            if reweight:
+                absr = np.abs(vals - np.einsum("gcr,gr->gc", ag, theta))
+                w = np.ones_like(absr)
+                big = absr >= ZERO_RESIDUAL_TOL
+                w[big] = np.minimum(1.0, alpha / absr[big])
+                aw = ag * w[:, :, None]
             gram = np.einsum("gci,gcj->gij", aw, ag) + lam_eye
             rhs = np.einsum("gci,gc->gi", aw, vals)
             if noise is not None:
@@ -290,32 +261,28 @@ def _column_stream(e0: int, e1: int, sweep: int, col: int) -> np.random.Generato
     return np.random.default_rng(np.random.SeedSequence((e0, e1, sweep, col)))
 
 
-def _als_sweep_noise(mech, e0, e1, sweep, n, r):
-    noise = np.empty((n, r))
+def _column_draws(mech, e0, e1, sweep, n, iterations, r, draw_init):
+    """IRLS starts (n, r) and noise (n, iterations, r) for one V half-sweep.
+
+    Column j reads only its own stream, in the order r_irls consumes one: the
+    N(0, I) start first (when draw_init), then one r-vector per iteration.
+    Either result is None when not drawn; without either, no stream is built.
+    """
+    init = np.empty((n, r)) if draw_init else None
+    noise = np.empty((n, iterations, r)) if mech.kind != "none" else None
+    if init is None and noise is None:
+        return None, None
     for j in range(n):
         stream = _column_stream(e0, e1, sweep, j)
-        noise[j] = sample(mech, r, stream, seed_info=f"sweep={sweep} col={j}").values
-    return noise, n * r
-
-
-def _irls_column_draws(mech, e0, e1, sweep, n, iterations, r):
-    """Per-column initialization and per-iteration noise, drawn in the same
-    order r_irls consumes its stream: init first, then one draw per
-    iteration."""
-    init = np.empty((n, r))
-    draw_noise = mech.kind != "none"
-    noise = np.empty((n, iterations, r)) if draw_noise else None
-    for j in range(n):
-        stream = _column_stream(e0, e1, sweep, j)
-        init[j] = stream.standard_normal(r)
-        if draw_noise:
+        if init is not None:
+            init[j] = stream.standard_normal(r)
+        if noise is not None:
             for k in range(iterations):
-                noise[j, k] = sample(mech, r, stream, seed_info=f"sweep={sweep} col={j} iter={k}").values
-    consumed = n * iterations * r if draw_noise else 0
-    return init, noise, consumed
+                noise[j, k] = sample(mech, r, stream).values
+    return init, noise
 
 
-def _prepare(obs, config, rng, init):
+def _alternate(obs, config, rng, counters, init, history, alpha, iterations):
     rng = np.random.default_rng(config.seed if rng is None else rng)
     r = config.rank
     if r > min(obs.m, obs.n):
@@ -331,7 +298,20 @@ def _prepare(obs, config, rng, init):
     e0, e1 = (int(x) for x in rng.integers(0, 2**63, size=2))
     row_groups = _target_groups(obs.rows, obs.cols, obs.values, obs.m)
     col_groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n)
-    return rng, u, v, e0, e1, row_groups, col_groups
+    lam = config.lam
+    for sweep in range(config.outer_iterations):
+        u = _half_sweep(row_groups, v, lam, math.inf, 1, None, None, obs.m)
+        if history is not None:
+            history.append(completion_objective(obs, u, v, lam))
+        starts, noise = _column_draws(
+            config.mechanism, e0, e1, sweep, obs.n, iterations, r, math.isfinite(alpha)
+        )
+        if counters is not None and noise is not None:
+            counters.v_sweep += noise.size
+        v = _half_sweep(col_groups, u, lam, alpha, iterations, starts, noise, obs.n)
+        if history is not None:
+            history.append(completion_objective(obs, u, v, lam))
+    return FactorPair(u, v)
 
 
 def noisy_als(
@@ -351,21 +331,7 @@ def noisy_als(
     Generator; omitted, config.seed is used. history, when given a list,
     receives the regularized completion objective after every half-sweep.
     """
-    rng, u, v, e0, e1, row_groups, col_groups = _prepare(obs, config, rng, init)
-    mech = config.mechanism
-    for sweep in range(config.outer_iterations):
-        u = _ridge_sweep(row_groups, v, config.lam, None, obs.m)
-        if history is not None:
-            history.append(completion_objective(obs, u, v, config.lam))
-        noise = None
-        if mech.kind != "none":
-            noise, consumed = _als_sweep_noise(mech, e0, e1, sweep, obs.n, config.rank)
-            if counters is not None:
-                counters.v_sweep += consumed
-        v = _ridge_sweep(col_groups, u, config.lam, noise, obs.n)
-        if history is not None:
-            history.append(completion_objective(obs, u, v, config.lam))
-    return FactorPair(u, v)
+    return _alternate(obs, config, rng, counters, init, history, math.inf, 1)
 
 
 def irls_huber(
@@ -384,23 +350,10 @@ def irls_huber(
     fresh noise vector inside every inner iteration, exactly as r_irls does
     with a per-column stream.
     """
-    rng, u, v, e0, e1, row_groups, col_groups = _prepare(obs, config, rng, init)
-    mech = config.mechanism
-    alpha = resolve_loss_alpha(config)
-    k_iters = config.inner_iterations
-    for sweep in range(config.outer_iterations):
-        u = _ridge_sweep(row_groups, v, config.lam, None, obs.m)
-        if history is not None:
-            history.append(completion_objective(obs, u, v, config.lam))
-        init_mat, noise, consumed = _irls_column_draws(
-            mech, e0, e1, sweep, obs.n, k_iters, config.rank
-        )
-        if counters is not None:
-            counters.v_sweep += consumed
-        v = _irls_sweep(col_groups, u, config.lam, alpha, k_iters, init_mat, noise, obs.n)
-        if history is not None:
-            history.append(completion_objective(obs, u, v, config.lam))
-    return FactorPair(u, v)
+    return _alternate(
+        obs, config, rng, counters, init, history,
+        resolve_loss_alpha(config), config.inner_iterations,
+    )
 
 
 # ---------------------------------------------------------------------------

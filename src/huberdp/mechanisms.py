@@ -214,11 +214,9 @@ class MechanismConfig:
 
 @dataclass
 class NoiseDraw:
-    """A vector of noise values plus the identifier of the stream that
-    produced it."""
+    """A vector of noise values."""
 
     values: np.ndarray
-    seed_info: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +372,7 @@ def huber_alpha_for_variance(variance: float) -> tuple[float, bool]:
 # ---------------------------------------------------------------------------
 
 
-def sample(config: MechanismConfig, k: int, rng: np.random.Generator, seed_info: str = "") -> NoiseDraw:
+def sample(config: MechanismConfig, k: int, rng: np.random.Generator) -> NoiseDraw:
     """Draw k i.i.d. noise values for the configured mechanism.
 
     Huber noise uses an exact two-part mixture: with probability
@@ -388,12 +386,12 @@ def sample(config: MechanismConfig, k: int, rng: np.random.Generator, seed_info:
         raise ValueError("k must be nonnegative")
     kind = config.kind
     if kind == "none":
-        return NoiseDraw(np.zeros(k), seed_info)
+        return NoiseDraw(np.zeros(k))
     if kind == "laplace":
-        return NoiseDraw(rng.laplace(0.0, config.scale, size=k), seed_info)
+        return NoiseDraw(rng.laplace(0.0, config.scale, size=k))
     if kind == "gaussian":
-        return NoiseDraw(rng.normal(0.0, config.scale, size=k), seed_info)
-    return NoiseDraw(_sample_huber(config.scale, k, rng), seed_info)
+        return NoiseDraw(rng.normal(0.0, config.scale, size=k))
+    return NoiseDraw(_sample_huber(config.scale, k, rng))
 
 
 @lru_cache(maxsize=64)

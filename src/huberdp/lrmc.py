@@ -12,11 +12,11 @@ K = inner_iterations. Noise enters only the column half-sweep; the row
 half-sweep never touches the noise stream, which the draw counters make
 auditable.
 
-Column j of sweep s draws from its own stream, split from (solver entropy,
-s, j) by a SeedSequence, so results are independent of the order in which
-columns are processed. The IRLS solver takes the column's N(0, I) starting
-point from that stream first, then one r-vector of noise per iteration, the
-order r_irls consumes a stream in; ALS takes a single r-vector of noise.
+Sweep s draws from one stream, split from (solver entropy, s) by a
+SeedSequence, in at most two block calls: the (n, r) IRLS starting points
+N(0, I) first, then the (n, K, r) mechanism noise (K = 1 for ALS). Column j
+reads slice j of each block, so results are independent of the order in
+which columns are processed.
 """
 
 from __future__ import annotations
@@ -257,28 +257,22 @@ def _half_sweep(groups, other, lam, alpha, iterations, init, noise, num_targets)
     return out
 
 
-def _column_stream(e0: int, e1: int, sweep: int, col: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((e0, e1, sweep, col)))
-
-
 def _column_draws(mech, e0, e1, sweep, n, iterations, r, draw_init):
     """IRLS starts (n, r) and noise (n, iterations, r) for one V half-sweep.
 
-    Column j reads only its own stream, in the order r_irls consumes one: the
-    N(0, I) start first (when draw_init), then one r-vector per iteration.
-    Either result is None when not drawn; without either, no stream is built.
+    Both come from the sweep's one stream, the N(0, I) starts first (when
+    draw_init), then every column's noise in a single sample call; column j
+    owns row j of each block. Either result is None when not drawn; without
+    either, no stream is built.
     """
-    init = np.empty((n, r)) if draw_init else None
-    noise = np.empty((n, iterations, r)) if mech.kind != "none" else None
-    if init is None and noise is None:
+    draw_noise = mech.kind != "none"
+    if not (draw_init or draw_noise):
         return None, None
-    for j in range(n):
-        stream = _column_stream(e0, e1, sweep, j)
-        if init is not None:
-            init[j] = stream.standard_normal(r)
-        if noise is not None:
-            for k in range(iterations):
-                noise[j, k] = sample(mech, r, stream).values
+    stream = np.random.default_rng(np.random.SeedSequence((e0, e1, sweep)))
+    init = stream.standard_normal((n, r)) if draw_init else None
+    noise = None
+    if draw_noise:
+        noise = sample(mech, n * iterations * r, stream).values.reshape(n, iterations, r)
     return init, noise
 
 
@@ -346,9 +340,10 @@ def irls_huber(
     """Alternating completion solver with IRLS column updates.
 
     Rows of U are updated by plain (noiseless) least squares; each column of
-    V is re-estimated by regularized IRLS under the Huber loss, drawing a
-    fresh noise vector inside every inner iteration, exactly as r_irls does
-    with a per-column stream.
+    V is re-estimated by regularized IRLS under the Huber loss with a fresh
+    noise vector inside every inner iteration: the r_irls update, started
+    from the column's slice of the sweep's start block and fed its slices of
+    the sweep's noise block.
     """
     return _alternate(
         obs, config, rng, counters, init, history,

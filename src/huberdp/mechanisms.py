@@ -405,10 +405,11 @@ def _sample_huber(alpha: float, k: int, rng: np.random.Generator) -> np.ndarray:
     central = rng.random(k) < p_central
     n_central = int(np.count_nonzero(central))
     out = np.empty(k)
-    # Center: Phi^-1 of a uniform on [Phi(-alpha), Phi(alpha)]. alpha is O(1)
-    # in practice so neither endpoint is in the extreme tail.
+    # Center: Phi^-1 of a uniform on [Phi(-alpha), Phi(alpha)]. Phi(-alpha)
+    # underflows to 0 for alpha >~ 38, where a zero uniform would map to
+    # -inf, so the result is clipped back onto the support.
     u = phi_lo + (1.0 - 2.0 * phi_lo) * rng.random(n_central)
-    out[central] = ndtri(u)
+    out[central] = np.clip(ndtri(u), -a, a)
     # Tails: the conditional density beyond alpha is alpha*exp(-alpha(t-alpha)).
     n_tail = k - n_central
     magnitude = a + rng.standard_exponential(n_tail) / a

@@ -1,9 +1,11 @@
 """Tests for the matrix-completion solvers and metrics.
 
 The batched half-sweep engine is cross-checked column by column against the
-reference ridge_solve / r_irls implementations driven with identical
-per-column streams, so the fast path and the literal per-column algorithm
-stay interchangeable.
+reference ridge_solve / r_irls implementations fed with identical starts and
+noise, so the fast path and the literal per-column algorithm stay
+interchangeable. Solver runs are replayed from their seed: the initial
+factors, then one stream per sweep holding the (n, r) IRLS start block and
+the (n, K, r) noise block, in that order.
 """
 
 import math
@@ -11,13 +13,16 @@ import math
 import numpy as np
 import pytest
 
+from huberdp import lrmc
 from huberdp.data_io import SyntheticSpec, generate_synthetic
 from huberdp.lrmc import (
     DrawCounters,
     FactorPair,
     ObservedMatrix,
     SolverConfig,
-    _column_stream,
+    _column_draws,
+    _half_sweep,
+    _target_groups,
     complete,
     completion_objective,
     irls_huber,
@@ -25,8 +30,23 @@ from huberdp.lrmc import (
     resolve_loss_alpha,
     rmse,
 )
-from huberdp.mechanisms import MechanismConfig, UNIT_VARIANCE_ALPHA, huber_variance, sample
+from huberdp.mechanisms import (
+    MechanismConfig,
+    NoiseDraw,
+    UNIT_VARIANCE_ALPHA,
+    huber_variance,
+    sample,
+)
 from huberdp.robust_solvers import IrlsConfig, RidgeProblem, r_irls, ridge_solve
+
+
+def _replay(seed, obs, r, sweep):
+    """Initial factors U0, V0 and the draw stream of `sweep` of a solver run."""
+    replay = np.random.default_rng(seed)
+    u0 = replay.standard_normal((obs.m, r)) / math.sqrt(r)
+    v0 = replay.standard_normal((obs.n, r)) / math.sqrt(r)
+    e0, e1 = (int(v) for v in replay.integers(0, 2**63, size=2))
+    return u0, v0, np.random.default_rng(np.random.SeedSequence((e0, e1, sweep)))
 
 
 class TestObservedMatrix:
@@ -211,31 +231,18 @@ class TestNoisyAls:
         x, obs = generate_synthetic(SyntheticSpec(15, 12, 2, 0.5, seed=13))
         mech = MechanismConfig.huber(2.0)
         cfg = SolverConfig(rank=2, lam=0.7, outer_iterations=1, mechanism=mech, seed=6)
-        rng = np.random.default_rng(21)
-        factors = noisy_als(obs, cfg, rng)
-        # replay: init draws, then the stream-split entropy
-        replay = np.random.default_rng(21)
-        u0 = replay.standard_normal((obs.m, 2)) / math.sqrt(2)
-        replay.standard_normal((obs.n, 2))
-        e0, e1 = (int(v) for v in replay.integers(0, 2**63, size=2))
-        lookup = {(i, j): v for i, j, v in obs.entries}
-        # U half-sweep: plain ridge per row against the initial V... the
-        # reference needs V0, so recompute U first from the replayed V0
-        replay2 = np.random.default_rng(21)
-        replay2.standard_normal((obs.m, 2))
-        v0 = replay2.standard_normal((obs.n, 2)) / math.sqrt(2)
+        factors = noisy_als(obs, cfg, np.random.default_rng(21))
+        _, v0, stream = _replay(21, obs, 2, sweep=0)
+        noise = sample(mech, obs.n * 2, stream).values.reshape(obs.n, 1, 2)
         u1 = np.empty((obs.m, 2))
         for i in range(obs.m):
-            cols = obs.cols[obs.rows == i]
-            y = np.array([lookup[(i, int(j))] for j in cols])
-            u1[i] = ridge_solve(RidgeProblem(v0[cols], y, cfg.lam))
+            mine = obs.rows == i
+            u1[i] = ridge_solve(RidgeProblem(v0[obs.cols[mine]], obs.values[mine], cfg.lam))
         v1 = np.empty((obs.n, 2))
         for j in range(obs.n):
-            rows = obs.rows[obs.cols == j]
-            y = np.array([lookup[(int(i), j)] for i in rows])
-            stream = _column_stream(e0, e1, 0, j)
-            noise = sample(mech, 2, stream)
-            v1[j] = ridge_solve(RidgeProblem(u1[rows], y, cfg.lam), noise)
+            mine = obs.cols == j
+            problem = RidgeProblem(u1[obs.rows[mine]], obs.values[mine], cfg.lam)
+            v1[j] = ridge_solve(problem, NoiseDraw(noise[j, 0]))
         np.testing.assert_allclose(factors.U, u1, atol=1e-10)
         np.testing.assert_allclose(factors.V, v1, atol=1e-10)
 
@@ -271,35 +278,26 @@ class TestIrlsHuber:
 
     def test_column_update_matches_r_irls(self):
         # the batched engine must reproduce literal per-column r_irls calls
-        # fed with the same per-column streams
+        # when fed the start and noise each call draws from its stream
         x, obs = generate_synthetic(SyntheticSpec(15, 12, 2, 0.5, seed=15))
         mech = MechanismConfig.huber(1.5)
-        cfg = SolverConfig(
-            rank=2, lam=0.6, outer_iterations=1, inner_iterations=4,
-            mechanism=mech, seed=9,
-        )
-        rng = np.random.default_rng(33)
-        factors = irls_huber(obs, cfg, rng)
-        replay = np.random.default_rng(33)
-        replay.standard_normal((obs.m, 2))
-        v0 = replay.standard_normal((obs.n, 2)) / math.sqrt(2)
-        e0, e1 = (int(v) for v in replay.integers(0, 2**63, size=2))
-        lookup = {(i, j): v for i, j, v in obs.entries}
-        u1 = np.empty((obs.m, 2))
-        for i in range(obs.m):
-            cols = obs.cols[obs.rows == i]
-            y = np.array([lookup[(i, int(j))] for j in cols])
-            u1[i] = ridge_solve(RidgeProblem(v0[cols], y, cfg.lam))
-        alpha = resolve_loss_alpha(cfg)
-        irls_config = IrlsConfig(alpha=alpha, lam=cfg.lam, iterations=4, noise=mech)
-        v1 = np.empty((obs.n, 2))
+        lam, iterations, r = 0.6, 4, 2
+        irls_config = IrlsConfig(alpha=1.5, lam=lam, iterations=iterations, noise=mech)
+        u = np.random.default_rng(33).standard_normal((obs.m, r))
+        expected = np.empty((obs.n, r))
+        init = np.empty((obs.n, r))
+        noise = np.empty((obs.n, iterations, r))
         for j in range(obs.n):
-            rows = obs.rows[obs.cols == j]
-            y = np.array([lookup[(int(i), j)] for i in rows])
-            stream = _column_stream(e0, e1, 0, j)
-            v1[j] = r_irls(y, u1[rows], irls_config, stream)
-        np.testing.assert_allclose(factors.U, u1, atol=1e-10)
-        np.testing.assert_allclose(factors.V, v1, atol=1e-10)
+            mine = obs.cols == j
+            a, y = u[obs.rows[mine]], obs.values[mine]
+            expected[j] = r_irls(y, a, irls_config, np.random.default_rng(j))
+            stream = np.random.default_rng(j)
+            init[j] = stream.standard_normal(r)
+            for k in range(iterations):
+                noise[j, k] = sample(mech, r, stream).values
+        groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n)
+        got = _half_sweep(groups, u, lam, 1.5, iterations, init, noise, obs.n)
+        np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_noise_draw_accounting(self):
         x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
@@ -336,7 +334,7 @@ class TestIrlsHuber:
 @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
 def test_empty_column_under_noise_is_last_draw_over_lam(solve):
     # column 2 has no observations, so its update solves lam I theta = t with
-    # t the column stream's last noise draw of the final sweep
+    # t column 2's last noise draw of the final sweep
     obs = ObservedMatrix.from_entries(
         3, 3, [(0, 0, 1.0), (1, 1, 2.0), (2, 0, 3.0), (0, 1, 0.5)]
     )
@@ -346,18 +344,61 @@ def test_empty_column_under_noise_is_last_draw_over_lam(solve):
         mechanism=mech, seed=14,
     )
     factors = solve(obs, cfg)
-    replay = np.random.default_rng(cfg.seed)
-    replay.standard_normal((obs.m, 2))
-    replay.standard_normal((obs.n, 2))
-    e0, e1 = (int(v) for v in replay.integers(0, 2**63, size=2))
-    stream = _column_stream(e0, e1, cfg.outer_iterations - 1, 2)
-    draws = 1
+    *_, stream = _replay(cfg.seed, obs, 2, sweep=cfg.outer_iterations - 1)
+    iterations = 1
     if solve is irls_huber:
-        stream.standard_normal(2)  # the IRLS starting point comes first
-        draws = cfg.inner_iterations
-    for _ in range(draws):
-        last = sample(mech, 2, stream).values
-    np.testing.assert_allclose(factors.V[2], last / cfg.lam, rtol=1e-15, atol=0)
+        stream.standard_normal((obs.n, 2))  # the IRLS start block comes first
+        iterations = cfg.inner_iterations
+    noise = sample(mech, obs.n * iterations * 2, stream).values.reshape(obs.n, iterations, 2)
+    np.testing.assert_allclose(factors.V[2], noise[2, -1] / cfg.lam, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+def test_sweep_draws_start_block_then_noise_block(solve):
+    # pins the draw layout: one stream per sweep, the (n, r) IRLS starts
+    # first, then every column's noise in one sample call
+    x, obs = generate_synthetic(SyntheticSpec(15, 12, 2, 0.5, seed=19))
+    mech = MechanismConfig.huber(1.5)
+    cfg = SolverConfig(
+        rank=2, lam=0.6, outer_iterations=1, inner_iterations=4,
+        mechanism=mech, seed=15,
+    )
+    factors = solve(obs, cfg)
+    _, v0, stream = _replay(cfg.seed, obs, 2, sweep=0)
+    alpha, iterations, init = math.inf, 1, None
+    if solve is irls_huber:
+        alpha, iterations = resolve_loss_alpha(cfg), cfg.inner_iterations
+        init = stream.standard_normal((obs.n, 2))
+    noise = sample(mech, obs.n * iterations * 2, stream).values.reshape(obs.n, iterations, 2)
+    row_groups = _target_groups(obs.rows, obs.cols, obs.values, obs.m)
+    col_groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n)
+    u1 = _half_sweep(row_groups, v0, cfg.lam, math.inf, 1, None, None, obs.m)
+    v1 = _half_sweep(col_groups, u1, cfg.lam, alpha, iterations, init, noise, obs.n)
+    np.testing.assert_array_equal(factors.U, u1)
+    np.testing.assert_array_equal(factors.V, v1)
+
+
+@pytest.mark.parametrize("solve,iterations", [(noisy_als, 1), (irls_huber, 5)])
+def test_noisy_solve_samples_one_block_per_sweep(monkeypatch, solve, iterations):
+    sizes = []
+
+    def counting_sample(mech, k, rng):
+        sizes.append(k)
+        return sample(mech, k, rng)
+
+    monkeypatch.setattr(lrmc, "sample", counting_sample)
+    x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    cfg = SolverConfig(
+        rank=2, lam=0.5, outer_iterations=3, inner_iterations=5,
+        mechanism=MechanismConfig.laplace(1.0), seed=10,
+    )
+    solve(obs, cfg)
+    assert sizes == [obs.n * iterations * cfg.rank] * cfg.outer_iterations
+
+
+def test_noiseless_als_draws_nothing():
+    draws = _column_draws(MechanismConfig.none(), 1, 2, 0, 15, 1, 2, draw_init=False)
+    assert draws == (None, None)
 
 
 class TestSolverConfig:

@@ -316,6 +316,18 @@ class TestSampler:
         stat = stats.kstest(vals, lambda t: huber_cdf(t, 1.0)).statistic
         assert stat < 1.63 / math.sqrt(n)
 
+    def test_huber_center_stays_finite_at_extreme_alpha(self):
+        # Phi(-40) underflows to 0, so a zero uniform would map to ndtri(0)
+        class ZeroUniforms:
+            def random(self, k):
+                return np.zeros(k)
+
+            def standard_exponential(self, k):
+                return np.zeros(k)
+
+        vals = sample(MechanismConfig.huber(40.0), 3, ZeroUniforms()).values
+        np.testing.assert_array_equal(vals, np.full(3, -40.0))
+
     def test_laplace_and_gaussian_scales(self):
         rng = np.random.default_rng(11)
         lap = sample(MechanismConfig.laplace(2.0), 200_000, rng).values

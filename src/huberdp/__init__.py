@@ -50,6 +50,7 @@ from .lrmc import (
     FactorPair,
     ObservedMatrix,
     SolverConfig,
+    SolverDivergence,
     complete,
     completion_objective,
     irls_huber,

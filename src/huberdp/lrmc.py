@@ -39,6 +39,7 @@ __all__ = [
     "FactorPair",
     "SolverConfig",
     "DrawCounters",
+    "SolverDivergence",
     "noisy_als",
     "irls_huber",
     "rmse",
@@ -191,6 +192,22 @@ class DrawCounters:
     v_sweep: int = 0
 
 
+class SolverDivergence(ArithmeticError):
+    """A half-sweep produced non-finite factors.
+
+    solver is "noisy_als" or "irls_huber", sweep the 0-based sweep index and
+    half "u" (row half-sweep) or "v" (column half-sweep).
+    """
+
+    def __init__(self, solver: str, sweep: int, half: str):
+        super().__init__(
+            f"{solver} diverged: non-finite factors after the {half} half of sweep {sweep}"
+        )
+        self.solver = solver
+        self.sweep = sweep
+        self.half = half
+
+
 def resolve_loss_alpha(config: SolverConfig) -> float:
     """Huber-loss transition used by the IRLS solver under this config."""
     if config.huber_loss_alpha is not None:
@@ -208,8 +225,10 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # ---------------------------------------------------------------------------
 # Targets (rows in the U half-sweep, columns in the V half-sweep) are grouped
 # by observation count so each group solves a stack of identically shaped
-# r x r systems in one LAPACK call. Per-target results are identical to
-# solving each system on its own.
+# r x r systems in one LAPACK call. The residual, Gram and right-hand-side
+# contractions are stacked matmuls on the group's gathered block, so they run
+# on BLAS. Per-target results match solving each system on its own up to
+# rounding.
 
 
 def _target_groups(target_idx, other_idx, values, num_targets):
@@ -239,20 +258,22 @@ def _half_sweep(groups, other, lam, alpha, iterations, init, noise, num_targets)
     reweight = math.isfinite(alpha)
     for ids, oidx, vals in groups:
         ag = other[oidx]
+        agt = ag.transpose(0, 2, 1)
+        vcol = vals[..., None]
+        gnoise = None if noise is None else noise[ids]
         theta = init[ids] if reweight else None
         for k in range(iterations):
-            aw = ag
+            awt = agt
             if reweight:
-                absr = np.abs(vals - np.einsum("gcr,gr->gc", ag, theta))
+                absr = np.abs(vals - (ag @ theta[..., None])[..., 0])
                 w = np.ones_like(absr)
                 big = absr >= ZERO_RESIDUAL_TOL
                 w[big] = np.minimum(1.0, alpha / absr[big])
-                aw = ag * w[:, :, None]
-            gram = np.einsum("gci,gcj->gij", aw, ag) + lam_eye
-            rhs = np.einsum("gci,gc->gi", aw, vals)
-            if noise is not None:
-                rhs = rhs + noise[ids, k]
-            theta = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+                awt = agt * w[:, None, :]
+            rhs = awt @ vcol
+            if gnoise is not None:
+                rhs = rhs + gnoise[:, k, :, None]
+            theta = np.linalg.solve(awt @ ag + lam_eye, rhs)[..., 0]
         out[ids] = theta
     return out
 
@@ -276,7 +297,7 @@ def _column_draws(mech, e0, e1, sweep, n, iterations, r, draw_init):
     return init, noise
 
 
-def _alternate(obs, config, rng, counters, init, history, alpha, iterations):
+def _alternate(solver, obs, config, rng, counters, init, history, alpha, iterations):
     rng = np.random.default_rng(config.seed if rng is None else rng)
     r = config.rank
     if r > min(obs.m, obs.n):
@@ -295,6 +316,8 @@ def _alternate(obs, config, rng, counters, init, history, alpha, iterations):
     lam = config.lam
     for sweep in range(config.outer_iterations):
         u = _half_sweep(row_groups, v, lam, math.inf, 1, None, None, obs.m)
+        if not np.isfinite(u).all():
+            raise SolverDivergence(solver, sweep, "u")
         if history is not None:
             history.append(completion_objective(obs, u, v, lam))
         starts, noise = _column_draws(
@@ -303,6 +326,8 @@ def _alternate(obs, config, rng, counters, init, history, alpha, iterations):
         if counters is not None and noise is not None:
             counters.v_sweep += noise.size
         v = _half_sweep(col_groups, u, lam, alpha, iterations, starts, noise, obs.n)
+        if not np.isfinite(v).all():
+            raise SolverDivergence(solver, sweep, "v")
         if history is not None:
             history.append(completion_objective(obs, u, v, lam))
     return FactorPair(u, v)
@@ -324,8 +349,9 @@ def noisy_als(
     vector added to the normal-equation right-hand side. rng may be a seed or
     Generator; omitted, config.seed is used. history, when given a list,
     receives the regularized completion objective after every half-sweep.
+    Raises SolverDivergence when a half-sweep yields non-finite factors.
     """
-    return _alternate(obs, config, rng, counters, init, history, math.inf, 1)
+    return _alternate("noisy_als", obs, config, rng, counters, init, history, math.inf, 1)
 
 
 def irls_huber(
@@ -343,10 +369,10 @@ def irls_huber(
     V is re-estimated by regularized IRLS under the Huber loss with a fresh
     noise vector inside every inner iteration: the r_irls update, started
     from the column's slice of the sweep's start block and fed its slices of
-    the sweep's noise block.
+    the sweep's noise block. Raises SolverDivergence like noisy_als.
     """
     return _alternate(
-        obs, config, rng, counters, init, history,
+        "irls_huber", obs, config, rng, counters, init, history,
         resolve_loss_alpha(config), config.inner_iterations,
     )
 

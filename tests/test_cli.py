@@ -309,3 +309,23 @@ class TestRunPlanApi:
         records, failures = run_plan(plan)
         assert not records
         assert failures and "entries" in failures[0]
+
+    def test_divergent_solve_fails_cell(self, tmp_path):
+        # ratings scaled by 1e200 overflow U^T U in the first column half-sweep
+        rng = np.random.default_rng(5)
+        x = 1e200 * (rng.standard_normal((30, 2)) @ rng.standard_normal((2, 25)))
+        rows, cols = np.divmod(rng.choice(30 * 25, 375, replace=False), 25)
+        path = tmp_path / "huge.npz"
+        np.savez(path, x=x, m=30, n=25, rows=rows, cols=cols,
+                 values=x[rows, cols], value_range=np.array([1.0, 5.0]))
+        plan = ExperimentPlan(
+            dataset=f"file:{path}", rank=2, solvers=["als"], mechanisms=["none"],
+            fractions=[1.0], trials=1, outer_iterations=3, seed=8,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            records, failures = run_plan(plan)
+        assert not records
+        assert failures == [
+            "als-none-f1: SolverDivergence: noisy_als diverged: "
+            "non-finite factors after the v half of sweep 0"
+        ]

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from huberdp import lrmc
 from huberdp.data_io import SyntheticSpec, generate_synthetic
@@ -20,6 +21,7 @@ from huberdp.lrmc import (
     FactorPair,
     ObservedMatrix,
     SolverConfig,
+    SolverDivergence,
     _column_draws,
     _half_sweep,
     _target_groups,
@@ -399,6 +401,88 @@ def test_noisy_solve_samples_one_block_per_sweep(monkeypatch, solve, iterations)
 def test_noiseless_als_draws_nothing():
     draws = _column_draws(MechanismConfig.none(), 1, 2, 0, 15, 1, 2, draw_init=False)
     assert draws == (None, None)
+
+
+def test_divergent_solve_raises_solver_divergence():
+    # ratings scaled by 1e200 give a finite U after the first row half-sweep,
+    # but U^T U overflows in the column half-sweep that follows
+    x, obs = generate_synthetic(SyntheticSpec(30, 25, 2, 0.5, seed=8))
+    huge = ObservedMatrix(obs.m, obs.n, obs.rows, obs.cols, obs.values * 1e200)
+    cfg = SolverConfig(rank=2, outer_iterations=3, seed=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverDivergence) as info:
+            noisy_als(huge, cfg)
+    assert (info.value.solver, info.value.sweep, info.value.half) == ("noisy_als", 0, "v")
+
+
+# The engine against the single-target references over ranks 1..32: each
+# instance mixes light (0-3) and heavy (20-60) targets and always has at
+# least one target without observations.
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+_COUNTS = st.lists(st.integers(0, 3) | st.integers(20, 60), min_size=1, max_size=12)
+
+
+def _engine_instance(seed, rank, counts):
+    """Fixed factor, observed (target, other, value) triplets and target count."""
+    rng = np.random.default_rng(seed)
+    counts = rng.permutation(counts + [0])
+    num_other = max(int(counts.max()), 1)
+    other = rng.standard_normal((num_other, rank))
+    target_idx = np.repeat(np.arange(counts.size), counts)
+    other_idx = np.concatenate([rng.choice(num_other, c, replace=False) for c in counts])
+    values = 3.0 * rng.standard_normal(target_idx.size)
+    return other, target_idx, other_idx, values, counts.size
+
+
+class TestEngineAgainstReference:
+    @_PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(1, 32),
+        counts=_COUNTS,
+        lam=st.floats(0.1, 2.0),
+    )
+    def test_ridge_half_sweep_matches_ridge_solve(self, seed, rank, counts, lam):
+        other, target_idx, other_idx, values, n = _engine_instance(seed, rank, counts)
+        noise = np.random.default_rng(seed + 1).standard_normal((n, 1, rank))
+        groups = _target_groups(target_idx, other_idx, values, n)
+        got = _half_sweep(groups, other, lam, math.inf, 1, None, noise, n)
+        for j in range(n):
+            mine = target_idx == j
+            if mine.any():
+                problem = RidgeProblem(other[other_idx[mine]], values[mine], lam)
+                expected = ridge_solve(problem, NoiseDraw(noise[j, 0]))
+            else:
+                expected = noise[j, 0] / lam
+            np.testing.assert_allclose(got[j], expected, rtol=0, atol=1e-9)
+
+    @_PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(1, 32),
+        counts=_COUNTS,
+        lam=st.floats(0.1, 2.0),
+        alpha=st.floats(0.2, 5.0),
+        iterations=st.integers(1, 5),
+    )
+    def test_irls_half_sweep_matches_r_irls(self, seed, rank, counts, lam, alpha, iterations):
+        other, target_idx, other_idx, values, n = _engine_instance(seed, rank, counts)
+        mech = MechanismConfig.huber(alpha)
+        config = IrlsConfig(alpha=alpha, lam=lam, iterations=iterations, noise=mech)
+        expected = np.empty((n, rank))
+        init = np.empty((n, rank))
+        noise = np.empty((n, iterations, rank))
+        for j in range(n):
+            mine = target_idx == j
+            a, y = other[other_idx[mine]], values[mine]
+            expected[j] = r_irls(y, a, config, np.random.default_rng((seed, j)))
+            stream = np.random.default_rng((seed, j))
+            init[j] = stream.standard_normal(rank)
+            for k in range(iterations):
+                noise[j, k] = sample(mech, rank, stream).values
+        groups = _target_groups(target_idx, other_idx, values, n)
+        got = _half_sweep(groups, other, lam, alpha, iterations, init, noise, n)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
 
 class TestSolverConfig:

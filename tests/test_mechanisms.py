@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from huberdp.mechanisms import (
@@ -327,6 +328,20 @@ class TestSampler:
 
         vals = sample(MechanismConfig.huber(40.0), 3, ZeroUniforms()).values
         np.testing.assert_array_equal(vals, np.full(3, -40.0))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(1e-6, 60.0),
+        k=st.integers(0, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_huber_finite_and_reproducible_over_alpha_range(self, alpha, k, seed):
+        cfg = MechanismConfig.huber(alpha)
+        a = sample(cfg, k, np.random.default_rng(seed)).values
+        b = sample(cfg, k, np.random.default_rng(seed)).values
+        assert a.shape == (k,)
+        assert np.isfinite(a).all()
+        np.testing.assert_array_equal(a, b)
 
     def test_laplace_and_gaussian_scales(self):
         rng = np.random.default_rng(11)

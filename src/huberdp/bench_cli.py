@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 import time
@@ -33,6 +34,8 @@ from .lrmc import DrawCounters, ObservedMatrix, SolverConfig
 from .mechanisms import MechanismConfig, Sensitivity
 
 __all__ = ["ExperimentPlan", "main", "run_plan"]
+
+logger = logging.getLogger(__name__)
 
 _DOMAIN_TRUTH = 1
 _DOMAIN_MASK = 2
@@ -306,6 +309,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
             )
             records.append(record)
         except Exception as exc:  # cell isolation: a bad cell must not kill the sweep
+            logger.exception("cell %s failed", cell_name)
             failures.append(f"{cell_name}: {type(exc).__name__}: {exc}")
     return records, failures
 

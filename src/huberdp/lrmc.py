@@ -224,22 +224,44 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # Batched half-sweep engine
 # ---------------------------------------------------------------------------
 # Targets (rows in the U half-sweep, columns in the V half-sweep) are grouped
-# by observation count so each group solves a stack of identically shaped
-# r x r systems in one LAPACK call. The residual, Gram and right-hand-side
+# so each group solves a stack of identically shaped r x r systems in one
+# LAPACK call. Walking the distinct observation counts in ascending order, a
+# group of width w (its largest count) with g targets absorbs the next count c
+# while the padding this adds, (c - w) * g entries at r^2 multiply-adds of
+# Gram work each, stays within _MERGE_BUDGET. Every target is padded to its
+# group's width with slots that index a zero row appended to the fixed factor
+# (index -1) and carry the value 0, so they add nothing to the Gram, the
+# right-hand side or the residual. The residual, Gram and right-hand-side
 # contractions are stacked matmuls on the group's gathered block, so they run
 # on BLAS. Per-target results match solving each system on its own up to
 # rounding.
 
+_MERGE_BUDGET = 4096  # multiply-adds of Gram work one merge may add as padding
 
-def _target_groups(target_idx, other_idx, values, num_targets):
+
+def _target_groups(target_idx, other_idx, values, num_targets, rank):
     counts = np.bincount(target_idx, minlength=num_targets)
     order = np.argsort(target_idx, kind="stable")
     ptr = np.concatenate(([0], np.cumsum(counts)))
+    # the sorted entries plus one trailing padding slot (zero row, value 0)
+    other_sorted = np.append(other_idx[order], -1)
+    values_sorted = np.append(values[order], 0.0)
+    distinct, sizes = np.unique(counts, return_counts=True)
+    runs = []  # [smallest count, width, members]
+    for c, g in zip(distinct.tolist(), sizes.tolist()):
+        if runs and (c - runs[-1][1]) * runs[-1][2] * rank * rank <= _MERGE_BUDGET:
+            runs[-1][1] = c
+            runs[-1][2] += g
+        else:
+            runs.append([c, c, g])
     groups = []
-    for c in np.unique(counts):
-        ids = np.flatnonzero(counts == c)
-        entry = order[ptr[ids][:, None] + np.arange(c)[None, :]]
-        groups.append((ids, other_idx[entry], values[entry]))
+    for low, width, _ in runs:
+        ids = np.flatnonzero((counts >= low) & (counts <= width))
+        slot = np.arange(width)
+        entry = np.where(
+            slot < counts[ids, None], ptr[ids, None] + slot, other_sorted.size - 1
+        )
+        groups.append((ids, other_sorted[entry], values_sorted[entry]))
     return groups
 
 
@@ -251,8 +273,12 @@ def _half_sweep(groups, other, lam, alpha, iterations, init, noise, num_targets)
     k = 0). With alpha infinite every weight is 1, so the weight step is
     skipped and one iteration is exactly the ridge update. A target with no
     observations solves lam I theta = noise, i.e. theta = noise / lam or 0.
+    groups come from _target_groups: their padded slots index the zero row
+    appended here as row -1 with value 0, so a padded slot's residual is 0,
+    its weight 1, and its Gram and right-hand-side terms vanish.
     """
     r = other.shape[1]
+    other = np.concatenate((other, np.zeros((1, r))))
     out = np.empty((num_targets, r))
     lam_eye = lam * np.eye(r)
     reweight = math.isfinite(alpha)
@@ -311,8 +337,8 @@ def _alternate(solver, obs, config, rng, counters, init, history, alpha, iterati
         u = init.U.copy()
         v = init.V.copy()
     e0, e1 = (int(x) for x in rng.integers(0, 2**63, size=2))
-    row_groups = _target_groups(obs.rows, obs.cols, obs.values, obs.m)
-    col_groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n)
+    row_groups = _target_groups(obs.rows, obs.cols, obs.values, obs.m, r)
+    col_groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, r)
     lam = config.lam
     for sweep in range(config.outer_iterations):
         u = _half_sweep(row_groups, v, lam, math.inf, 1, None, None, obs.m)

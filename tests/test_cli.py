@@ -1,6 +1,8 @@
 """Tests for the benchmark command line."""
 
 import json
+import logging
+import traceback
 
 import numpy as np
 import pytest
@@ -180,6 +182,21 @@ class TestRunCommand:
         assert code == 0
 
 
+def _divergent_plan(tmp_path):
+    """An ALS plan whose ratings, scaled by 1e200, overflow U^T U in the first
+    column half-sweep."""
+    rng = np.random.default_rng(5)
+    x = 1e200 * (rng.standard_normal((30, 2)) @ rng.standard_normal((2, 25)))
+    rows, cols = np.divmod(rng.choice(30 * 25, 375, replace=False), 25)
+    path = tmp_path / "huge.npz"
+    np.savez(path, x=x, m=30, n=25, rows=rows, cols=cols,
+             values=x[rows, cols], value_range=np.array([1.0, 5.0]))
+    return ExperimentPlan(
+        dataset=f"file:{path}", rank=2, solvers=["als"], mechanisms=["none"],
+        fractions=[1.0], trials=1, outer_iterations=3, seed=8,
+    )
+
+
 class TestRunPlanApi:
     def test_twenty_four_cell_layout(self, tmp_path, capsys):
         # 2 solvers x (none + 3 noisy) x 3 fractions at one variance
@@ -311,17 +328,7 @@ class TestRunPlanApi:
         assert failures and "entries" in failures[0]
 
     def test_divergent_solve_fails_cell(self, tmp_path):
-        # ratings scaled by 1e200 overflow U^T U in the first column half-sweep
-        rng = np.random.default_rng(5)
-        x = 1e200 * (rng.standard_normal((30, 2)) @ rng.standard_normal((2, 25)))
-        rows, cols = np.divmod(rng.choice(30 * 25, 375, replace=False), 25)
-        path = tmp_path / "huge.npz"
-        np.savez(path, x=x, m=30, n=25, rows=rows, cols=cols,
-                 values=x[rows, cols], value_range=np.array([1.0, 5.0]))
-        plan = ExperimentPlan(
-            dataset=f"file:{path}", rank=2, solvers=["als"], mechanisms=["none"],
-            fractions=[1.0], trials=1, outer_iterations=3, seed=8,
-        )
+        plan = _divergent_plan(tmp_path)
         with np.errstate(over="ignore", invalid="ignore"):
             records, failures = run_plan(plan)
         assert not records
@@ -329,3 +336,14 @@ class TestRunPlanApi:
             "als-none-f1: SolverDivergence: noisy_als diverged: "
             "non-finite factors after the v half of sweep 0"
         ]
+
+    def test_failed_cell_logs_its_traceback(self, tmp_path, caplog):
+        plan = _divergent_plan(tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with caplog.at_level(logging.ERROR, logger="huberdp.bench_cli"):
+                run_plan(plan)
+        [record] = caplog.records
+        assert "als-none-f1" in record.getMessage()
+        assert record.exc_info is not None
+        frames = traceback.extract_tb(record.exc_info[2])
+        assert "_alternate" in [frame.name for frame in frames]

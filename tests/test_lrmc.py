@@ -297,7 +297,7 @@ class TestIrlsHuber:
             init[j] = stream.standard_normal(r)
             for k in range(iterations):
                 noise[j, k] = sample(mech, r, stream).values
-        groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n)
+        groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, r)
         got = _half_sweep(groups, u, lam, 1.5, iterations, init, noise, obs.n)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
@@ -372,8 +372,8 @@ def test_sweep_draws_start_block_then_noise_block(solve):
         alpha, iterations = resolve_loss_alpha(cfg), cfg.inner_iterations
         init = stream.standard_normal((obs.n, 2))
     noise = sample(mech, obs.n * iterations * 2, stream).values.reshape(obs.n, iterations, 2)
-    row_groups = _target_groups(obs.rows, obs.cols, obs.values, obs.m)
-    col_groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n)
+    row_groups = _target_groups(obs.rows, obs.cols, obs.values, obs.m, cfg.rank)
+    col_groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, cfg.rank)
     u1 = _half_sweep(row_groups, v0, cfg.lam, math.inf, 1, None, None, obs.m)
     v1 = _half_sweep(col_groups, u1, cfg.lam, alpha, iterations, init, noise, obs.n)
     np.testing.assert_array_equal(factors.U, u1)
@@ -445,7 +445,7 @@ class TestEngineAgainstReference:
     def test_ridge_half_sweep_matches_ridge_solve(self, seed, rank, counts, lam):
         other, target_idx, other_idx, values, n = _engine_instance(seed, rank, counts)
         noise = np.random.default_rng(seed + 1).standard_normal((n, 1, rank))
-        groups = _target_groups(target_idx, other_idx, values, n)
+        groups = _target_groups(target_idx, other_idx, values, n, rank)
         got = _half_sweep(groups, other, lam, math.inf, 1, None, noise, n)
         for j in range(n):
             mine = target_idx == j
@@ -480,9 +480,66 @@ class TestEngineAgainstReference:
             init[j] = stream.standard_normal(rank)
             for k in range(iterations):
                 noise[j, k] = sample(mech, rank, stream).values
-        groups = _target_groups(target_idx, other_idx, values, n)
+        groups = _target_groups(target_idx, other_idx, values, n, rank)
         got = _half_sweep(groups, other, lam, alpha, iterations, init, noise, n)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+
+class TestTargetGroups:
+    @_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 32), counts=_COUNTS)
+    def test_grouping_invariants(self, seed, rank, counts):
+        other, target_idx, other_idx, values, n = _engine_instance(seed, rank, counts)
+        counts = np.bincount(target_idx, minlength=n)
+        groups = _target_groups(target_idx, other_idx, values, n, rank)
+        covered = np.concatenate([ids for ids, _, _ in groups])
+        assert np.array_equal(np.sort(covered), np.arange(n))
+        for ids, oidx, vals in groups:
+            width = oidx.shape[1]
+            assert oidx.shape == vals.shape == (ids.size, width)
+            assert width == counts[ids].max()
+            for t, row_idx, row_vals in zip(ids, oidx, vals):
+                c = counts[t]
+                mine = target_idx == t
+                # the observed entries fill the first c slots, each once
+                assert sorted(zip(row_idx[:c], row_vals[:c])) == sorted(
+                    zip(other_idx[mine], values[mine])
+                )
+                assert (row_idx[c:] == -1).all() and (row_vals[c:] == 0.0).all()
+        # groups cover disjoint count ranges; each merge stayed in the budget,
+        # and each group stopped where the next merge would have exceeded it
+        spans = sorted(
+            ((counts[ids].min(), counts[ids].max(), ids) for ids, _, _ in groups),
+            key=lambda span: span[0],
+        )
+        for (_, width, ids), (low, *_) in zip(spans, spans[1:]):
+            assert (low - width) * ids.size * rank**2 > lrmc._MERGE_BUDGET
+        for _, _, ids in spans:
+            distinct = np.unique(counts[ids])
+            for w, c in zip(distinct, distinct[1:]):
+                members = int((counts[ids] <= w).sum())
+                assert (c - w) * members * rank**2 <= lrmc._MERGE_BUDGET
+
+    def test_rank5_synthetic_mask_merges_into_few_groups(self):
+        # at rank 5 the IRLS V half-sweep is bound by numpy call overhead,
+        # paid K times per group, so the merge must collapse the ~28 distinct
+        # column counts of this mask into a few groups
+        _, obs = generate_synthetic(SyntheticSpec(500, 500, 5, 0.05))
+        groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, 5)
+        assert len(groups) <= 6
+
+    def test_rank32_heavy_tail_pads_under_one_percent(self):
+        # at rank 32 each padded entry costs r^2 Gram work, so the merge must
+        # barely pad; a fixed-ratio (1.25) bucket rule pads about 14% of this
+        # Zipf-like item-count vector, more work than the saved calls repay
+        p = 1.0 / np.arange(1, 1683) ** 0.9
+        counts = np.random.default_rng(0).multinomial(71_376, p / p.sum())
+        target_idx = np.repeat(np.arange(counts.size), counts)
+        other_idx = np.zeros_like(target_idx)
+        values = np.ones(target_idx.size)
+        groups = _target_groups(target_idx, other_idx, values, counts.size, 32)
+        slots = sum(vals.size for _, _, vals in groups)
+        assert slots - target_idx.size < 0.01 * target_idx.size
 
 
 class TestSolverConfig:

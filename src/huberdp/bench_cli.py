@@ -120,6 +120,12 @@ class ExperimentPlan:
             raise ValueError("at least one mechanism is required")
         if not self.solvers:
             raise ValueError("at least one solver is required")
+        # a repeated entry would run its cells twice, and the second run's
+        # record file would overwrite the first
+        for name in ("solvers", "mechanisms", "variances", "fractions"):
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"{name} has duplicate entries: {entries}")
 
     def cells(self) -> list[tuple[str, str, float | None, float]]:
         """Deterministic cell enumeration; mechanism 'none' collapses the

@@ -8,7 +8,9 @@ transition alpha against the fixed U, adding a fresh mechanism noise vector
 to the right-hand side of every iteration. Noisy alternating least squares
 is the case alpha = infinity (every weight 1) with K = 1, where the IRLS
 update is the ridge update; irls_huber uses the resolved loss alpha and
-K = inner_iterations. Noise enters only the column half-sweep; the row
+K = inner_iterations. Without noise, a group of columns stops iterating
+once its IRLS weights repeat exactly, which leaves the result of all K
+iterations unchanged. Noise enters only the column half-sweep; the row
 half-sweep never touches the noise stream, which the draw counters make
 auditable.
 
@@ -79,8 +81,8 @@ class ObservedMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= self.n:
                 raise ValueError("column index out of range")
-            flat = rows * self.n + cols
-            if np.unique(flat).size != flat.size:
+            flat = np.sort(rows * self.n + cols)
+            if (flat[1:] == flat[:-1]).any():
                 raise ValueError("duplicate (row, col) coordinates")
         if not np.all(np.isfinite(values)):
             raise ValueError("observed values must be finite")
@@ -157,7 +159,9 @@ class SolverConfig:
     """Shared configuration of the completion solvers.
 
     outer_iterations is the number of alternating sweeps (T for ALS, N for
-    the IRLS variant); inner_iterations the IRLS iteration count K.
+    the IRLS variant); inner_iterations the IRLS iteration count K. Without
+    noise a group of columns runs at most K, stopping once its weights
+    repeat; the result equals K iterations.
     huber_loss_alpha overrides the loss transition used by the IRLS solver;
     when None it defaults to the mechanism's own alpha for Huber noise, to
     the alpha calibrated to the noise variance for Laplace/Gaussian noise,
@@ -276,6 +280,13 @@ def _half_sweep(groups, other, lam, alpha, iterations, init, noise, num_targets)
     groups come from _target_groups: their padded slots index the zero row
     appended here as row -1 with value 0, so a padded slot's residual is 0,
     its weight 1, and its Gram and right-hand-side terms vanish.
+
+    Without noise the iteration is a fixed-point map on the weights: the Gram
+    and right-hand side depend only on W, so once a group's weights equal
+    the previous iteration's, every later iteration recomputes the same
+    theta bit for bit. The group then stops early and keeps its theta; the
+    result equals running all the iterations. With noise, every iteration
+    runs.
     """
     r = other.shape[1]
     other = np.concatenate((other, np.zeros((1, r))))
@@ -288,6 +299,7 @@ def _half_sweep(groups, other, lam, alpha, iterations, init, noise, num_targets)
         vcol = vals[..., None]
         gnoise = None if noise is None else noise[ids]
         theta = init[ids] if reweight else None
+        prev_w = None
         for k in range(iterations):
             awt = agt
             if reweight:
@@ -295,6 +307,10 @@ def _half_sweep(groups, other, lam, alpha, iterations, init, noise, num_targets)
                 w = np.ones_like(absr)
                 big = absr >= ZERO_RESIDUAL_TOL
                 w[big] = np.minimum(1.0, alpha / absr[big])
+                if gnoise is None:
+                    if prev_w is not None and np.array_equal(w, prev_w):
+                        break
+                    prev_w = w
                 awt = agt * w[:, None, :]
             rhs = awt @ vcol
             if gnoise is not None:
@@ -395,7 +411,9 @@ def irls_huber(
     V is re-estimated by regularized IRLS under the Huber loss with a fresh
     noise vector inside every inner iteration: the r_irls update, started
     from the column's slice of the sweep's start block and fed its slices of
-    the sweep's noise block. Raises SolverDivergence like noisy_als.
+    the sweep's noise block. Without noise, a group of columns stops once its
+    weights repeat exactly; the factors equal those of all K iterations.
+    Raises SolverDivergence like noisy_als.
     """
     return _alternate(
         "irls_huber", obs, config, rng, counters, init, history,

@@ -242,6 +242,20 @@ class TestRunPlanApi:
         with pytest.raises(ValueError):
             ExperimentPlan(trials=0)
 
+    @pytest.mark.parametrize(
+        "name,entries",
+        [
+            ("solvers", ["als", "irls", "als"]),
+            ("mechanisms", ["huber", "huber"]),
+            ("variances", [2.0, 1.0, 2]),
+            ("fractions", [0.05, 0.05]),
+        ],
+    )
+    def test_duplicate_grid_entries_rejected(self, name, entries):
+        # a repeated entry would run its cells twice into one record file
+        with pytest.raises(ValueError, match=f"{name} has duplicate entries"):
+            ExperimentPlan(**{name: entries})
+
     def test_run_plan_returns_records(self):
         plan = ExperimentPlan(
             m=40, n=30, data_rank=2, rank=2, solvers=["als"],

@@ -55,6 +55,10 @@ class TestObservedMatrix:
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValueError):
             ObservedMatrix.from_entries(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
+        # the two (1, 2) entries are not neighbours in input order
+        entries = [(1, 2, 1.0), (0, 0, 1.0), (2, 1, 1.0), (1, 2, 2.0)]
+        with pytest.raises(ValueError, match="duplicate"):
+            ObservedMatrix.from_entries(3, 3, entries)
 
     def test_out_of_range_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -466,23 +470,89 @@ class TestEngineAgainstReference:
         iterations=st.integers(1, 5),
     )
     def test_irls_half_sweep_matches_r_irls(self, seed, rank, counts, lam, alpha, iterations):
-        other, target_idx, other_idx, values, n = _engine_instance(seed, rank, counts)
-        mech = MechanismConfig.huber(alpha)
-        config = IrlsConfig(alpha=alpha, lam=lam, iterations=iterations, noise=mech)
-        expected = np.empty((n, rank))
-        init = np.empty((n, rank))
-        noise = np.empty((n, iterations, rank))
-        for j in range(n):
-            mine = target_idx == j
-            a, y = other[other_idx[mine]], values[mine]
-            expected[j] = r_irls(y, a, config, np.random.default_rng((seed, j)))
-            stream = np.random.default_rng((seed, j))
-            init[j] = stream.standard_normal(rank)
-            for k in range(iterations):
-                noise[j, k] = sample(mech, rank, stream).values
-        groups = _target_groups(target_idx, other_idx, values, n, rank)
-        got = _half_sweep(groups, other, lam, alpha, iterations, init, noise, n)
+        instance = _engine_instance(seed, rank, counts)
+        config = IrlsConfig(alpha, lam, iterations, MechanismConfig.huber(alpha))
+        got, expected = _engine_and_r_irls(seed, instance, config)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+    @_PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(1, 32),
+        counts=_COUNTS,
+        lam=st.floats(0.1, 2.0),
+        # above 50 every weight of these instances is 1 from the start, so
+        # the engine stops at its second iteration
+        alpha=st.floats(0.2, 5.0) | st.floats(50.0, 1e9),
+        iterations=st.integers(1, 5),
+    )
+    def test_noiseless_irls_half_sweep_matches_r_irls(
+        self, seed, rank, counts, lam, alpha, iterations
+    ):
+        instance = _engine_instance(seed, rank, counts)
+        config = IrlsConfig(alpha, lam, iterations, MechanismConfig.none())
+        got, expected = _engine_and_r_irls(seed, instance, config)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+
+def _engine_and_r_irls(seed, instance, config):
+    """_half_sweep against r_irls(default_rng((seed, j))) for every target j,
+    replaying each stream into the engine's start and noise blocks."""
+    other, target_idx, other_idx, values, n = instance
+    rank, iterations = other.shape[1], config.iterations
+    expected = np.empty((n, rank))
+    init = np.empty((n, rank))
+    noise = np.empty((n, iterations, rank))
+    for j in range(n):
+        mine = target_idx == j
+        a, y = other[other_idx[mine]], values[mine]
+        expected[j] = r_irls(y, a, config, np.random.default_rng((seed, j)))
+        stream = np.random.default_rng((seed, j))
+        init[j] = stream.standard_normal(rank)
+        for k in range(iterations):
+            noise[j, k] = sample(config.noise, rank, stream).values
+    if config.noise.kind == "none":
+        noise = None
+    groups = _target_groups(target_idx, other_idx, values, n, rank)
+    got = _half_sweep(groups, other, config.lam, config.alpha, iterations, init, noise, n)
+    return got, expected
+
+
+class TestNoiselessFixedPoint:
+    # exactly rank-8 values plus five +10 outliers: at alpha 1 the noiseless
+    # IRLS weights of both count groups repeat within K = 20 iterations
+    RANK, K, ALPHA, LAM = 8, 20, 1.0, 0.5
+
+    def _instance(self):
+        other, target_idx, other_idx, _, n = _engine_instance(0, self.RANK, [2, 25, 40, 60, 3])
+        rng = np.random.default_rng(1)
+        truth = rng.standard_normal((n, self.RANK))
+        values = np.einsum("er,er->e", other[other_idx], truth[target_idx])
+        values[rng.choice(values.size, 5, replace=False)] += 10.0
+        groups = _target_groups(target_idx, other_idx, values, n, self.RANK)
+        return groups, other, rng.standard_normal((n, self.RANK)), n
+
+    def test_stopping_at_repeated_weights_equals_all_iterations(self):
+        groups, other, init, n = self._instance()
+        got = _half_sweep(groups, other, self.LAM, self.ALPHA, self.K, init, None, n)
+        # zero noise takes the noisy path, which runs all K iterations
+        zeros = np.zeros((n, self.K, self.RANK))
+        full = _half_sweep(groups, other, self.LAM, self.ALPHA, self.K, init, zeros, n)
+        np.testing.assert_array_equal(got, full)
+
+    def test_repeated_weights_skip_the_remaining_solves(self, monkeypatch):
+        groups, other, init, n = self._instance()
+        assert len(groups) > 1
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            calls.append(a.shape[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        _half_sweep(groups, other, self.LAM, self.ALPHA, self.K, init, None, n)
+        assert len(calls) < len(groups) * self.K
 
 
 class TestTargetGroups:

@@ -239,6 +239,52 @@ class TestVariance:
         assert np.all(vals > 1.0)
 
 
+# alpha over the sampler's whole range, uniformly and on a log scale
+_ALPHAS = st.floats(1e-6, 60.0) | st.floats(-6.0, 1.77).map(lambda e: 10.0**e)
+_WIDE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def quad_half_moment(alpha: float, power: int, start: float = 0.0) -> float:
+    """int_start^inf t^power exp(-huber_loss(t)) dt for start >= 0, by
+    quadrature. The tail beyond alpha is integrated in units of its own
+    scale 1/alpha (t = alpha + s/alpha), so alpha = 1e-6 stays resolved."""
+    core = 0.0
+    if start < alpha:
+        f = lambda t: t**power * math.exp(-ref_loss(t, alpha))
+        core, _ = integrate.quad(f, start, alpha, limit=200, epsabs=0, epsrel=1e-13)
+    s0 = max(start - alpha, 0.0) * alpha
+    g = lambda s: (alpha + s / alpha) ** power * math.exp(-ref_loss(alpha + s / alpha, alpha))
+    tail, _ = integrate.quad(g, s0, np.inf, limit=200, epsabs=0, epsrel=1e-13)
+    return core + tail / alpha
+
+
+class TestAgainstQuadratureOverAlphaRange:
+    @_WIDE
+    @given(alpha=_ALPHAS, x=st.floats(0.0, 1.0), s=st.floats(0.0, 30.0))
+    def test_pdf(self, alpha, x, s):
+        kappa = 0.5 / quad_half_moment(alpha, 0)
+        for t in (0.0, x * alpha, alpha, alpha + s / alpha):
+            expected = kappa * math.exp(-ref_loss(t, alpha))
+            assert huber_pdf(t, alpha) == pytest.approx(expected, rel=1e-9)
+            assert huber_pdf(-t, alpha) == huber_pdf(t, alpha)
+
+    @_WIDE
+    @given(alpha=_ALPHAS, x=st.floats(0.0, 1.0), s=st.floats(0.0, 30.0))
+    def test_cdf(self, alpha, x, s):
+        half = quad_half_moment(alpha, 0)
+        for t in (x * alpha, alpha + s / alpha):
+            # F(-t) is the mass beyond t, and F(t) its complement
+            beyond = 0.5 * quad_half_moment(alpha, 0, t) / half
+            assert huber_cdf(-t, alpha) == pytest.approx(beyond, rel=1e-9, abs=1e-300)
+            assert huber_cdf(t, alpha) == pytest.approx(1.0 - beyond, rel=0, abs=1e-12)
+
+    @_WIDE
+    @given(alpha=_ALPHAS)
+    def test_variance(self, alpha):
+        expected = quad_half_moment(alpha, 2) / quad_half_moment(alpha, 0)
+        assert huber_variance(alpha) == pytest.approx(expected, rel=1e-10)
+
+
 class TestCalibration:
     # frozen reference column: epsilon = 5 * alpha at delta_f = 5
     REFERENCE_EPS = {2.0: 5.382, 3.0: 4.235, 4.0: 3.602}
@@ -266,6 +312,16 @@ class TestCalibration:
         assert alpha == UNIT_VARIANCE_ALPHA and convention
         alpha, convention = huber_alpha_for_variance(2.0)
         assert not convention
+
+    @_WIDE
+    @given(
+        target=st.floats(1.0, 1e12, exclude_min=True)
+        | st.floats(1e-12, 12.0).map(lambda e: 10.0**e)
+    )
+    def test_roundtrip_over_reachable_targets(self, target):
+        alpha, convention = huber_alpha_for_variance(target)
+        assert not convention
+        assert huber_variance(alpha) == pytest.approx(target, rel=1e-9)
 
     def test_huge_target_converges(self):
         alpha = calibrate_alpha(1e6)

@@ -60,7 +60,6 @@ from .lrmc import (
 )
 from .data_io import (
     ParseReport,
-    RatingsFile,
     RatingsParseError,
     RunRecord,
     SchemaVersionError,

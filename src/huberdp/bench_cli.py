@@ -71,6 +71,15 @@ def _str_list(text: str) -> list[str]:
 _SOLVERS = ("als", "irls")
 _MECHANISMS = ("none", "gaussian", "laplace", "huber")
 
+#: dataset kinds besides "synthetic", given as KIND:PATH: the data_io parser
+#: (looked up by name at load time; None reads a ``gen`` npz) and the protocol
+#: defaults applied to fields that no flag or plan file set
+_FILE_KINDS = {
+    "movielens": ("parse_movielens", {"rank": 32, "outer_iterations": 20}),
+    "sweetrs": ("parse_sweetrs", {"rank": 32, "outer_iterations": 100}),
+    "file": (None, {}),
+}
+
 
 @dataclass
 class ExperimentPlan:
@@ -104,6 +113,12 @@ class ExperimentPlan:
     out: str | None = None
 
     def __post_init__(self):
+        kind, _, path = self.dataset.partition(":")
+        if self.dataset != "synthetic" and (kind not in _FILE_KINDS or not path):
+            raise ValueError(
+                f"dataset {self.dataset!r} must be synthetic or KIND:PATH with "
+                f"KIND one of {sorted(_FILE_KINDS)}"
+            )
         for s in self.solvers:
             if s not in _SOLVERS:
                 raise ValueError(f"unknown solver {s!r}")
@@ -140,38 +155,21 @@ class ExperimentPlan:
         return out
 
 
-def _dataset_label(plan: ExperimentPlan) -> str:
-    if plan.dataset == "synthetic":
-        return f"synthetic-m{plan.m}-n{plan.n}-rank{plan.data_rank}"
-    kind, _, path = plan.dataset.partition(":")
-    if path:
-        return f"{kind}-{Path(path).stem}"
-    return plan.dataset
-
-
-def _load_file_dataset(spec: str) -> tuple[np.ndarray | None, ObservedMatrix]:
-    kind, _, path = spec.partition(":")
-    if not path:
-        raise ValueError(
-            f"dataset {spec!r} needs the form movielens:PATH, sweetrs:PATH, or file:PATH"
+def _load_file_dataset(kind: str, path: str) -> tuple[np.ndarray | None, ObservedMatrix]:
+    parser = _FILE_KINDS[kind][0]
+    if parser is not None:
+        return None, getattr(data_io, parser)(path)
+    with np.load(path, allow_pickle=False) as npz:
+        obs = ObservedMatrix(
+            int(npz["m"]),
+            int(npz["n"]),
+            npz["rows"],
+            npz["cols"],
+            npz["values"],
+            tuple(npz["value_range"]),
         )
-    if kind == "movielens":
-        return None, data_io.RatingsFile("movielens100k", path).load()
-    if kind == "sweetrs":
-        return None, data_io.RatingsFile("sweetrs", path).load()
-    if kind == "file":
-        with np.load(path, allow_pickle=False) as npz:
-            obs = ObservedMatrix(
-                int(npz["m"]),
-                int(npz["n"]),
-                npz["rows"],
-                npz["cols"],
-                npz["values"],
-                tuple(npz["value_range"]),
-            )
-            truth = npz["x"] if "x" in npz.files else None
-        return truth, obs
-    raise ValueError(f"unknown dataset kind {kind!r}")
+        truth = npz["x"] if "x" in npz.files else None
+    return truth, obs
 
 
 def _build_mechanism(kind: str, variance: float | None) -> tuple[MechanismConfig, bool]:
@@ -190,14 +188,16 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
     truth = None
     base_obs = None
     if synthetic:
+        label = f"synthetic-m{plan.m}-n{plan.n}-rank{plan.data_rank}"
         if plan.trial_mode == "fresh_mask":
             truth = data_io.synthetic_truth(
                 plan.m, plan.n, plan.data_rank, _stream(plan.seed, _DOMAIN_TRUTH)
             )
     else:
-        truth, base_obs = _load_file_dataset(plan.dataset)
+        kind, _, path = plan.dataset.partition(":")
+        label = f"{kind}-{Path(path).stem}"
+        truth, base_obs = _load_file_dataset(kind, path)
 
-    label = _dataset_label(plan)
     sens = Sensitivity.scalar(plan.delta_f)
     records: list[RunRecord] = []
     failures: list[str] = []
@@ -459,37 +459,24 @@ def cmd_gen(args) -> int:
     return 0
 
 
-#: per-dataset protocol defaults, applied when the field was not set
-#: explicitly (by flag or plan file)
-_PROTOCOL_DEFAULTS = {
-    "movielens": {"rank": 32, "outer_iterations": 20},
-    "sweetrs": {"rank": 32, "outer_iterations": 100},
-}
-
-
-def _with_protocol_defaults(payload: dict) -> dict:
-    kind = str(payload.get("dataset", "synthetic")).partition(":")[0]
-    for key, value in _PROTOCOL_DEFAULTS.get(kind, {}).items():
-        payload.setdefault(key, value)
-    return payload
-
-
 def cmd_run(args) -> int:
     given = {
         name: getattr(args, name)
         for name in ExperimentPlan.__dataclass_fields__
         if getattr(args, name, None) is not None
     }
+    payload = {}
     if args.plan:
         with Path(args.plan).open("r", encoding="utf-8") as fh:
             payload = json.load(fh)
         unknown = set(payload) - set(ExperimentPlan.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown plan fields: {sorted(unknown)}")
-        payload.update(given)
-        plan = ExperimentPlan(**_with_protocol_defaults(payload))
-    else:
-        plan = ExperimentPlan(**_with_protocol_defaults(given))
+    payload.update(given)
+    kind = str(payload.get("dataset", "synthetic")).partition(":")[0]
+    for key, value in _FILE_KINDS.get(kind, (None, {}))[1].items():
+        payload.setdefault(key, value)
+    plan = ExperimentPlan(**payload)
     records, failures = run_plan(plan)
     out_dir = Path(plan.out) if plan.out else None
     if out_dir:
@@ -573,8 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a bad plan or input file prints one error line to
+    stderr and returns 2, as argparse does for a bad flag."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"huberdp-bench: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Dataset generation, ratings-file parsers, and run persistence.
 
 Synthetic ground truth is X = U V^T with standard-normal factors scaled by
-1/sqrt(rank), so entries have unit variance at any rank. Parsers ingest the
-MovieLens100k ``u.data`` layout (tab-separated ``user  item  rating
-timestamp``, 1-indexed ids) and SweetRS-style ``user,item,rating`` records.
+1/sqrt(rank), so entries have unit variance at any rank. One parser reads
+both ratings formats, the MovieLens100k ``u.data`` layout (tab-separated
+``user  item  rating  timestamp``, 1-indexed ids) and SweetRS-style
+``user,item,rating`` records; parse_movielens and parse_sweetrs select it.
 Run results persist as versioned JSON records plus a flat CSV summary.
 """
 
@@ -15,7 +16,6 @@ import logging
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Literal
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .lrmc import ObservedMatrix
 __all__ = [
     "SyntheticSpec",
     "ParseReport",
-    "RatingsFile",
     "RunRecord",
     "RatingsParseError",
     "SchemaVersionError",
@@ -100,26 +99,6 @@ class ParseReport:
     out_of_range: int = 0
 
 
-@dataclass(frozen=True)
-class RatingsFile:
-    """A ratings dump on disk plus the format it is parsed with."""
-
-    kind: Literal["movielens100k", "sweetrs"]
-    path: Path
-
-    def __post_init__(self):
-        if self.kind not in ("movielens100k", "sweetrs"):
-            raise ValueError(f"unknown ratings format {self.kind!r}")
-        object.__setattr__(self, "path", Path(self.path))
-
-    def load(self, report: ParseReport | None = None) -> ObservedMatrix:
-        if not self.path.is_file():
-            raise RatingsParseError(f"{self.path}: no such file")
-        if self.kind == "movielens100k":
-            return parse_movielens(self.path, report)
-        return parse_sweetrs(self.path, report)
-
-
 def synthetic_truth(m: int, n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Random rank-`rank` matrix with unit-variance entries.
 
@@ -167,74 +146,77 @@ def mask_entries(
     return ObservedMatrix(m, n, rows, cols, x[rows, cols], value_range)
 
 
-def _build_ratings(
-    triples: list[tuple[int, int, float]],
-    value_range: tuple[float, float],
-    report: ParseReport | None,
-    source: str,
-) -> ObservedMatrix:
-    if not triples:
-        raise RatingsParseError(f"{source}: no ratings found")
-    m = max(t[0] for t in triples)
-    n = max(t[1] for t in triples)
-    lo, hi = value_range
-    seen: dict[tuple[int, int], float] = {}
-    duplicates = 0
-    out_of_range = 0
-    for user, item, rating in triples:
-        key = (user - 1, item - 1)
-        if key in seen:
-            duplicates += 1
-        if not lo <= rating <= hi:
-            out_of_range += 1
-        seen[key] = rating
+#: per ratings format: field separator, field count, and whether line 1 may
+#: be a header (a first field that is not an integer id)
+_RATINGS_FORMATS = {
+    "movielens": ("\t", 4, False),
+    "sweetrs": (",", 3, True),
+}
+
+
+def _parse_ratings(path, kind: str, report: ParseReport | None) -> ObservedMatrix:
+    """One loop for every `_RATINGS_FORMATS` kind; whitespace-only lines are
+    skipped. Each coordinate keeps its first position and its last value."""
+    sep, n_fields, header = _RATINGS_FORMATS[kind]
+    path = Path(path)
+    if not path.is_file():
+        raise RatingsParseError(f"{path}: no such file")
+    users, items, ratings = [], [], []
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            parts = line.rstrip("\r\n").split(sep)
+            if header and lineno == 1 and not parts[0].strip().lstrip("-").isdigit():
+                continue
+            try:
+                if len(parts) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
+                user, item, rating = int(parts[0]), int(parts[1]), float(parts[2])
+                if user < 1 or item < 1:
+                    raise ValueError("ids must be >= 1")
+            except ValueError as exc:
+                raise RatingsParseError(f"{path}:{lineno}: {exc}", lineno) from exc
+            users.append(user)
+            items.append(item)
+            ratings.append(rating)
+    if not users:
+        raise RatingsParseError(f"{path}: no ratings found")
+    rows = np.array(users, dtype=np.int64) - 1
+    cols = np.array(items, dtype=np.int64) - 1
+    values = np.array(ratings, dtype=float)
+    m, n = int(rows.max()) + 1, int(cols.max()) + 1
+    flat = rows * n + cols
+    # np.unique returns each key's first index; on the reversed array, its
+    # last write. Sorting the first indices restores first-appearance order.
+    _, first = np.unique(flat, return_index=True)
+    _, last = np.unique(flat[::-1], return_index=True)
+    order = np.argsort(first)
+    first, last = first[order], flat.size - 1 - last[order]
+    lo, hi = 1.0, 5.0
+    duplicates = flat.size - first.size
+    out_of_range = int(np.count_nonzero(~((lo <= values) & (values <= hi))))
     if duplicates:
-        logger.warning("%s: %d duplicate ratings, last write wins", source, duplicates)
+        logger.warning("%s: %d duplicate ratings, last write wins", path, duplicates)
     if out_of_range:
-        logger.warning(
-            "%s: %d ratings outside [%g, %g] (kept)", source, out_of_range, lo, hi
-        )
+        logger.warning("%s: %d ratings outside [%g, %g] (kept)", path, out_of_range, lo, hi)
     if report is not None:
         report.duplicates = duplicates
         report.out_of_range = out_of_range
-    rows = np.fromiter((k[0] for k in seen), dtype=np.int64, count=len(seen))
-    cols = np.fromiter((k[1] for k in seen), dtype=np.int64, count=len(seen))
-    vals = np.fromiter(seen.values(), dtype=float, count=len(seen))
-    return ObservedMatrix(m, n, rows, cols, vals, value_range)
+    return ObservedMatrix(m, n, rows[first], cols[first], values[last], (lo, hi))
 
 
 def parse_movielens(path, report: ParseReport | None = None) -> ObservedMatrix:
     """Parse a MovieLens100k ``u.data`` file.
 
     Each line is ``user_id<TAB>item_id<TAB>rating<TAB>timestamp`` with
-    1-indexed ids. Dimensions are the maximum ids seen; the ratings scale is
-    (1, 5). Duplicate (user, item) pairs resolve last-write-wins and
-    out-of-range ratings are kept, both counted in the optional report.
+    1-indexed ids; the timestamp is not read. Dimensions are the maximum ids
+    seen; the ratings scale is (1, 5). Duplicate (user, item) pairs resolve
+    last-write-wins and out-of-range ratings are kept, both logged and
+    counted in the optional report. A missing file or a malformed line
+    (reported with its number) raises RatingsParseError.
     """
-    path = Path(path)
-    triples: list[tuple[int, int, float]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise RatingsParseError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}",
-                    lineno,
-                )
-            try:
-                user, item = int(parts[0]), int(parts[1])
-                rating = float(parts[2])
-            except ValueError as exc:
-                raise RatingsParseError(f"{path}:{lineno}: {exc}", lineno) from exc
-            if user < 1 or item < 1:
-                raise RatingsParseError(
-                    f"{path}:{lineno}: ids must be >= 1", lineno
-                )
-            triples.append((user, item, rating))
-    return _build_ratings(triples, (1.0, 5.0), report, str(path))
+    return _parse_ratings(path, "movielens", report)
 
 
 def parse_sweetrs(path, report: ParseReport | None = None) -> ObservedMatrix:
@@ -242,33 +224,10 @@ def parse_sweetrs(path, report: ParseReport | None = None) -> ObservedMatrix:
 
     Pinned schema: comma-separated ``user,item,rating`` records with
     1-indexed integer ids and numeric ratings on the (1, 5) scale; an
-    optional single header line is skipped. Duplicate and out-of-range
-    handling matches parse_movielens.
+    optional header on the first line is skipped. Duplicate, out-of-range
+    and error handling match parse_movielens.
     """
-    path = Path(path)
-    triples: list[tuple[int, int, float]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and parts and not parts[0].lstrip("-").isdigit():
-                continue  # header row
-            if len(parts) != 3:
-                raise RatingsParseError(
-                    f"{path}:{lineno}: expected 3 comma-separated fields, got {len(parts)}",
-                    lineno,
-                )
-            try:
-                user, item = int(parts[0]), int(parts[1])
-                rating = float(parts[2])
-            except ValueError as exc:
-                raise RatingsParseError(f"{path}:{lineno}: {exc}", lineno) from exc
-            if user < 1 or item < 1:
-                raise RatingsParseError(f"{path}:{lineno}: ids must be >= 1", lineno)
-            triples.append((user, item, rating))
-    return _build_ratings(triples, (1.0, 5.0), report, str(path))
+    return _parse_ratings(path, "sweetrs", report)
 
 
 def subsample(

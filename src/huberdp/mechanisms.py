@@ -317,13 +317,19 @@ def huber_central_mass(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def calibrate_alpha(target_variance: float, bracket: tuple[float, float] = (1e-4, 60.0)) -> float:
+#: calibrate_alpha's initial bracket; its lower end shrinks to 1e-12 at most
+_CALIBRATION_BRACKET = (1e-4, 60.0)
+
+
+def calibrate_alpha(target_variance: float) -> float:
     """Solve huber_variance(alpha) = target_variance by bracketed root search.
 
     The variance decreases strictly from ~2/alpha^2 (alpha -> 0) to 1
     (alpha -> inf), so any target > 1 has a unique solution. Targets <= 1 are
-    unreachable and raise CalibrationError; callers wanting the "variance 1"
-    convention should use UNIT_VARIANCE_ALPHA (see huber_alpha_for_variance).
+    unreachable and raise CalibrationError, as do targets above about 2e24
+    (alpha < 1e-12); callers wanting the "variance 1" convention should use
+    UNIT_VARIANCE_ALPHA (see huber_alpha_for_variance). The search stops on a
+    relative tolerance, so alpha is exact to a few ulps at every scale.
     """
     v = float(target_variance)
     if not math.isfinite(v) or v <= 0:
@@ -334,7 +340,7 @@ def calibrate_alpha(target_variance: float, bracket: tuple[float, float] = (1e-4
             f"unreachable. Use the alpha={UNIT_VARIANCE_ALPHA} convention for "
             "unit-variance noise."
         )
-    lo, hi = bracket
+    lo, hi = _CALIBRATION_BRACKET
     while huber_variance(lo) < v:
         lo /= 10.0
         if lo < 1e-12:
@@ -343,7 +349,7 @@ def calibrate_alpha(target_variance: float, bracket: tuple[float, float] = (1e-4
         lambda a: huber_variance(a) - v,
         lo,
         hi,
-        xtol=1e-15,
+        xtol=np.finfo(float).tiny,
         rtol=4 * np.finfo(float).eps,
         maxiter=200,
     )
@@ -359,12 +365,12 @@ def huber_alpha_for_variance(variance: float) -> tuple[float, bool]:
     """alpha whose Huber noise has the given variance.
 
     Returns (alpha, convention_applied); convention_applied is True when the
-    target is <= 1 and the UNIT_VARIANCE_ALPHA convention was substituted.
+    target lies in (0, 1] and UNIT_VARIANCE_ALPHA was substituted. Other
+    targets raise calibrate_alpha's errors.
     """
-    try:
-        return calibrate_alpha(variance), False
-    except CalibrationError:
+    if 0.0 < variance <= 1.0:
         return UNIT_VARIANCE_ALPHA, True
+    return calibrate_alpha(variance), False
 
 
 # ---------------------------------------------------------------------------

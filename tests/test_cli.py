@@ -155,11 +155,32 @@ class TestRunCommand:
         record = load_run(out / "run-als-none-f0.25.json")
         assert len(record.rmse_trials) == 2  # override took effect
 
-    def test_unknown_plan_field_rejected(self, tmp_path):
+    def test_unknown_plan_field_rejected(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(ValueError):
-            run_cli(["run", "--plan", str(plan_path)])
+        assert run_cli(["run", "--plan", str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("huberdp-bench: error: unknown plan fields")
+        assert "bogus" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "--mechanism", "huber,huber"], "mechanisms has duplicate entries"),
+            (["run", "--dataset", "bogus"], "dataset 'bogus'"),
+            (["run", "--dataset", "movielens:{tmp}/missing"], "no such file"),
+            (["run", "--plan", "{tmp}/missing.json"], "No such file"),
+            (["calibrate", "--targets", "3e24"], "no bracket found"),
+        ],
+        ids=["duplicate-mechanism", "unknown-dataset", "missing-ratings",
+             "missing-plan", "uncalibratable-variance"],
+    )
+    def test_bad_input_is_one_error_line(self, argv, message, tmp_path, capsys):
+        code = run_cli([a.format(tmp=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        [line] = captured.err.splitlines()
+        assert line.startswith("huberdp-bench: error: ") and message in line
 
     def test_failed_cell_reported_nonzero_exit(self, capsys):
         # rank larger than the matrix makes every cell fail fast
@@ -241,6 +262,10 @@ class TestRunPlanApi:
             ExperimentPlan(mechanisms=["bogus"])
         with pytest.raises(ValueError):
             ExperimentPlan(trials=0)
+        # dataset specs are checked when the plan is built, not when it runs
+        for dataset in ("netflix:x.csv", "movielens:", "bogus", "synthetic:x"):
+            with pytest.raises(ValueError, match="dataset"):
+                ExperimentPlan(dataset=dataset)
 
     @pytest.mark.parametrize(
         "name,entries",
@@ -307,6 +332,42 @@ class TestRunPlanApi:
             assert record.rmse_scope == "holdout"
             assert record.extras["actual_fraction"] == pytest.approx(720 / 2400)
             assert record.extras["rmse_train_mean"] > 0
+
+    def test_sweetrs_format_dataset(self, tmp_path):
+        # a SweetRS-style dump with its header row, from a rounded low-rank model
+        rng = np.random.default_rng(19)
+        z = np.clip(np.rint(3 + rng.standard_normal((50, 2)) @ rng.standard_normal((2, 30))), 1, 5)
+        lines = ["user,item,rating"] + [
+            f"{user + 1},{item + 1},{int(z[user, item])}"
+            for user in range(50)
+            for item in rng.choice(30, size=10, replace=False)
+        ]
+        path = tmp_path / "sweetrs.csv"
+        path.write_text("\n".join(lines) + "\n")
+        plan = ExperimentPlan(
+            dataset=f"sweetrs:{path}", rank=2, solvers=["als"], mechanisms=["none"],
+            fractions=[1.0], trials=1, outer_iterations=3, seed=8,
+        )
+        records, failures = run_plan(plan)
+        assert not failures
+        [record] = records
+        assert record.dataset == "sweetrs-sweetrs"
+        assert record.rmse_scope == "holdout"
+        assert record.extras["actual_fraction"] == pytest.approx(500 / 1500)
+
+    def test_uncalibratable_variance_fails_cell(self):
+        # no finite alpha reaches 3e24; the cell fails instead of running the
+        # unit-variance convention's alpha
+        plan = ExperimentPlan(
+            m=20, n=20, data_rank=2, rank=2, solvers=["als"], mechanisms=["huber"],
+            variances=[3e24], fractions=[0.5], trials=1, outer_iterations=2,
+        )
+        records, failures = run_plan(plan)
+        assert not records
+        assert failures == [
+            "als-huber-v3e+24-f0.5: CalibrationError: "
+            "no bracket found for target variance 3e+24"
+        ]
 
     def test_protocol_defaults_for_real_datasets(self, tmp_path, capsys):
         # MovieLens-format runs default to rank 32 / 20 sweeps unless overridden

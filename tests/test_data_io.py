@@ -3,14 +3,15 @@
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from huberdp.data_io import (
     ParseReport,
-    RatingsFile,
     RatingsParseError,
     RunRecord,
     SchemaVersionError,
@@ -169,21 +170,68 @@ class TestParseSweetrs:
 
 
 class TestRatingsFile:
-    def test_dispatch(self, tmp_path):
-        ml = tmp_path / "u.data"
-        ml.write_text(MOVIELENS_FIXTURE)
-        assert RatingsFile("movielens100k", ml).load().n_observed == 2
-        sw = tmp_path / "sweet.csv"
-        sw.write_text("1,1,5\n")
-        assert RatingsFile("sweetrs", sw).load().n_observed == 1
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(RatingsParseError):
-            RatingsFile("sweetrs", tmp_path / "nope.csv").load()
+    """A ratings file is named KIND:PATH; the kind picks the parser."""
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            RatingsFile("netflix", "x.csv")
+        from huberdp.bench_cli import ExperimentPlan
+
+        with pytest.raises(ValueError, match="KIND one of"):
+            ExperimentPlan(dataset="netflix:x.csv")
+
+
+def _dict_oracle(triples):
+    """Reference ingest: last write wins in a dict, which keeps each
+    coordinate at its first appearance."""
+    seen = {}
+    duplicates = out_of_range = 0
+    for user, item, rating in triples:
+        duplicates += (user - 1, item - 1) in seen
+        out_of_range += not 1.0 <= rating <= 5.0
+        seen[(user - 1, item - 1)] = rating
+    m = max(t[0] for t in triples)
+    n = max(t[1] for t in triples)
+    rows = [k[0] for k in seen]
+    cols = [k[1] for k in seen]
+    return m, n, rows, cols, list(seen.values()), duplicates, out_of_range
+
+
+_RATING = st.integers(0, 7) | st.floats(0.0, 7.0)
+_TRIPLE = st.tuples(st.integers(1, 6), st.integers(1, 5), _RATING)
+
+
+class TestRatingsParser:
+    @pytest.mark.parametrize("parse", [parse_movielens, parse_sweetrs], ids=lambda f: f.__name__)
+    def test_missing_file(self, parse, tmp_path):
+        with pytest.raises(RatingsParseError, match="no such file"):
+            parse(tmp_path / "nope")
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        triples=st.lists(_TRIPLE, min_size=1, max_size=40),
+        blanks=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(["", "  ", " \t"]))),
+        fmt=st.sampled_from(["movielens", "sweetrs", "sweetrs-header"]),
+    )
+    def test_matches_dict_oracle(self, triples, blanks, fmt):
+        if fmt == "movielens":
+            lines = [f"{u}\t{i}\t{r}\t{k}" for k, (u, i, r) in enumerate(triples)]
+        else:
+            lines = [f"{u}, {i},{r} " for u, i, r in triples]
+        for pos, blank in blanks:
+            lines.insert(pos, blank)
+        if fmt == "sweetrs-header":
+            lines.insert(0, "user,item,rating")
+        parse = parse_movielens if fmt == "movielens" else parse_sweetrs
+        report = ParseReport()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ratings"
+            path.write_text("\n".join(lines) + "\n")
+            obs = parse(path, report)
+        m, n, rows, cols, values, duplicates, out_of_range = _dict_oracle(triples)
+        assert (obs.m, obs.n) == (m, n)
+        np.testing.assert_array_equal(obs.rows, rows)
+        np.testing.assert_array_equal(obs.cols, cols)
+        np.testing.assert_array_equal(obs.values, np.asarray(values, dtype=float))
+        assert (report.duplicates, report.out_of_range) == (duplicates, out_of_range)
 
 
 class TestSubsample:

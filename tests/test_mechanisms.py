@@ -312,16 +312,19 @@ class TestCalibration:
         assert alpha == UNIT_VARIANCE_ALPHA and convention
         alpha, convention = huber_alpha_for_variance(2.0)
         assert not convention
+        # above the calibration range there is no convention to fall back on
+        with pytest.raises(CalibrationError, match="no bracket"):
+            huber_alpha_for_variance(3e24)
 
     @_WIDE
     @given(
-        target=st.floats(1.0, 1e12, exclude_min=True)
-        | st.floats(1e-12, 12.0).map(lambda e: 10.0**e)
+        target=st.floats(1.0, 1e24, exclude_min=True)
+        | st.floats(1e-12, 24.0).map(lambda e: 10.0**e)
     )
     def test_roundtrip_over_reachable_targets(self, target):
         alpha, convention = huber_alpha_for_variance(target)
         assert not convention
-        assert huber_variance(alpha) == pytest.approx(target, rel=1e-9)
+        assert huber_variance(alpha) == pytest.approx(target, rel=1e-12)
 
     def test_huge_target_converges(self):
         alpha = calibrate_alpha(1e6)

@@ -23,7 +23,8 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,10 @@ class ExperimentPlan:
     out: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, _FIELD_TYPES[f.name]):
+                raise ValueError(f"plan field {f.name} must be {f.type}, got {value!r}")
         kind, _, path = self.dataset.partition(":")
         if self.dataset != "synthetic" and (kind not in _FILE_KINDS or not path):
             raise ValueError(
@@ -153,6 +158,23 @@ class ExperimentPlan:
                     for fraction in self.fractions:
                         out.append((solver, mech, variance, fraction))
         return out
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentPlan)
+
+
+def _has_type(value, hint) -> bool:
+    """isinstance against a plan field's annotation. A bool is not an int
+    (JSON true is not a count), and an int is a float."""
+    if hint is int or hint is float:
+        allowed = (int,) if hint is int else (int, float)
+        return isinstance(value, allowed) and not isinstance(value, bool)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if args:  # a union such as float | None
+        return any(_has_type(value, arg) for arg in args)
+    return isinstance(value, hint)
 
 
 def _load_file_dataset(kind: str, path: str) -> tuple[np.ndarray | None, ObservedMatrix]:

@@ -18,12 +18,17 @@ Sweep s draws from one stream, split from (solver entropy, s) by a
 SeedSequence, in at most two block calls: the (n, r) IRLS starting points
 N(0, I) first, then the (n, K, r) mechanism noise (K = 1 for ALS). Column j
 reads slice j of each block, so results are independent of the order in
-which columns are processed.
+which columns are processed. A solver call runs its larger half-sweeps on a
+thread per usable CPU and joins them before it returns; the factors are the
+same bit for bit on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +156,22 @@ class FactorPair:
 
     def predict_entries(self, rows, cols) -> np.ndarray:
         """Entry-wise predictions (U V^T)[rows, cols] without forming U V^T."""
-        return np.einsum("er,er->e", self.U[rows], self.V[cols])
+        return _predict_entries(self.U, self.V, rows, cols)
+
+
+_PREDICT_BLOCK = 8192  # entries whose factor rows are gathered at once
+
+
+def _predict_entries(u, v, rows, cols):
+    """(u v^T)[rows, cols], gathering the factor rows of a fixed-size block of
+    entries at a time so memory stays bounded for any number of entries."""
+    rows = np.asarray(rows)
+    cols = np.asarray(cols)
+    out = np.empty(rows.size)
+    for start in range(0, rows.size, _PREDICT_BLOCK):
+        block = slice(start, start + _PREDICT_BLOCK)
+        out[block] = np.einsum("er,er->e", u[rows[block]], v[cols[block]])
+    return out
 
 
 @dataclass(frozen=True)
@@ -232,15 +252,35 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # LAPACK call. Walking the distinct observation counts in ascending order, a
 # group of width w (its largest count) with g targets absorbs the next count c
 # while the padding this adds, (c - w) * g entries at r^2 multiply-adds of
-# Gram work each, stays within _MERGE_BUDGET. Every target is padded to its
-# group's width with slots that index a zero row appended to the fixed factor
-# (index -1) and carry the value 0, so they add nothing to the Gram, the
-# right-hand side or the residual. The residual, Gram and right-hand-side
-# contractions are stacked matmuls on the group's gathered block, so they run
-# on BLAS. Per-target results match solving each system on its own up to
-# rounding.
+# Gram work each, stays within _MERGE_BUDGET. A group of at most
+# _GIL_BATCH / r targets also absorbs the next count while the merged group
+# stays at most 1/8 padding: np.linalg.solve releases the GIL only for batches
+# above about 500 / r systems, and a smaller batch would hold the other
+# threads up. Every target is padded to its group's width with slots that
+# index a zero row appended to the fixed factor (index -1) and carry the
+# value 0, so they add nothing to the Gram, the right-hand side or the
+# residual. The residual, Gram and right-hand-side contractions are stacked
+# matmuls on the group's gathered block, so they run on BLAS. Per-target
+# results match solving each system on its own up to rounding.
+#
+# A half whose Gram work (padded slots x r^2 x iterations) exceeds
+# _PARALLEL_WORK runs on every usable CPU: the groups are dealt round-robin
+# into one part per CPU; the calling thread runs one part and the solver's
+# own pool of one thread per further CPU runs the rest (a thread fewer also
+# means a malloc arena fewer in the peak RSS).
+# Each group's arithmetic does not depend on the thread that runs it, so the
+# factors equal the serial ones bit for bit whatever the CPU count.
 
 _MERGE_BUDGET = 4096  # multiply-adds of Gram work one merge may add as padding
+_GIL_BATCH = 500  # systems x rank up to which np.linalg.solve keeps the GIL
+_PARALLEL_WORK = 2**22  # Gram multiply-adds below which a half stays serial
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _target_groups(target_idx, other_idx, values, num_targets, rank):
@@ -251,15 +291,20 @@ def _target_groups(target_idx, other_idx, values, num_targets, rank):
     other_sorted = np.append(other_idx[order], -1)
     values_sorted = np.append(values[order], 0.0)
     distinct, sizes = np.unique(counts, return_counts=True)
-    runs = []  # [smallest count, width, members]
+    runs = []  # [smallest count, width, members, observed entries]
     for c, g in zip(distinct.tolist(), sizes.tolist()):
-        if runs and (c - runs[-1][1]) * runs[-1][2] * rank * rank <= _MERGE_BUDGET:
-            runs[-1][1] = c
-            runs[-1][2] += g
-        else:
-            runs.append([c, c, g])
+        if runs:
+            run = runs[-1]
+            _, width, members, entries = run
+            padding = c * members - entries  # of the merged group
+            if (c - width) * members * rank * rank <= _MERGE_BUDGET or (
+                members * rank <= _GIL_BATCH and 8 * padding <= c * (members + g)
+            ):
+                run[1:] = c, members + g, entries + c * g
+                continue
+        runs.append([c, c, g, c * g])
     groups = []
-    for low, width, _ in runs:
+    for low, width, _, _ in runs:
         ids = np.flatnonzero((counts >= low) & (counts <= width))
         slot = np.arange(width)
         entry = np.where(
@@ -269,7 +314,9 @@ def _target_groups(target_idx, other_idx, values, num_targets, rank):
     return groups
 
 
-def _half_sweep(groups, other, lam, alpha, iterations, init, noise, num_targets):
+def _half_sweep(
+    groups, other, lam, alpha, iterations, init, noise, num_targets, pool=None, workers=1
+):
     """Regularized Huber IRLS for every target against the fixed factor.
 
     Iteration k solves (A^T W A + lam I) theta = A^T W y + noise[:, k] with
@@ -287,36 +334,64 @@ def _half_sweep(groups, other, lam, alpha, iterations, init, noise, num_targets)
     theta bit for bit. The group then stops early and keeps its theta; the
     result equals running all the iterations. With noise, every iteration
     runs.
+
+    With a pool of workers - 1 threads, a half above _PARALLEL_WORK deals
+    its groups round-robin into `workers` parts: the calling thread runs the
+    first, the pool the others, each part writing only its own targets'
+    rows. An error in any part is raised once every part has finished.
+    Otherwise every group runs in the calling thread.
     """
     r = other.shape[1]
     other = np.concatenate((other, np.zeros((1, r))))
     out = np.empty((num_targets, r))
     lam_eye = lam * np.eye(r)
     reweight = math.isfinite(alpha)
-    for ids, oidx, vals in groups:
-        ag = other[oidx]
-        agt = ag.transpose(0, 2, 1)
-        vcol = vals[..., None]
-        gnoise = None if noise is None else noise[ids]
-        theta = init[ids] if reweight else None
-        prev_w = None
-        for k in range(iterations):
-            awt = agt
-            if reweight:
-                absr = np.abs(vals - (ag @ theta[..., None])[..., 0])
-                w = np.ones_like(absr)
-                big = absr >= ZERO_RESIDUAL_TOL
-                w[big] = np.minimum(1.0, alpha / absr[big])
-                if gnoise is None:
-                    if prev_w is not None and np.array_equal(w, prev_w):
-                        break
-                    prev_w = w
-                awt = agt * w[:, None, :]
-            rhs = awt @ vcol
-            if gnoise is not None:
-                rhs = rhs + gnoise[:, k, :, None]
-            theta = np.linalg.solve(awt @ ag + lam_eye, rhs)[..., 0]
-        out[ids] = theta
+
+    def solve_groups(part):
+        for ids, oidx, vals in part:
+            ag = other[oidx]
+            agt = ag.transpose(0, 2, 1)
+            vcol = vals[..., None]
+            gnoise = None if noise is None else noise[ids]
+            theta = init[ids] if reweight else None
+            prev_w = None
+            for k in range(iterations):
+                awt = agt
+                if reweight:
+                    absr = np.abs(vals - (ag @ theta[..., None])[..., 0])
+                    w = np.ones_like(absr)
+                    big = absr >= ZERO_RESIDUAL_TOL
+                    w[big] = np.minimum(1.0, alpha / absr[big])
+                    if gnoise is None:
+                        if prev_w is not None and np.array_equal(w, prev_w):
+                            break
+                        prev_w = w
+                    awt = agt * w[:, None, :]
+                rhs = awt @ vcol
+                if gnoise is not None:
+                    rhs = rhs + gnoise[:, k, :, None]
+                theta = np.linalg.solve(awt @ ag + lam_eye, rhs)[..., 0]
+            out[ids] = theta
+
+    slots = sum(vals.size for _, _, vals in groups)
+    if pool is None or workers < 2 or slots * r * r * iterations <= _PARALLEL_WORK:
+        solve_groups(groups)
+        return out
+    err = np.geterr()  # numpy's error state is per thread; workers take the caller's
+
+    def solve_part(part):
+        with np.errstate(**err):
+            solve_groups(part)
+
+    futures = [pool.submit(solve_part, groups[i::workers]) for i in range(1, workers)]
+    # every part finishes before any error propagates, so no thread still
+    # writes to out once the caller sees the exception
+    try:
+        solve_groups(groups[::workers])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
     return out
 
 
@@ -356,22 +431,28 @@ def _alternate(solver, obs, config, rng, counters, init, history, alpha, iterati
     row_groups = _target_groups(obs.rows, obs.cols, obs.values, obs.m, r)
     col_groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, r)
     lam = config.lam
-    for sweep in range(config.outer_iterations):
-        u = _half_sweep(row_groups, v, lam, math.inf, 1, None, None, obs.m)
-        if not np.isfinite(u).all():
-            raise SolverDivergence(solver, sweep, "u")
-        if history is not None:
-            history.append(completion_objective(obs, u, v, lam))
-        starts, noise = _column_draws(
-            config.mechanism, e0, e1, sweep, obs.n, iterations, r, math.isfinite(alpha)
-        )
-        if counters is not None and noise is not None:
-            counters.v_sweep += noise.size
-        v = _half_sweep(col_groups, u, lam, alpha, iterations, starts, noise, obs.n)
-        if not np.isfinite(v).all():
-            raise SolverDivergence(solver, sweep, "v")
-        if history is not None:
-            history.append(completion_objective(obs, u, v, lam))
+    workers = _usable_cpus()
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        for sweep in range(config.outer_iterations):
+            u = _half_sweep(
+                row_groups, v, lam, math.inf, 1, None, None, obs.m, pool, workers
+            )
+            if not np.isfinite(u).all():
+                raise SolverDivergence(solver, sweep, "u")
+            if history is not None:
+                history.append(completion_objective(obs, u, v, lam))
+            starts, noise = _column_draws(
+                config.mechanism, e0, e1, sweep, obs.n, iterations, r, math.isfinite(alpha)
+            )
+            if counters is not None and noise is not None:
+                counters.v_sweep += noise.size
+            v = _half_sweep(
+                col_groups, u, lam, alpha, iterations, starts, noise, obs.n, pool, workers
+            )
+            if not np.isfinite(v).all():
+                raise SolverDivergence(solver, sweep, "v")
+            if history is not None:
+                history.append(completion_objective(obs, u, v, lam))
     return FactorPair(u, v)
 
 
@@ -468,6 +549,5 @@ def complete(obs: ObservedMatrix, factors: FactorPair, clip: bool = False) -> np
 def completion_objective(obs: ObservedMatrix, u, v, lam: float) -> float:
     """Regularized masked least-squares objective
     ||P_Omega(X - U V^T)||_F^2 + lam (||U||_F^2 + ||V||_F^2)."""
-    pred = np.einsum("er,er->e", u[obs.rows], v[obs.cols])
-    resid = obs.values - pred
+    resid = obs.values - _predict_entries(u, v, obs.rows, obs.cols)
     return float(resid @ resid + lam * ((u * u).sum() + (v * v).sum()))

@@ -164,23 +164,46 @@ class TestRunCommand:
         assert "bogus" in err
 
     @pytest.mark.parametrize(
-        "argv,message",
+        "argv,plan,message",
         [
-            (["run", "--mechanism", "huber,huber"], "mechanisms has duplicate entries"),
-            (["run", "--dataset", "bogus"], "dataset 'bogus'"),
-            (["run", "--dataset", "movielens:{tmp}/missing"], "no such file"),
-            (["run", "--plan", "{tmp}/missing.json"], "No such file"),
-            (["calibrate", "--targets", "3e24"], "no bracket found"),
+            (["run", "--mechanism", "huber,huber"], None, "mechanisms has duplicate entries"),
+            (["run", "--dataset", "bogus"], None, "dataset 'bogus'"),
+            (["run", "--dataset", "movielens:{tmp}/missing"], None, "no such file"),
+            (["run", "--plan", "{tmp}/missing.json"], None, "No such file"),
+            (["calibrate", "--targets", "3e24"], None, "no bracket found"),
+            (["run", "--plan", "{tmp}/plan.json"], {"dataset": 5},
+             "plan field dataset must be str, got 5"),
+            (["run", "--plan", "{tmp}/plan.json"], {"trials": "3"},
+             "plan field trials must be int, got '3'"),
+            (["run", "--plan", "{tmp}/plan.json"], {"rank": 2.5},
+             "plan field rank must be int, got 2.5"),
         ],
         ids=["duplicate-mechanism", "unknown-dataset", "missing-ratings",
-             "missing-plan", "uncalibratable-variance"],
+             "missing-plan", "uncalibratable-variance", "dataset-not-str",
+             "trials-not-int", "rank-not-int"],
     )
-    def test_bad_input_is_one_error_line(self, argv, message, tmp_path, capsys):
+    def test_bad_input_is_one_error_line(self, argv, plan, message, tmp_path, capsys):
+        if plan is not None:
+            (tmp_path / "plan.json").write_text(json.dumps(plan))
         code = run_cli([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()
         assert code == 2
         [line] = captured.err.splitlines()
         assert line.startswith("huberdp-bench: error: ") and message in line
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("trials", True), ("seed", 1.0), ("variances", [1.0, "2"]), ("solvers", "als"),
+         ("huber_loss_alpha", "1"), ("out", 3)],
+    )
+    def test_wrongly_typed_field_rejected(self, field, value):
+        # a bool is not a count, and a list field takes a list of its type
+        with pytest.raises(ValueError, match=f"plan field {field} must be"):
+            ExperimentPlan(**{field: value})
+
+    def test_int_passes_as_float(self):
+        plan = ExperimentPlan(variances=[1, 2.5], lam=1, huber_loss_alpha=2, delta_f=5)
+        assert plan.variances == [1, 2.5]
 
     def test_failed_cell_reported_nonzero_exit(self, capsys):
         # rank larger than the matrix makes every cell fail fast

@@ -175,6 +175,8 @@ def _parse_ratings(path, kind: str, report: ParseReport | None) -> ObservedMatri
                 user, item, rating = int(parts[0]), int(parts[1]), float(parts[2])
                 if user < 1 or item < 1:
                     raise ValueError("ids must be >= 1")
+                if not math.isfinite(rating):
+                    raise ValueError(f"rating must be finite, got {parts[2].strip()!r}")
             except ValueError as exc:
                 raise RatingsParseError(f"{path}:{lineno}: {exc}", lineno) from exc
             users.append(user)
@@ -214,7 +216,8 @@ def parse_movielens(path, report: ParseReport | None = None) -> ObservedMatrix:
     seen; the ratings scale is (1, 5). Duplicate (user, item) pairs resolve
     last-write-wins and out-of-range ratings are kept, both logged and
     counted in the optional report. A missing file or a malformed line
-    (reported with its number) raises RatingsParseError.
+    (reported with its number), including a nan or infinite rating, raises
+    RatingsParseError.
     """
     return _parse_ratings(path, "movielens", report)
 

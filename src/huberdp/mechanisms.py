@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erf, ndtr, ndtri
 
 __all__ = [
@@ -322,14 +321,16 @@ _CALIBRATION_BRACKET = (1e-4, 60.0)
 
 
 def calibrate_alpha(target_variance: float) -> float:
-    """Solve huber_variance(alpha) = target_variance by bracketed root search.
+    """Solve huber_variance(alpha) = target_variance by bisection.
 
     The variance decreases strictly from ~2/alpha^2 (alpha -> 0) to 1
     (alpha -> inf), so any target > 1 has a unique solution. Targets <= 1 are
     unreachable and raise CalibrationError, as do targets above about 2e24
     (alpha < 1e-12); callers wanting the "variance 1" convention should use
-    UNIT_VARIANCE_ALPHA (see huber_alpha_for_variance). The search stops on a
-    relative tolerance, so alpha is exact to a few ulps at every scale.
+    UNIT_VARIANCE_ALPHA (see huber_alpha_for_variance). The bisection keeps
+    huber_variance(lo) >= target > huber_variance(hi) and halves the bracket
+    until lo and hi are adjacent doubles, then returns whichever of the two
+    has the smaller residual: the closest double to the closed form's root.
     """
     v = float(target_variance)
     if not math.isfinite(v) or v <= 0:
@@ -341,24 +342,29 @@ def calibrate_alpha(target_variance: float) -> float:
             "unit-variance noise."
         )
     lo, hi = _CALIBRATION_BRACKET
-    while huber_variance(lo) < v:
+    var_lo = huber_variance(lo)
+    while var_lo < v:
         lo /= 10.0
         if lo < 1e-12:
             raise CalibrationError(f"no bracket found for target variance {v}")
-    alpha = brentq(
-        lambda a: huber_variance(a) - v,
-        lo,
-        hi,
-        xtol=np.finfo(float).tiny,
-        rtol=4 * np.finfo(float).eps,
-        maxiter=200,
-    )
+        var_lo = huber_variance(lo)
+    var_hi = huber_variance(hi)  # rounds to 1.0, below every target > 1
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        var_mid = huber_variance(mid)
+        if var_mid >= v:
+            lo, var_lo = mid, var_mid
+        else:
+            hi, var_hi = mid, var_mid
+    alpha = lo if var_lo - v <= v - var_hi else hi
     resid = abs(huber_variance(alpha) - v)
     if resid > 1e-8 * max(1.0, v):
         raise ConsistencyError(
             f"calibration residual {resid:.3e} for target {v} (alpha={alpha})"
         )
-    return float(alpha)
+    return alpha
 
 
 def huber_alpha_for_variance(variance: float) -> tuple[float, bool]:

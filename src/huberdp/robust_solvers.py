@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .mechanisms import MechanismConfig, NoiseDraw, huber_loss, sample
 
@@ -95,10 +94,12 @@ class WeightDiagonal:
 
 
 def ridge_solve(problem: RidgeProblem, noise: NoiseDraw | None = None) -> np.ndarray:
-    """Solve (AtA + lam I) theta = At y + t via Cholesky.
+    """Solve (AtA + lam I) theta = At y + t with numpy's LAPACK solve.
 
-    t is the zero vector when noise is absent. Raises scipy's LinAlgError when
-    lam = 0 and the design is rank deficient.
+    t is the zero vector when noise is absent. Raises numpy's LinAlgError when
+    the system is singular. With lam = 0 a rank-deficient design is often
+    singular only up to rounding, and then the solve returns a meaningless
+    huge theta instead of raising; lam > 0 rules that out.
     """
     a, y, lam = problem.design, problem.targets, problem.lam
     q = a.shape[1]
@@ -109,7 +110,7 @@ def ridge_solve(problem: RidgeProblem, noise: NoiseDraw | None = None) -> np.nda
         if t.shape != (q,):
             raise ValueError(f"noise must have length {q}, got shape {t.shape}")
         rhs = rhs + t
-    return cho_solve(cho_factor(gram, lower=True), rhs)
+    return np.linalg.solve(gram, rhs)
 
 
 def irls_weights(residuals, alpha: float) -> WeightDiagonal:
@@ -152,7 +153,7 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:
         t = sample(config.noise, q, rng).values
         gram = a.T @ (a * w[:, None]) + eye
         rhs = a.T @ (w * y) + t
-        theta = cho_solve(cho_factor(gram, lower=True), rhs)
+        theta = np.linalg.solve(gram, rhs)
     return theta
 
 

@@ -191,6 +191,13 @@ class TestRunCommand:
         [line] = captured.err.splitlines()
         assert line.startswith("huberdp-bench: error: ") and message in line
 
+    def test_non_finite_rating_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "u.data"
+        path.write_text("1\t1\t3\t0\n2\t2\tnan\t1\n")
+        assert run_cli(["run", "--dataset", f"movielens:{path}"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"huberdp-bench: error: {path}:2: ")
+
     @pytest.mark.parametrize(
         "field,value",
         [("trials", True), ("seed", 1.0), ("variances", [1.0, "2"]), ("solvers", "als"),

@@ -205,6 +205,22 @@ class TestRatingsParser:
         with pytest.raises(RatingsParseError, match="no such file"):
             parse(tmp_path / "nope")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("fmt", ["movielens", "sweetrs"])
+    def test_non_finite_rating_names_its_line(self, fmt, value, tmp_path):
+        path = tmp_path / "ratings"
+        if fmt == "movielens":
+            path.write_text(f"1\t1\t3\t0\n2\t2\t{value}\t1\n")
+            parse = parse_movielens
+        else:
+            path.write_text(f"user,item,rating\n1,1,3\n2,2,{value}\n")
+            parse = parse_sweetrs
+        line = 2 if fmt == "movielens" else 3
+        with pytest.raises(RatingsParseError) as err:
+            parse(path)
+        assert str(err.value).startswith(f"{path}:{line}: rating must be finite")
+        assert err.value.line_number == line
+
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
         triples=st.lists(_TRIPLE, min_size=1, max_size=40),

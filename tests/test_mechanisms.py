@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
+from scipy.optimize import brentq
 
 from huberdp.mechanisms import (
     CalibrationError,
@@ -242,6 +243,10 @@ class TestVariance:
 # alpha over the sampler's whole range, uniformly and on a log scale
 _ALPHAS = st.floats(1e-6, 60.0) | st.floats(-6.0, 1.77).map(lambda e: 10.0**e)
 _WIDE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+#: calibration targets in (1, 1e24], uniform and log-uniform
+_TARGETS = st.floats(1.0, 1e24, exclude_min=True) | st.floats(1e-12, 24.0).map(
+    lambda e: 10.0**e
+)
 
 
 def quad_half_moment(alpha: float, power: int, start: float = 0.0) -> float:
@@ -317,14 +322,35 @@ class TestCalibration:
             huber_alpha_for_variance(3e24)
 
     @_WIDE
-    @given(
-        target=st.floats(1.0, 1e24, exclude_min=True)
-        | st.floats(1e-12, 24.0).map(lambda e: 10.0**e)
-    )
+    @given(target=_TARGETS)
     def test_roundtrip_over_reachable_targets(self, target):
         alpha, convention = huber_alpha_for_variance(target)
         assert not convention
         assert huber_variance(alpha) == pytest.approx(target, rel=1e-12)
+
+    @_WIDE
+    @given(target=_TARGETS)
+    def test_agrees_with_brentq(self, target):
+        eps = np.finfo(float).eps
+        ref = brentq(
+            lambda a: huber_variance(a) - target, 1e-13, 60.0,
+            xtol=np.finfo(float).tiny, rtol=4 * eps, maxiter=500,
+        )
+        # close to target 1 the variance is so flat that a few ulps of it
+        # span an alpha interval no root finder can split; that span widens
+        # the bound, and where the closed form cannot resolve it the bound
+        # is open
+        h = 1e-6 * ref
+        slope = (huber_variance(ref - h) - huber_variance(ref + h)) / (2.0 * h)
+        unresolved = 4.0 * eps * target / slope if slope > 0 else math.inf
+        assert abs(calibrate_alpha(target) - ref) <= 1e-12 * ref + unresolved
+
+    # the alphas scipy's brentq (rtol 4 eps) returned for the protocol variances
+    BRENTQ_ALPHAS = {2.0: 1.0759779011734085, 3.0: 0.8432682871233624, 4.0: 0.7202404343384305}
+
+    @pytest.mark.parametrize("target,alpha", sorted(BRENTQ_ALPHAS.items()))
+    def test_protocol_alphas_kept(self, target, alpha):
+        assert calibrate_alpha(target) == pytest.approx(alpha, rel=1e-12)
 
     def test_huge_target_converges(self):
         alpha = calibrate_alpha(1e6)

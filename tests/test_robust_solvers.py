@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from huberdp.mechanisms import MechanismConfig, NoiseDraw, sample
 from huberdp.robust_solvers import (
@@ -41,6 +42,17 @@ class TestRidgeSolve:
         expected = np.linalg.solve(a.T @ a + 2.0 * np.eye(3), a.T @ y + t)
         got = ridge_solve(RidgeProblem(a, y, 2.0), NoiseDraw(t))
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_matches_cholesky_reference(self, lam):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((40, 6))
+        y = rng.standard_normal(40)
+        t = rng.standard_normal(6)
+        gram = a.T @ a + lam * np.eye(6)
+        expected = cho_solve(cho_factor(gram, lower=True), a.T @ y + t)
+        got = ridge_solve(RidgeProblem(a, y, lam), NoiseDraw(t))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_singular_unregularized_system_fails(self):
         a = np.ones((4, 2))  # rank one
@@ -97,7 +109,31 @@ def random_instance(rng, p=30, q=5, outliers=0):
     return a, y
 
 
+def cholesky_irls(y, a, cfg, rng):
+    """r_irls replayed on scipy's Cholesky solve: the same stream, weights
+    psi(r)/r and noise draw per iteration."""
+    q = a.shape[1]
+    theta = rng.standard_normal(q)
+    for _ in range(cfg.iterations):
+        r = np.abs(y - a @ theta)
+        w = np.where(r < 1e-12, 1.0, np.minimum(1.0, cfg.alpha / np.maximum(r, 1e-12)))
+        t = sample(cfg.noise, q, rng).values
+        gram = a.T @ (a * w[:, None]) + cfg.lam * np.eye(q)
+        theta = cho_solve(cho_factor(gram, lower=True), a.T @ (w * y) + t)
+    return theta
+
+
 class TestRIrls:
+    @pytest.mark.parametrize("noise", [MechanismConfig.none(), MechanismConfig.huber(2.0)],
+                             ids=["none", "huber"])
+    def test_matches_cholesky_reference(self, noise):
+        rng = np.random.default_rng(14)
+        a, y = random_instance(rng, p=40, q=6, outliers=4)
+        cfg = IrlsConfig(alpha=1.0, lam=0.5, iterations=20, noise=noise)
+        got = r_irls(y, a, cfg, np.random.default_rng(15))
+        expected = cholesky_irls(y, a, cfg, np.random.default_rng(15))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
     def test_matches_ridge_when_residuals_small(self):
         rng = np.random.default_rng(7)
         a, y = random_instance(rng)

@@ -39,7 +39,7 @@ from .mechanisms import (
     huber_alpha_for_variance,
     sample,
 )
-from .robust_solvers import ZERO_RESIDUAL_TOL
+from .robust_solvers import _huber_weights
 
 __all__ = [
     "ObservedMatrix",
@@ -358,10 +358,7 @@ def _half_sweep(
             for k in range(iterations):
                 awt = agt
                 if reweight:
-                    absr = np.abs(vals - (ag @ theta[..., None])[..., 0])
-                    w = np.ones_like(absr)
-                    big = absr >= ZERO_RESIDUAL_TOL
-                    w[big] = np.minimum(1.0, alpha / absr[big])
+                    w = _huber_weights(np.abs(vals - (ag @ theta[..., None])[..., 0]), alpha)
                     if gnoise is None:
                         if prev_w is not None and np.array_equal(w, prev_w):
                             break

@@ -27,9 +27,6 @@ __all__ = [
     "huber_objective",
 ]
 
-#: residual magnitudes below this use the analytic limit weight 1.
-ZERO_RESIDUAL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class RidgeProblem:
@@ -88,7 +85,7 @@ class WeightDiagonal:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.size and (np.any(w <= 0) or np.any(w > 1)):
+        if not ((w > 0) & (w <= 1)).all():
             raise ValueError("weights must lie in (0, 1]")
         object.__setattr__(self, "weights", w)
 
@@ -96,13 +93,19 @@ class WeightDiagonal:
 def ridge_solve(problem: RidgeProblem, noise: NoiseDraw | None = None) -> np.ndarray:
     """Solve (AtA + lam I) theta = At y + t with numpy's LAPACK solve.
 
-    t is the zero vector when noise is absent. Raises numpy's LinAlgError when
-    the system is singular. With lam = 0 a rank-deficient design is often
-    singular only up to rounding, and then the solve returns a meaningless
-    huge theta instead of raising; lam > 0 rules that out.
+    t is the zero vector when noise is absent. With lam = 0 the design must
+    have full column rank; a rank-deficient one raises numpy's LinAlgError
+    naming its rank, where the solve alone would often return a theta with an
+    arbitrary null-space part, the Gram being singular only up to rounding.
     """
     a, y, lam = problem.design, problem.targets, problem.lam
     q = a.shape[1]
+    if lam == 0:
+        rank = np.linalg.matrix_rank(a)
+        if rank < q:
+            raise np.linalg.LinAlgError(
+                f"design has rank {rank} < {q} columns; lam = 0 needs full column rank"
+            )
     gram = a.T @ a + lam * np.eye(q)
     rhs = a.T @ y
     if noise is not None:
@@ -113,29 +116,37 @@ def ridge_solve(problem: RidgeProblem, noise: NoiseDraw | None = None) -> np.nda
     return np.linalg.solve(gram, rhs)
 
 
-def irls_weights(residuals, alpha: float) -> WeightDiagonal:
-    """Huber IRLS weights psi_alpha(r)/r = min(1, alpha/|r|).
+def _huber_weights(abs_residuals, alpha):
+    """psi_alpha(r)/r = alpha / max(|r|, alpha), written over abs_residuals;
+    exactly 1 for |r| <= alpha, and alpha > 0 never divides by zero."""
+    np.maximum(abs_residuals, alpha, out=abs_residuals)
+    return np.divide(alpha, abs_residuals, out=abs_residuals)
 
-    Residuals below ZERO_RESIDUAL_TOL in magnitude get weight 1, the analytic
-    limit of psi_alpha(r)/r at r = 0.
+
+def irls_weights(residuals, alpha: float) -> WeightDiagonal:
+    """Huber IRLS weights psi_alpha(r)/r = min(1, alpha/|r|), 1 at r = 0.
+
+    Raises ValueError for a non-finite residual.
     """
     if not math.isfinite(alpha) or alpha <= 0:
         raise ValueError("alpha must be a positive real")
     r = np.abs(np.asarray(residuals, dtype=float))
-    w = np.ones_like(r)
-    big = r >= ZERO_RESIDUAL_TOL
-    w[big] = np.minimum(1.0, alpha / r[big])
-    return WeightDiagonal(w)
+    if not np.isfinite(r).all():
+        raise ValueError("residuals must be finite")
+    return WeightDiagonal(_huber_weights(r, alpha))
 
 
 def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:
     """Regularized IRLS estimate of theta from y ~ A theta.
 
-    Starts from theta ~ N(0, I) drawn from rng, then runs config.iterations
-    rounds of: residual weights, noise draw t, and the weighted ridge update
-    theta <- (At W A + lam I)^-1 (At W y + t). With noise kind "none" the
-    iteration is the classical majorize-minimize scheme for the regularized
-    Huber objective and never increases it.
+    Draws from rng the start theta ~ N(0, I), then the noise of all K =
+    config.iterations rounds in one sample call (row k is round k's t), and
+    runs K rounds of: residual weights, then the weighted ridge update
+    theta <- (At W A + lam I)^-1 (At W y + t). This is the layout of one
+    target in an lrmc column half-sweep: start block, then noise block. With
+    noise kind "none" the iteration is the classical majorize-minimize scheme
+    for the regularized Huber objective and never increases it. Raises
+    ValueError when y or a has a non-finite entry.
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -143,17 +154,19 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("a must be a p x q matrix")
     if y.shape != (a.shape[0],):
         raise ValueError("y must be a vector of length p")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
+    if not np.isfinite(a).all():
+        raise ValueError("a must be finite")
     if config.lam <= 0:
         raise ValueError("r_irls requires lam > 0")
     q = a.shape[1]
     eye = config.lam * np.eye(q)
     theta = rng.standard_normal(q)
-    for _ in range(config.iterations):
-        w = irls_weights(y - a @ theta, config.alpha).weights
-        t = sample(config.noise, q, rng).values
-        gram = a.T @ (a * w[:, None]) + eye
-        rhs = a.T @ (w * y) + t
-        theta = np.linalg.solve(gram, rhs)
+    noise = sample(config.noise, config.iterations * q, rng).values
+    for t in noise.reshape(config.iterations, q):
+        awt = a.T * _huber_weights(np.abs(y - a @ theta), config.alpha)
+        theta = np.linalg.solve(awt @ a + eye, awt @ y + t)
     return theta
 
 

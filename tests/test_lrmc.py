@@ -303,8 +303,7 @@ class TestIrlsHuber:
             expected[j] = r_irls(y, a, irls_config, np.random.default_rng(j))
             stream = np.random.default_rng(j)
             init[j] = stream.standard_normal(r)
-            for k in range(iterations):
-                noise[j, k] = sample(mech, r, stream).values
+            noise[j] = sample(mech, iterations * r, stream).values.reshape(iterations, r)
         groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, r)
         got = _half_sweep(groups, u, lam, 1.5, iterations, init, noise, obs.n)
         np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -513,8 +512,7 @@ def _engine_and_r_irls(seed, instance, config):
         expected[j] = r_irls(y, a, config, np.random.default_rng((seed, j)))
         stream = np.random.default_rng((seed, j))
         init[j] = stream.standard_normal(rank)
-        for k in range(iterations):
-            noise[j, k] = sample(config.noise, rank, stream).values
+        noise[j] = sample(config.noise, iterations * rank, stream).values.reshape(iterations, rank)
     if config.noise.kind == "none":
         noise = None
     groups = _target_groups(target_idx, other_idx, values, n, rank)

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+from huberdp import robust_solvers
 from huberdp.mechanisms import MechanismConfig, NoiseDraw, sample
 from huberdp.robust_solvers import (
     IrlsConfig,
     RidgeProblem,
     WeightDiagonal,
+    _huber_weights,
     huber_objective,
     irls_weights,
     r_irls,
@@ -70,6 +73,16 @@ class TestRidgeSolve:
         with pytest.raises(ValueError):
             RidgeProblem(np.eye(2), np.ones(2), -1.0)
 
+    def test_rank_deficient_unregularized_design_raises_naming_rank(self):
+        # the fourth column is the sum of two others; without the rank check
+        # np.linalg.solve returns a theta for 174 of these
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            a = rng.standard_normal((20, 4))
+            a[:, 3] = a[:, rng.choice(3, 2, replace=False)].sum(axis=1)
+            with pytest.raises(np.linalg.LinAlgError, match="rank 3 < 4"):
+                ridge_solve(RidgeProblem(a, rng.standard_normal(20), 0.0))
+
 
 class TestIrlsWeights:
     def test_inside_quadratic_zone(self):
@@ -98,6 +111,44 @@ class TestIrlsWeights:
         with pytest.raises(ValueError):
             WeightDiagonal(np.array([1.5]))
 
+    def test_weight_diagonal_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            WeightDiagonal(np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_residual_is_named(self, bad):
+        with pytest.raises(ValueError, match="residuals must be finite"):
+            irls_weights(np.array([0.5, bad]), 1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(1e-12, 60.0),
+        residuals=st.lists(st.floats(-1e300, 1e300), max_size=20),
+        scales=st.lists(st.floats(0.0, 4.0), max_size=10),
+    )
+    def test_equals_former_rule_from_alpha_1e_minus_12(self, alpha, residuals, scales):
+        tiny = np.finfo(float).smallest_subnormal
+        r = np.array(
+            residuals
+            + [alpha * c for c in scales]
+            + [0.0, alpha, -alpha, np.nextafter(alpha, 0.0), np.nextafter(alpha, 1.0)]
+            + [tiny, -3 * tiny, 1e-310, 1e-12, np.nextafter(1e-12, 0.0), 1e300, -1e300]
+        )
+        # the rule before the helper, copied literally
+        absr = np.abs(r)
+        former = np.ones_like(absr)
+        big = absr >= 1e-12
+        former[big] = np.minimum(1.0, alpha / absr[big])
+        assert np.array_equal(_huber_weights(np.abs(r), alpha), former)
+        assert np.array_equal(irls_weights(r, alpha).weights, former)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-15, 9.9e-13])
+    def test_exact_psi_over_r_below_1e_minus_12(self, alpha):
+        # the former rule gave weight 1 to every |r| < 1e-12
+        r = alpha * np.array([0.0, 0.5, -1.0, 2.0, -7.0, 1e3])
+        expected = np.concatenate(([1.0, 1.0, 1.0], alpha / np.abs(r[3:])))
+        assert np.array_equal(irls_weights(r, alpha).weights, expected)
+
 
 def random_instance(rng, p=30, q=5, outliers=0):
     a = rng.standard_normal((p, q))
@@ -110,14 +161,14 @@ def random_instance(rng, p=30, q=5, outliers=0):
 
 
 def cholesky_irls(y, a, cfg, rng):
-    """r_irls replayed on scipy's Cholesky solve: the same stream, weights
-    psi(r)/r and noise draw per iteration."""
+    """r_irls replayed on scipy's Cholesky solve: the same stream (the start,
+    then one block of every iteration's noise) and weights psi(r)/r."""
     q = a.shape[1]
     theta = rng.standard_normal(q)
-    for _ in range(cfg.iterations):
+    noise = sample(cfg.noise, cfg.iterations * q, rng).values.reshape(cfg.iterations, q)
+    for t in noise:
         r = np.abs(y - a @ theta)
         w = np.where(r < 1e-12, 1.0, np.minimum(1.0, cfg.alpha / np.maximum(r, 1e-12)))
-        t = sample(cfg.noise, q, rng).values
         gram = a.T @ (a * w[:, None]) + cfg.lam * np.eye(q)
         theta = cho_solve(cho_factor(gram, lower=True), a.T @ (w * y) + t)
     return theta
@@ -215,6 +266,31 @@ class TestRIrls:
         cfg = IrlsConfig(alpha=1.0, lam=2.0, iterations=4)
         got = r_irls(y, a, cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(got, np.zeros(3))
+
+    def test_draws_start_then_one_noise_block(self, monkeypatch):
+        sizes = []
+
+        def counting_sample(mech, k, rng):
+            sizes.append(k)
+            return sample(mech, k, rng)
+
+        monkeypatch.setattr(robust_solvers, "sample", counting_sample)
+        a, y = random_instance(np.random.default_rng(17), p=30, q=5)
+        cfg = IrlsConfig(alpha=1.0, lam=0.5, iterations=7, noise=MechanismConfig.laplace(1.0))
+        r_irls(y, a, cfg, np.random.default_rng(18))
+        assert sizes == [7 * 5]
+
+    @pytest.mark.parametrize("name", ["y", "a"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_named(self, name, bad):
+        a, y = random_instance(np.random.default_rng(19))
+        if name == "y":
+            y[3] = bad
+        else:
+            a[3, 1] = bad
+        cfg = IrlsConfig(alpha=1.0, lam=0.5, iterations=3)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            r_irls(y, a, cfg, np.random.default_rng(0))
 
     def test_requires_positive_lambda(self):
         cfg = IrlsConfig(alpha=1.0, lam=0.0, iterations=1)

@@ -12,7 +12,6 @@ from .mechanisms import (
     BudgetRow,
     CalibrationError,
     ConsistencyError,
-    HuberParams,
     MechanismConfig,
     NoiseDraw,
     PrivacyBudget,
@@ -20,9 +19,6 @@ from .mechanisms import (
     UNIT_VARIANCE_ALPHA,
     budget_table,
     calibrate_alpha,
-    epsilon_gaussian,
-    epsilon_huber,
-    epsilon_laplace,
     huber_alpha_for_variance,
     huber_cdf,
     huber_central_mass,

@@ -43,21 +43,12 @@ _DOMAIN_MASK = 2
 _DOMAIN_SPLIT = 3
 _DOMAIN_SOLVER = 4
 
-_GAUSSIAN_LOG_NOTE = (
-    "note: gaussian epsilon uses the natural-log bound sqrt(2 ln(1.25/delta))/sigma * df;"
-    " --log-base base10 evaluates it with log10 instead, dividing epsilon by"
-    " sqrt(ln 10) ~= 1.5174 (compatibility mode for base-10 budget tables)."
-)
-
 
 def _stream(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(tuple(int(e) for e in entropy)))
 
 
 def _float_list(text: str) -> list[float]:
-    text = text.strip()
-    if not text:
-        return []
     return [float(p) for p in text.split(",") if p.strip()]
 
 
@@ -108,7 +99,6 @@ class ExperimentPlan:
     huber_loss_alpha: float | None = None
     delta: float = 1e-5
     delta_f: float = 5.0
-    log_base: str = "natural"
     trial_mode: str = "fresh_mask"
     holdout_fraction: float = 0.1
     out: str | None = None
@@ -134,8 +124,12 @@ class ExperimentPlan:
             raise ValueError("trials must be >= 1")
         if self.trial_mode not in ("fresh_mask", "fresh_matrix"):
             raise ValueError("trial_mode must be 'fresh_mask' or 'fresh_matrix'")
-        if self.log_base not in ("natural", "base10"):
-            raise ValueError("log_base must be 'natural' or 'base10'")
+        for v in self.variances:
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"variance {v!r} must be a positive real")
+        for f in self.fractions:
+            if not 0 < f <= 1:
+                raise ValueError(f"fraction {f!r} must lie in (0, 1]")
         if not self.mechanisms:
             raise ValueError("at least one mechanism is required")
         if not self.solvers:
@@ -194,16 +188,6 @@ def _load_file_dataset(kind: str, path: str) -> tuple[np.ndarray | None, Observe
     return truth, obs
 
 
-def _build_mechanism(kind: str, variance: float | None) -> tuple[MechanismConfig, bool]:
-    if kind == "none":
-        return MechanismConfig.none(), False
-    convention = False
-    if kind == "huber":
-        alpha, convention = mechanisms.huber_alpha_for_variance(variance)
-        return MechanismConfig.huber(alpha), convention
-    return MechanismConfig.from_variance(kind, variance), convention
-
-
 def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
     """Execute every cell of the plan; returns (records, failure messages)."""
     synthetic = plan.dataset == "synthetic"
@@ -230,10 +214,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
         ) + f"-f{fraction:g}"
         started = time.perf_counter()
         try:
-            mech, convention = _build_mechanism(mech_kind, variance)
-            budget = mechanisms.mechanism_budget(
-                mech, sens, delta=plan.delta, log_base=plan.log_base
-            )
+            mech = MechanismConfig.from_variance(mech_kind, variance)
+            budget = mechanisms.mechanism_budget(mech, sens, delta=plan.delta)
             config = SolverConfig(
                 rank=plan.rank,
                 lam=plan.lam,
@@ -300,7 +282,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
                 extras["rmse_train_mean"] = float(np.mean(train_rmse))
             if actual_fraction is not None:
                 extras["actual_fraction"] = actual_fraction
-            if convention:
+            if mech_kind == "huber" and mechanisms._unit_variance_convention(variance):
                 extras["huber_unit_variance_convention"] = True
             record = RunRecord.from_trials(
                 trial_rmse,
@@ -322,7 +304,6 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
                         lrmc.resolve_loss_alpha(config) if solver == "irls" else None
                     ),
                     "delta_f": plan.delta_f,
-                    "log_base": plan.log_base,
                     "trial_mode": plan.trial_mode,
                     "holdout_fraction": plan.holdout_fraction if scope == "holdout" else None,
                     "trial_streams": [
@@ -397,7 +378,11 @@ def cmd_budget(args) -> int:
             f"  * variance <= 1 is unreachable by Huber noise; "
             f"alpha={mechanisms.UNIT_VARIANCE_ALPHA} convention applied"
         )
-    print(_GAUSSIAN_LOG_NOTE)
+    print(
+        "note: gaussian epsilon uses the natural-log bound sqrt(2 ln(1.25/delta))/sigma * df;"
+        " --log-base base10 evaluates it with log10 instead, dividing epsilon by"
+        " sqrt(ln 10) ~= 1.5174 (compatibility mode for base-10 budget tables)."
+    )
     if args.csv:
         path = Path(args.csv)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -416,20 +401,21 @@ def cmd_budget(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    sens = Sensitivity.scalar(args.delta_f)
     print(f"{'variance':>10}  {'alpha':>10}  {'epsilon':>10}  {'residual':>10}")
     for target in args.targets:
-        alpha, convention = mechanisms.huber_alpha_for_variance(target)
-        eps = alpha * args.delta_f
-        resid = abs(mechanisms.huber_variance(alpha) - target)
+        mech = MechanismConfig.from_variance("huber", target)
+        eps = mechanisms.mechanism_budget(mech, sens).epsilon
+        resid = abs(mech.variance() - target)
         note = ""
-        if convention:
+        if mechanisms._unit_variance_convention(target):
             note = "  (unreachable target; alpha=3 unit-variance convention)"
             print(
                 f"warning: variance {target:g} <= 1 cannot be calibrated; "
-                f"using alpha={alpha:g}",
+                f"using alpha={mech.scale:g}",
                 file=sys.stderr,
             )
-        print(f"{target:>10g}  {alpha:>10.4f}  {eps:>10.3f}  {resid:>10.2e}{note}")
+        print(f"{target:>10g}  {mech.scale:>10.4f}  {eps:>10.3f}  {resid:>10.2e}{note}")
     return 0
 
 
@@ -511,8 +497,6 @@ def cmd_run(args) -> int:
             data_io.persist_run(rec, out_dir / name)
         data_io.write_summary_csv(records, out_dir / "summary.csv")
     print(_rmse_table(records, failures))
-    if plan.log_base == "natural" and any(r.mechanism == "gaussian" for r in records):
-        print(_GAUSSIAN_LOG_NOTE)
     if out_dir:
         print(f"\nwrote {len(records)} records + summary.csv to {out_dir}")
     return 1 if failures else 0
@@ -572,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--huber-loss-alpha", type=float, default=None, dest="huber_loss_alpha")
     p_run.add_argument("--delta", type=float, default=None)
     p_run.add_argument("--delta-f", type=float, default=None, dest="delta_f")
-    p_run.add_argument("--log-base", choices=["natural", "base10"], default=None, dest="log_base")
     p_run.add_argument("--trial-mode", choices=["fresh_mask", "fresh_matrix"], default=None, dest="trial_mode")
     p_run.add_argument("--holdout", type=float, default=None, dest="holdout_fraction")
     p_run.add_argument("--out", default=None, help="directory for run records and summary.csv")

@@ -3,10 +3,10 @@
 The Huber distribution has density kappa_alpha * exp(-rho_alpha(t)) where
 rho_alpha is the Huber loss: quadratic on [-alpha, alpha] with exponential
 (Laplace-like) tails beyond. Adding i.i.d. Huber noise to a query with
-l1-sensitivity df yields epsilon-DP with epsilon = alpha * df, which this
-module computes alongside the classical Laplace and Gaussian budgets. It
-also provides an exact rejection-free sampler, variance calibration, and a
-numeric verifier for the epsilon bound.
+l1-sensitivity df yields epsilon-DP with epsilon = alpha * df, which
+mechanism_budget computes alongside the classical Laplace and Gaussian
+budgets. The module also provides an exact rejection-free sampler, variance
+calibration, and a numeric verifier for the epsilon bound.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from scipy.special import erf, ndtr, ndtri
 __all__ = [
     "CalibrationError",
     "ConsistencyError",
-    "HuberParams",
     "MechanismConfig",
     "Sensitivity",
     "PrivacyBudget",
@@ -39,9 +38,6 @@ __all__ = [
     "huber_alpha_for_variance",
     "calibrate_alpha",
     "sample",
-    "epsilon_huber",
-    "epsilon_laplace",
-    "epsilon_gaussian",
     "mechanism_budget",
     "budget_table",
     "privacy_gap",
@@ -89,16 +85,6 @@ def _scalar_or_array(out: np.ndarray, like) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HuberParams:
-    """Transition parameter of the Huber loss / distribution."""
-
-    alpha: float
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -183,9 +169,9 @@ class MechanismConfig:
     def from_variance(cls, kind: str, variance: float) -> "MechanismConfig":
         """Configuration whose noise has the given variance.
 
-        For "huber" the alpha solving huber_variance(alpha) = variance is
-        used; variances <= 1 are unreachable and fall back to the
-        UNIT_VARIANCE_ALPHA convention.
+        sigma = sqrt(variance), beta = sqrt(variance / 2), and for "huber"
+        the alpha of huber_alpha_for_variance: variances <= 1 are unreachable
+        and fall back to the UNIT_VARIANCE_ALPHA convention.
         """
         if kind == "none":
             return cls.none()
@@ -367,6 +353,12 @@ def calibrate_alpha(target_variance: float) -> float:
     return alpha
 
 
+def _unit_variance_convention(variance: float) -> bool:
+    """True for a Huber target variance in (0, 1], which no finite alpha
+    reaches and which therefore runs UNIT_VARIANCE_ALPHA."""
+    return 0.0 < variance <= 1.0
+
+
 def huber_alpha_for_variance(variance: float) -> tuple[float, bool]:
     """alpha whose Huber noise has the given variance.
 
@@ -374,7 +366,7 @@ def huber_alpha_for_variance(variance: float) -> tuple[float, bool]:
     target lies in (0, 1] and UNIT_VARIANCE_ALPHA was substituted. Other
     targets raise calibrate_alpha's errors.
     """
-    if 0.0 < variance <= 1.0:
+    if _unit_variance_convention(variance):
         return UNIT_VARIANCE_ALPHA, True
     return calibrate_alpha(variance), False
 
@@ -435,64 +427,36 @@ def _sample_huber(alpha: float, k: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def epsilon_huber(params: HuberParams, sens: Sensitivity) -> PrivacyBudget:
-    """Budget of the Huber mechanism: pure epsilon-DP with epsilon = alpha * l1."""
-    return PrivacyBudget(params.alpha * sens.l1, 0.0)
-
-
-def epsilon_laplace(beta: float, sens: Sensitivity) -> PrivacyBudget:
-    """Budget of the Laplace mechanism: epsilon = l1 / beta, delta = 0."""
-    b = float(beta)
-    if not math.isfinite(b) or b <= 0:
-        raise ValueError("beta must be a positive real")
-    return PrivacyBudget(sens.l1 / b, 0.0)
-
-
-def epsilon_gaussian(
-    sigma: float,
-    delta: float,
-    sens: Sensitivity,
-    log_base: Literal["natural", "base10"] = "natural",
-) -> PrivacyBudget:
-    """Budget of the Gaussian mechanism: epsilon = sqrt(2 log(1.25/delta)) * l2 / sigma.
-
-    The standard bound uses the natural logarithm (the default). log_base
-    "base10" evaluates the same expression with log10 instead, which shrinks
-    epsilon by a factor sqrt(ln 10) ~= 1.5174; it exists only to reproduce
-    budget tables computed that way.
-    """
-    s = float(sigma)
-    d = float(delta)
-    if not math.isfinite(s) or s <= 0:
-        raise ValueError("sigma must be a positive real")
-    if not 0.0 < d < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if log_base == "natural":
-        log_term = math.log(1.25 / d)
-    elif log_base == "base10":
-        log_term = math.log10(1.25 / d)
-    else:
-        raise ValueError(f"log_base must be 'natural' or 'base10', got {log_base!r}")
-    return PrivacyBudget(math.sqrt(2.0 * log_term) / s * sens.l2, d)
-
-
 def mechanism_budget(
     config: MechanismConfig,
     sens: Sensitivity,
     delta: float = 1e-5,
     log_base: Literal["natural", "base10"] = "natural",
 ) -> PrivacyBudget:
-    """Budget of one release through the configured mechanism.
+    """(epsilon, delta) of one release through the configured mechanism.
 
-    kind "none" adds no noise and offers no privacy (epsilon = inf).
+    Huber noise is pure epsilon-DP with epsilon = alpha * l1, Laplace noise
+    with epsilon = l1 / beta. Gaussian noise takes the classical bound
+    epsilon = sqrt(2 log(1.25/delta)) * l2 / sigma for delta in (0, 1), with
+    the natural logarithm by default; log_base "base10" evaluates it with
+    log10 instead, which shrinks epsilon by sqrt(ln 10) ~= 1.5174 and exists
+    only to reproduce budget tables computed that way. kind "none" adds no
+    noise and offers no privacy (epsilon = inf). The scale was checked when
+    the config was built.
     """
     if config.kind == "none":
         return PrivacyBudget(math.inf, 0.0)
     if config.kind == "huber":
-        return epsilon_huber(HuberParams(config.scale), sens)
+        return PrivacyBudget(config.scale * sens.l1, 0.0)
     if config.kind == "laplace":
-        return epsilon_laplace(config.scale, sens)
-    return epsilon_gaussian(config.scale, delta, sens, log_base)
+        return PrivacyBudget(sens.l1 / config.scale, 0.0)
+    d = float(delta)
+    if not 0.0 < d < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    log = {"natural": math.log, "base10": math.log10}.get(log_base)
+    if log is None:
+        raise ValueError(f"log_base must be 'natural' or 'base10', got {log_base!r}")
+    return PrivacyBudget(math.sqrt(2.0 * log(1.25 / d)) / config.scale * sens.l2, d)
 
 
 @dataclass(frozen=True)
@@ -517,27 +481,25 @@ def budget_table(
 ) -> list[BudgetRow]:
     """Budgets of Gaussian, Laplace, and Huber noise of matched variance.
 
-    Per variance v: sigma = sqrt(v), beta = sqrt(v/2), and alpha calibrated so
-    the Huber variance equals v (UNIT_VARIANCE_ALPHA convention for v <= 1).
+    Per variance v, MechanismConfig.from_variance calibrates the three
+    mechanisms (sigma = sqrt(v), beta = sqrt(v/2), alpha with Huber variance
+    v, or UNIT_VARIANCE_ALPHA for v <= 1) and mechanism_budget accounts them.
     """
     rows = []
-    for v in variances:
-        v = float(v)
-        if not math.isfinite(v) or v <= 0:
-            raise ValueError(f"variance must be positive, got {v}")
-        sigma = math.sqrt(v)
-        beta = math.sqrt(v / 2.0)
-        alpha, convention = huber_alpha_for_variance(v)
+    for v in map(float, variances):
+        gaussian, laplace, huber = (
+            MechanismConfig.from_variance(kind, v) for kind in ("gaussian", "laplace", "huber")
+        )
         rows.append(
             BudgetRow(
                 variance=v,
-                gaussian=epsilon_gaussian(sigma, delta, sens, log_base),
-                laplace=epsilon_laplace(beta, sens),
-                huber=epsilon_huber(HuberParams(alpha), sens),
-                gaussian_sigma=sigma,
-                laplace_beta=beta,
-                huber_alpha=alpha,
-                huber_unit_variance_convention=convention,
+                gaussian=mechanism_budget(gaussian, sens, delta, log_base),
+                laplace=mechanism_budget(laplace, sens),
+                huber=mechanism_budget(huber, sens),
+                gaussian_sigma=gaussian.scale,
+                laplace_beta=laplace.scale,
+                huber_alpha=huber.scale,
+                huber_unit_variance_convention=_unit_variance_convention(v),
             )
         )
     return rows

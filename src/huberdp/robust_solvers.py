@@ -47,6 +47,9 @@ class RidgeProblem:
             raise ValueError("design must be a p x q matrix with p, q >= 1")
         if y.shape != (a.shape[0],):
             raise ValueError("targets must be a vector of length p")
+        for name, x in (("design", a), ("targets", y)):
+            if not np.isfinite(x).all():
+                raise ValueError(f"{name} must be finite")
         if not math.isfinite(self.lam) or self.lam < 0:
             raise ValueError("lam must be a nonnegative real")
         object.__setattr__(self, "design", a)
@@ -146,7 +149,8 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:
     target in an lrmc column half-sweep: start block, then noise block. With
     noise kind "none" the iteration is the classical majorize-minimize scheme
     for the regularized Huber objective and never increases it. Raises
-    ValueError when y or a has a non-finite entry.
+    ValueError when y or a has a non-finite entry, and FloatingPointError
+    when finite input overflows into a non-finite theta.
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -167,6 +171,8 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:
     for t in noise.reshape(config.iterations, q):
         awt = a.T * _huber_weights(np.abs(y - a @ theta), config.alpha)
         theta = np.linalg.solve(awt @ a + eye, awt @ y + t)
+    if not np.isfinite(theta).all():
+        raise FloatingPointError("r_irls diverged: non-finite theta")
     return theta
 
 

@@ -177,10 +177,15 @@ class TestRunCommand:
              "plan field trials must be int, got '3'"),
             (["run", "--plan", "{tmp}/plan.json"], {"rank": 2.5},
              "plan field rank must be int, got 2.5"),
+            (["run", "--variance", "-1"], None, "variance -1.0 must be a positive real"),
+            (["run", "--variance", "2,nan"], None, "variance nan must be a positive real"),
+            (["run", "--fraction", "0"], None, "fraction 0.0 must lie in (0, 1]"),
+            (["run", "--fraction", "0.1,1.5"], None, "fraction 1.5 must lie in (0, 1]"),
         ],
         ids=["duplicate-mechanism", "unknown-dataset", "missing-ratings",
              "missing-plan", "uncalibratable-variance", "dataset-not-str",
-             "trials-not-int", "rank-not-int"],
+             "trials-not-int", "rank-not-int", "negative-variance",
+             "nan-variance", "zero-fraction", "fraction-above-one"],
     )
     def test_bad_input_is_one_error_line(self, argv, plan, message, tmp_path, capsys):
         if plan is not None:
@@ -384,6 +389,18 @@ class TestRunPlanApi:
         assert record.dataset == "sweetrs-sweetrs"
         assert record.rmse_scope == "holdout"
         assert record.extras["actual_fraction"] == pytest.approx(500 / 1500)
+
+    def test_unit_variance_convention_flagged_in_record(self):
+        plan = ExperimentPlan(
+            m=20, n=20, data_rank=2, rank=2, solvers=["als"], mechanisms=["huber"],
+            variances=[1.0, 2.0], fractions=[0.5], trials=1, outer_iterations=2,
+        )
+        records, failures = run_plan(plan)
+        assert not failures
+        v1, v2 = records
+        assert v1.variance == 1.0 and v1.extras["huber_unit_variance_convention"] is True
+        assert v1.config["mechanism_scale"] == 3.0
+        assert v2.variance == 2.0 and "huber_unit_variance_convention" not in v2.extras
 
     def test_uncalibratable_variance_fails_cell(self):
         # no finite alpha reaches 3e24; the cell fails instead of running the

@@ -15,16 +15,12 @@ from scipy.optimize import brentq
 
 from huberdp.mechanisms import (
     CalibrationError,
-    HuberParams,
     MechanismConfig,
     PrivacyBudget,
     Sensitivity,
     UNIT_VARIANCE_ALPHA,
     budget_table,
     calibrate_alpha,
-    epsilon_gaussian,
-    epsilon_huber,
-    epsilon_laplace,
     huber_alpha_for_variance,
     huber_cdf,
     huber_central_mass,
@@ -442,57 +438,58 @@ class TestSampler:
 
 class TestBudgets:
     def test_huber_reference_row(self):
-        budget = epsilon_huber(HuberParams(3.0), Sensitivity.scalar(5.0))
+        budget = mechanism_budget(MechanismConfig.huber(3.0), Sensitivity.scalar(5.0))
         assert budget.epsilon == pytest.approx(15.000, abs=1e-12)
         assert budget.delta == 0.0
 
     def test_huber_calibrated_row(self):
-        budget = epsilon_huber(HuberParams(1.0764), Sensitivity.scalar(5.0))
+        budget = mechanism_budget(MechanismConfig.huber(1.0764), Sensitivity.scalar(5.0))
         assert budget.epsilon == pytest.approx(5.382, abs=1e-12)
 
     def test_huber_zero_sensitivity(self):
-        assert epsilon_huber(HuberParams(2.0), Sensitivity.scalar(0.0)).epsilon == 0.0
+        assert mechanism_budget(MechanismConfig.huber(2.0), Sensitivity.scalar(0.0)).epsilon == 0.0
 
     @pytest.mark.parametrize(
         "beta,expected",
         [(1.0, 5.000), (1 / math.sqrt(2), 7.071), (math.sqrt(2), 3.536)],
     )
     def test_laplace_reference_values(self, beta, expected):
-        budget = epsilon_laplace(beta, Sensitivity.scalar(5.0))
+        budget = mechanism_budget(MechanismConfig.laplace(beta), Sensitivity.scalar(5.0))
         assert budget.epsilon == pytest.approx(expected, abs=5e-4)
         assert budget.delta == 0.0
 
     def test_gaussian_base10_reference(self):
-        budget = epsilon_gaussian(1.0, 1e-5, Sensitivity.scalar(5.0), "base10")
+        s = Sensitivity.scalar(5.0)
+        budget = mechanism_budget(MechanismConfig.gaussian(1.0), s, 1e-5, "base10")
         assert budget.epsilon == pytest.approx(15.964, abs=5e-4)
-        budget = epsilon_gaussian(math.sqrt(2), 1e-5, Sensitivity.scalar(5.0), "base10")
+        budget = mechanism_budget(MechanismConfig.gaussian(math.sqrt(2)), s, 1e-5, "base10")
         assert budget.epsilon == pytest.approx(11.288, abs=5e-4)
 
     def test_gaussian_natural_is_the_formula(self):
         expected = math.sqrt(2 * math.log(1.25 / 1e-5)) * 5.0
-        budget = epsilon_gaussian(1.0, 1e-5, Sensitivity.scalar(5.0))
+        budget = mechanism_budget(MechanismConfig.gaussian(1.0), Sensitivity.scalar(5.0), 1e-5)
         assert budget.epsilon == pytest.approx(expected, rel=1e-12)
         assert budget.epsilon == pytest.approx(24.22, abs=0.01)
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
     def test_gaussian_delta_domain(self, delta):
         with pytest.raises(ValueError):
-            epsilon_gaussian(1.0, delta, Sensitivity.scalar(1.0))
+            mechanism_budget(MechanismConfig.gaussian(1.0), Sensitivity.scalar(1.0), delta)
 
     def test_epsilons_linear_in_sensitivity(self):
         for df in (0.5, 1.0, 3.0, 10.0):
             s = Sensitivity.scalar(df)
-            assert epsilon_huber(HuberParams(2.0), s).epsilon == pytest.approx(
+            assert mechanism_budget(MechanismConfig.huber(2.0), s).epsilon == pytest.approx(
                 2.0 * df, rel=1e-15
             )
-            assert epsilon_laplace(1.5, s).epsilon == pytest.approx(
+            assert mechanism_budget(MechanismConfig.laplace(1.5), s).epsilon == pytest.approx(
                 df / 1.5, rel=1e-15
             )
 
     def test_laplace_scale_doubling_halves_epsilon(self):
         s = Sensitivity.scalar(5.0)
-        assert epsilon_laplace(2.0, s).epsilon == pytest.approx(
-            epsilon_laplace(1.0, s).epsilon / 2.0, rel=1e-15
+        assert mechanism_budget(MechanismConfig.laplace(2.0), s).epsilon == pytest.approx(
+            mechanism_budget(MechanismConfig.laplace(1.0), s).epsilon / 2.0, rel=1e-15
         )
 
     def test_mechanism_budget_none_is_infinite(self):

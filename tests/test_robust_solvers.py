@@ -73,6 +73,18 @@ class TestRidgeSolve:
         with pytest.raises(ValueError):
             RidgeProblem(np.eye(2), np.ones(2), -1.0)
 
+    @pytest.mark.parametrize("name", ["design", "targets"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_problem_is_named(self, name, bad):
+        # without the check one NaN in the design gives a NaN theta
+        a, y = np.eye(3), np.ones(3)
+        if name == "design":
+            a[1, 2] = bad
+        else:
+            y[1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            RidgeProblem(a, y, 1.0)
+
     def test_rank_deficient_unregularized_design_raises_naming_rank(self):
         # the fourth column is the sum of two others; without the rank check
         # np.linalg.solve returns a theta for 174 of these
@@ -291,6 +303,17 @@ class TestRIrls:
         cfg = IrlsConfig(alpha=1.0, lam=0.5, iterations=3)
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             r_irls(y, a, cfg, np.random.default_rng(0))
+
+    def test_overflow_to_non_finite_theta_raises(self):
+        # finite input whose At W y overflows: without the check r_irls
+        # returns [nan nan nan]
+        rng = np.random.default_rng(20)
+        a = 1e5 * np.abs(rng.standard_normal((50, 3)))
+        y = np.full(50, 1e306)
+        cfg = IrlsConfig(alpha=1e300, lam=1.0, iterations=3)
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match="^r_irls diverged"):
+                r_irls(y, a, cfg, np.random.default_rng(21))
 
     def test_requires_positive_lambda(self):
         cfg = IrlsConfig(alpha=1.0, lam=0.0, iterations=1)

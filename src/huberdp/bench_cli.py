@@ -24,7 +24,7 @@ import math
 import sys
 import time
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,8 @@ class ExperimentPlan:
 
     trial_mode "fresh_mask" fixes the synthetic ground truth for the whole
     plan and redraws the observation mask (and noise) per trial;
-    "fresh_matrix" regenerates the ground truth each trial as well.
+    "fresh_matrix" regenerates the ground truth each trial as well. Fields
+    are checked when the plan is built, a dataset file's shape once it loads.
     """
 
     dataset: str = "synthetic"
@@ -140,6 +141,25 @@ class ExperimentPlan:
             entries = getattr(self, name)
             if len(set(entries)) != len(entries):
                 raise ValueError(f"{name} has duplicate entries: {entries}")
+        for name in ("delta", "holdout_fraction"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)!r} must lie in (0, 1)")
+        self.solver_config()
+        if self.dataset == "synthetic":
+            SyntheticSpec(self.m, self.n, self.data_rank, 1.0)  # fractions checked above
+            self._check_rank(self.m, self.n)
+
+    def solver_config(self) -> SolverConfig:
+        """The noiseless solver config; each cell replaces its mechanism."""
+        return SolverConfig(
+            rank=self.rank, lam=self.lam, outer_iterations=self.outer_iterations,
+            inner_iterations=self.irls_iterations, huber_loss_alpha=self.huber_loss_alpha,
+            seed=self.seed,
+        )
+
+    def _check_rank(self, m: int, n: int) -> None:
+        if self.rank > min(m, n):
+            raise ValueError(f"rank {self.rank} exceeds min(m, n) = {min(m, n)} of the data")
 
     def cells(self) -> list[tuple[str, str, float | None, float]]:
         """Deterministic cell enumeration; mechanism 'none' collapses the
@@ -188,6 +208,32 @@ def _load_file_dataset(kind: str, path: str) -> tuple[np.ndarray | None, Observe
     return truth, obs
 
 
+def _trial_data(
+    plan: ExperimentPlan, truth, base_obs, frac_idx: int, fraction: float, trial: int
+) -> tuple[np.ndarray | None, ObservedMatrix, ObservedMatrix | None]:
+    """One trial's (x, train, test); test None scores against the dense x."""
+    if plan.dataset == "synthetic":
+        if plan.trial_mode == "fresh_matrix":
+            rng = _stream(plan.seed, _DOMAIN_TRUTH, frac_idx, trial)
+            truth = data_io.synthetic_truth(plan.m, plan.n, plan.data_rank, rng)
+        else:
+            rng = _stream(plan.seed, _DOMAIN_MASK, frac_idx, trial)
+        return truth, data_io.mask_entries(truth, fraction, rng), None
+    obs = base_obs
+    # fraction 1.0 means "use the dataset as is"; anything lower subsamples
+    # (and fails loudly when infeasible)
+    if fraction < 1.0:
+        obs = data_io.subsample(obs, fraction, _stream(plan.seed, _DOMAIN_MASK, frac_idx, trial))
+    if truth is not None:
+        # the file carries its ground truth (a generated dataset): score
+        # against all entries, no holdout
+        return truth, obs, None
+    train, test = data_io.holdout_split(
+        obs, plan.holdout_fraction, _stream(plan.seed, _DOMAIN_SPLIT, frac_idx, trial)
+    )
+    return None, train, test
+
+
 def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
     """Execute every cell of the plan; returns (records, failure messages)."""
     synthetic = plan.dataset == "synthetic"
@@ -203,8 +249,11 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
         kind, _, path = plan.dataset.partition(":")
         label = f"{kind}-{Path(path).stem}"
         truth, base_obs = _load_file_dataset(kind, path)
+        plan._check_rank(base_obs.m, base_obs.n)
+    scope = "holdout" if not synthetic and truth is None else "all_entries"
 
     sens = Sensitivity.scalar(plan.delta_f)
+    noiseless = plan.solver_config()
     records: list[RunRecord] = []
     failures: list[str] = []
 
@@ -216,72 +265,29 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
         try:
             mech = MechanismConfig.from_variance(mech_kind, variance)
             budget = mechanisms.mechanism_budget(mech, sens, delta=plan.delta)
-            config = SolverConfig(
-                rank=plan.rank,
-                lam=plan.lam,
-                outer_iterations=plan.outer_iterations,
-                inner_iterations=plan.irls_iterations,
-                huber_loss_alpha=plan.huber_loss_alpha,
-                mechanism=mech,
-                seed=plan.seed,
-            )
+            config = replace(noiseless, mechanism=mech)
+            solve = lrmc.noisy_als if solver == "als" else lrmc.irls_huber
             counters = DrawCounters()
             trial_rmse = []
             train_rmse = []
-            actual_fraction = None
             frac_idx = plan.fractions.index(fraction)
             for trial in range(plan.trials):
-                if synthetic:
-                    if plan.trial_mode == "fresh_matrix":
-                        spec = SyntheticSpec(
-                            plan.m, plan.n, plan.data_rank, fraction, plan.seed
-                        )
-                        x, obs = data_io.generate_synthetic(
-                            spec, _stream(plan.seed, _DOMAIN_TRUTH, frac_idx, trial)
-                        )
-                    else:
-                        x = truth
-                        obs = data_io.mask_entries(
-                            x, fraction, _stream(plan.seed, _DOMAIN_MASK, frac_idx, trial)
-                        )
-                    train, test, scope = obs, None, "all_entries"
-                else:
-                    obs = base_obs
-                    # fraction 1.0 means "use the dataset as is"; anything
-                    # lower subsamples (and fails loudly when infeasible)
-                    if fraction < 1.0:
-                        obs = data_io.subsample(
-                            obs, fraction, _stream(plan.seed, _DOMAIN_MASK, frac_idx, trial)
-                        )
-                    actual_fraction = obs.observed_fraction
-                    if truth is not None:
-                        # the file carries its ground truth (a generated
-                        # dataset): score against all entries, no holdout
-                        x, train, test, scope = truth, obs, None, "all_entries"
-                    else:
-                        train, test = data_io.holdout_split(
-                            obs,
-                            plan.holdout_fraction,
-                            _stream(plan.seed, _DOMAIN_SPLIT, frac_idx, trial),
-                        )
-                        scope = "holdout"
-                solve = lrmc.noisy_als if solver == "als" else lrmc.irls_huber
+                x, train, test = _trial_data(plan, truth, base_obs, frac_idx, fraction, trial)
                 factors = solve(
                     train,
                     config,
                     _stream(plan.seed, _DOMAIN_SOLVER, cell_idx, trial),
                     counters=counters,
                 )
-                if scope == "all_entries":
-                    trial_rmse.append(lrmc.rmse(x, factors, scope="all_entries"))
-                else:
-                    trial_rmse.append(lrmc.rmse(test, factors, scope="observed"))
-                    train_rmse.append(lrmc.rmse(train, factors, scope="observed"))
+                trial_rmse.append(lrmc.rmse(x if test is None else test, factors))
+                if test is not None:
+                    train_rmse.append(lrmc.rmse(train, factors))
             extras = {}
             if train_rmse:
                 extras["rmse_train_mean"] = float(np.mean(train_rmse))
-            if actual_fraction is not None:
-                extras["actual_fraction"] = actual_fraction
+            if not synthetic:
+                n_observed = train.n_observed + (0 if test is None else test.n_observed)
+                extras["actual_fraction"] = n_observed / (train.m * train.n)
             if mech_kind == "huber" and mechanisms._unit_variance_convention(variance):
                 extras["huber_unit_variance_convention"] = True
             record = RunRecord.from_trials(

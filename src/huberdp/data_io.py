@@ -84,9 +84,9 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
-            raise ValueError("dimensions must be >= 1")
+            raise ValueError(f"synthetic dimensions {self.m}x{self.n} must be >= 1")
         if not 1 <= self.rank <= min(self.m, self.n):
-            raise ValueError("rank must satisfy 1 <= rank <= min(m, n)")
+            raise ValueError(f"synthetic rank {self.rank} must lie in [1, {min(self.m, self.n)}]")
         if not 0.0 < self.observed_fraction <= 1.0:
             raise ValueError("observed_fraction must lie in (0, 1]")
 
@@ -113,19 +113,17 @@ def synthetic_truth(m: int, n: int, rank: int, rng: np.random.Generator) -> np.n
 
 
 def generate_synthetic(
-    spec: SyntheticSpec,
-    rng: np.random.Generator | int | None = None,
-    value_range: tuple[float, float] = (1.0, 5.0),
+    spec: SyntheticSpec, rng: np.random.Generator | int | None = None
 ) -> tuple[np.ndarray, ObservedMatrix]:
     """Ground-truth matrix plus a uniformly masked observation of it.
 
     Returns (X, observed): X from synthetic_truth, and observed holding a
-    uniform random sample of floor(observed_fraction * m * n) distinct cells.
-    value_range is recorded as metadata only.
+    uniform random sample of floor(observed_fraction * m * n) distinct cells
+    drawn from the same generator, on the default (1, 5) value range.
     """
     rng = np.random.default_rng(spec.seed if rng is None else rng)
     x = synthetic_truth(spec.m, spec.n, spec.rank, rng)
-    return x, mask_entries(x, spec.observed_fraction, rng, value_range)
+    return x, mask_entries(x, spec.observed_fraction, rng)
 
 
 def mask_entries(
@@ -393,18 +391,4 @@ def write_summary_csv(records: list[RunRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_FIELDS)
         for rec in records:
-            writer.writerow(
-                [
-                    rec.dataset,
-                    rec.mechanism,
-                    rec.solver,
-                    _format_cell(rec.variance),
-                    _format_cell(rec.fraction),
-                    rec.rank,
-                    _format_cell(float(rec.epsilon)),
-                    _format_cell(float(rec.delta)),
-                    _format_cell(rec.rmse_mean),
-                    _format_cell(rec.rmse_std),
-                    rec.seed,
-                ]
-            )
+            writer.writerow([_format_cell(getattr(rec, f)) for f in SUMMARY_FIELDS])

@@ -504,32 +504,22 @@ def irls_huber(
 # ---------------------------------------------------------------------------
 
 
-def rmse(truth, factors: FactorPair, scope: str = "all_entries") -> float:
+def rmse(truth, factors: FactorPair) -> float:
     """Root mean squared error of the factorization.
 
-    scope "all_entries": truth must be the dense ground-truth matrix; returns
-    ||X - U V^T||_F / sqrt(m n). scope "observed": truth must be an
-    ObservedMatrix; returns the RMSE over its entries only (use a held-out
-    split for test error on real data).
+    An ObservedMatrix truth gives the RMSE over its entries only (use a
+    held-out split for test error on real data). Any other truth is the
+    dense ground-truth matrix X and gives ||X - U V^T||_F / sqrt(m n).
     """
-    if scope == "all_entries":
-        if isinstance(truth, ObservedMatrix):
-            raise ValueError(
-                "all_entries scope needs the dense ground-truth matrix; "
-                "pass an ObservedMatrix with scope='observed'"
-            )
-        x = np.asarray(truth, dtype=float)
-        if x.shape != (factors.U.shape[0], factors.V.shape[0]):
-            raise ValueError("truth shape does not match the factors")
-        return float(np.linalg.norm(x - factors.U @ factors.V.T) / math.sqrt(x.size))
-    if scope == "observed":
-        if not isinstance(truth, ObservedMatrix):
-            raise ValueError("observed scope needs an ObservedMatrix")
+    if isinstance(truth, ObservedMatrix):
         if truth.n_observed == 0:
             raise ValueError("cannot compute RMSE over an empty index set")
         err = truth.values - factors.predict_entries(truth.rows, truth.cols)
         return float(math.sqrt(np.mean(err * err)))
-    raise ValueError(f"unknown scope {scope!r}")
+    x = np.asarray(truth, dtype=float)
+    if x.shape != (factors.U.shape[0], factors.V.shape[0]):
+        raise ValueError("truth shape does not match the factors")
+    return float(np.linalg.norm(x - factors.U @ factors.V.T) / math.sqrt(x.size))
 
 
 def complete(obs: ObservedMatrix, factors: FactorPair, clip: bool = False) -> np.ndarray:

@@ -240,7 +240,7 @@ def test_criterion_11_movielens_vanilla_als():
     train, test = h.holdout_split(obs, 0.1, np.random.default_rng(MASTER_SEED))
     cfg = h.SolverConfig(rank=32, lam=0.5, outer_iterations=20, seed=MASTER_SEED)
     factors = h.noisy_als(train, cfg)
-    holdout_rmse = h.rmse(test, factors, scope="observed")
+    holdout_rmse = h.rmse(test, factors)
     check(
         "11 movielens",
         1.10 <= holdout_rmse <= 1.40,

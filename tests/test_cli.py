@@ -7,12 +7,17 @@ import traceback
 import numpy as np
 import pytest
 
-from huberdp.bench_cli import ExperimentPlan, main, run_plan
-from huberdp.data_io import load_run
+from huberdp.bench_cli import ExperimentPlan, _stream, _trial_data, main, run_plan
+from huberdp.data_io import SyntheticSpec, generate_synthetic, load_run
 
 
 def run_cli(args):
     return main(args)
+
+
+#: a 20x20 plan that runs in well under a second, for rows that override one flag
+SMALL = ["run", "--m", "20", "--n", "20", "--data-rank", "2", "--rank", "2",
+         "--fraction", "0.5", "--trials", "1", "--outer-t", "2", "--irls-k", "2"]
 
 
 class TestBudgetCommand:
@@ -181,11 +186,29 @@ class TestRunCommand:
             (["run", "--variance", "2,nan"], None, "variance nan must be a positive real"),
             (["run", "--fraction", "0"], None, "fraction 0.0 must lie in (0, 1]"),
             (["run", "--fraction", "0.1,1.5"], None, "fraction 1.5 must lie in (0, 1]"),
+            (SMALL + ["--rank", "0"], None, "rank must be >= 1"),
+            (SMALL + ["--rank", "21"], None, "rank 21 exceeds min(m, n) = 20"),
+            (SMALL + ["--lambda", "-1"], None, "lam must be > 0"),
+            (SMALL + ["--outer-t", "0"], None, "iteration counts must be >= 1"),
+            (SMALL + ["--irls-k", "0"], None, "iteration counts must be >= 1"),
+            (SMALL + ["--huber-loss-alpha", "-1"], None,
+             "huber_loss_alpha must be a positive real"),
+            (SMALL + ["--m", "0"], None, "synthetic dimensions 0x20 must be >= 1"),
+            (SMALL + ["--data-rank", "0"], None, "synthetic rank 0 must lie in [1, 20]"),
+            (SMALL + ["--data-rank", "40"], None, "synthetic rank 40 must lie in [1, 20]"),
+            (SMALL + ["--data-rank", "40", "--trial-mode", "fresh_matrix"], None,
+             "synthetic rank 40 must lie in [1, 20]"),
+            (SMALL + ["--delta", "0"], None, "delta 0.0 must lie in (0, 1)"),
+            (SMALL + ["--holdout", "1.5"], None, "holdout_fraction 1.5 must lie in (0, 1)"),
         ],
         ids=["duplicate-mechanism", "unknown-dataset", "missing-ratings",
              "missing-plan", "uncalibratable-variance", "dataset-not-str",
              "trials-not-int", "rank-not-int", "negative-variance",
-             "nan-variance", "zero-fraction", "fraction-above-one"],
+             "nan-variance", "zero-fraction", "fraction-above-one",
+             "zero-rank", "rank-above-shape", "negative-lambda", "zero-outer-t",
+             "zero-irls-k", "negative-loss-alpha", "zero-m", "zero-data-rank",
+             "data-rank-above-shape", "data-rank-above-shape-fresh-matrix",
+             "zero-delta", "holdout-above-one"],
     )
     def test_bad_input_is_one_error_line(self, argv, plan, message, tmp_path, capsys):
         if plan is not None:
@@ -195,6 +218,18 @@ class TestRunCommand:
         assert code == 2
         [line] = captured.err.splitlines()
         assert line.startswith("huberdp-bench: error: ") and message in line
+        if argv[0] == "run":
+            assert captured.out == ""  # no cell ran, so no table was printed
+
+    def test_rank_above_file_shape_is_one_error_line(self, tmp_path, capsys):
+        # a ratings file's shape is known once it is loaded, before any cell
+        path = tmp_path / "u.data"
+        path.write_text("1\t1\t5\t0\n2\t2\t4\t0\n3\t3\t3\t0\n")
+        assert run_cli(["run", "--dataset", f"movielens:{path}", "--rank", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line == "huberdp-bench: error: rank 4 exceeds min(m, n) = 3 of the data"
 
     def test_non_finite_rating_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "u.data"
@@ -217,13 +252,15 @@ class TestRunCommand:
         plan = ExperimentPlan(variances=[1, 2.5], lam=1, huber_loss_alpha=2, delta_f=5)
         assert plan.variances == [1, 2.5]
 
-    def test_failed_cell_reported_nonzero_exit(self, capsys):
-        # rank larger than the matrix makes every cell fail fast
-        code = run_cli(
-            ["run", "--m", "10", "--n", "10", "--data-rank", "2", "--rank", "11",
-             "--fraction", "0.5", "--mechanism", "none", "--solver", "als",
-             "--trials", "1", "--outer-t", "2", "--seed", "0"]
-        )
+    def test_failed_cell_reported_nonzero_exit(self, tmp_path, capsys):
+        # ratings scaled by 1e200 pass every plan check, then diverge in a cell
+        plan = _divergent_plan(tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(
+                ["run", "--dataset", plan.dataset, "--rank", "2", "--fraction", "1.0",
+                 "--mechanism", "none", "--solver", "als", "--trials", "1",
+                 "--outer-t", "3", "--seed", "8"]
+            )
         out = capsys.readouterr().out
         assert code == 1
         assert "FAILED" in out
@@ -326,6 +363,25 @@ class TestRunPlanApi:
         assert not failures
         assert len(records) == 1
         assert records[0].rmse_scope == "all_entries"
+
+    def test_fresh_matrix_trial_matches_generate_synthetic(self):
+        # fresh_matrix draws truth and mask from one (seed, 1, fraction, trial)
+        # stream, exactly as generate_synthetic does
+        plan = ExperimentPlan(m=40, n=30, data_rank=2, rank=2, fractions=[0.2, 0.4],
+                              seed=7, trial_mode="fresh_matrix")
+        for frac_idx, fraction in enumerate(plan.fractions):
+            for trial in range(2):
+                x, train, test = _trial_data(plan, None, None, frac_idx, fraction, trial)
+                x_ref, obs_ref = generate_synthetic(
+                    SyntheticSpec(40, 30, 2, fraction, plan.seed),
+                    _stream(plan.seed, 1, frac_idx, trial),
+                )
+                assert test is None
+                assert np.array_equal(x, x_ref)
+                for name in ("rows", "cols", "values"):
+                    assert np.array_equal(getattr(train, name), getattr(obs_ref, name))
+                assert (train.m, train.n) == (obs_ref.m, obs_ref.n)
+                assert train.value_range == obs_ref.value_range
 
     def test_file_dataset_round_trip(self, tmp_path, capsys):
         # a generated file carries its ground truth, so scoring uses all

@@ -124,19 +124,13 @@ class TestRmse:
         expected = math.sqrt(
             ((x[0, 0] - z[0, 0]) ** 2 + (x[3, 2] - z[3, 2]) ** 2 + (x[5, 5] - z[5, 5]) ** 2) / 3
         )
-        assert rmse(obs, f, scope="observed") == pytest.approx(expected, abs=1e-12)
-
-    def test_all_entries_scope_rejects_sparse_truth(self):
-        obs = ObservedMatrix.from_entries(2, 2, [(0, 0, 1.0)])
-        f = FactorPair(np.ones((2, 1)), np.ones((2, 1)))
-        with pytest.raises(ValueError):
-            rmse(obs, f, scope="all_entries")
+        assert rmse(obs, f) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_index_set_rejected(self):
         obs = ObservedMatrix.from_entries(2, 2, [])
         f = FactorPair(np.ones((2, 1)), np.ones((2, 1)))
         with pytest.raises(ValueError):
-            rmse(obs, f, scope="observed")
+            rmse(obs, f)
 
 
 class TestComplete:

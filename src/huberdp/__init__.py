@@ -29,7 +29,6 @@ from .mechanisms import (
     huber_variance,
     mechanism_budget,
     privacy_gap,
-    privacy_gap_estimates,
     sample,
 )
 from .robust_solvers import (

@@ -6,7 +6,8 @@ rho_alpha is the Huber loss: quadratic on [-alpha, alpha] with exponential
 l1-sensitivity df yields epsilon-DP with epsilon = alpha * df, which
 mechanism_budget computes alongside the classical Laplace and Gaussian
 budgets. The module also provides an exact rejection-free sampler, variance
-calibration, and a numeric verifier for the epsilon bound.
+calibration, and privacy_gap, which checks the epsilon bound by comparing the
+grid maximum of rho(t + df) - rho(t) with alpha * df at 1e-9.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "mechanism_budget",
     "budget_table",
     "privacy_gap",
-    "privacy_gap_estimates",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -510,61 +510,40 @@ def budget_table(
 # ---------------------------------------------------------------------------
 
 _GAP_GRID_POINTS = 100_000
+#: largest |grid maximum - alpha * delta_f| that privacy_gap and
+#: verify-privacy accept
+_GAP_TOL = 1e-9
 
 
-def privacy_gap_estimates(alpha: float, delta_f: float) -> tuple[float, float]:
-    """Two independent estimates of sup_t [rho(t + df) - rho(t)].
+def _gap_grid_max(alpha: float, delta_f: float) -> float:
+    """Grid maximum of rho(t + df) - rho(t) over t.
 
-    Returns (closed_form, grid_max). The closed form takes the maximum of the
-    per-interval suprema of the piecewise difference, split on df <= 2 alpha
-    vs df > 2 alpha; the grid estimate maximizes numerically over a dense grid
-    spanning all breakpoints plus the constant plateau t >= alpha.
+    The grid spans every breakpoint (-df - alpha, -alpha, alpha - df, alpha),
+    which are added to it exactly, and reaches into both constant plateaus.
     """
     a = _check_alpha(alpha)
     df = float(delta_f)
     if not math.isfinite(df) or df <= 0:
         raise ValueError("delta_f must be a positive real")
-    bound = a * df
-    if df <= 2.0 * a:
-        interval_maxima = [
-            -bound,
-            0.5 * df * (df - 2.0 * a),
-            bound - 0.5 * df * df,
-            bound,
-            bound,
-        ]
-    else:
-        interval_maxima = [
-            -bound,
-            a * (2.0 * a - df),
-            bound - 2.0 * a * a,
-            bound,
-            bound,
-        ]
-    closed = max(interval_maxima)
     grid = np.linspace(-df - 2.0 * a - 1.0, 2.0 * a + df + 1.0, _GAP_GRID_POINTS)
     breakpoints = np.array([-df - a, -a, a - df, a])
     ts = np.concatenate([grid, breakpoints])
     g = huber_loss(ts + df, a) - huber_loss(ts, a)
-    return closed, float(np.max(g))
+    return float(np.max(g))
 
 
-def privacy_gap(alpha: float, delta_f: float, tol: float = 1e-9) -> float:
-    """Verified supremum of the Huber log-likelihood-ratio at shift delta_f.
+def privacy_gap(alpha: float, delta_f: float, tol: float = _GAP_TOL) -> float:
+    """Verified supremum of the Huber log-likelihood ratio at shift delta_f.
 
-    Computes the supremum by closed form and by grid maximization, checks that
-    both equal alpha * delta_f to within tol, and returns it. Disagreement
-    signals an implementation bug and raises ConsistencyError.
+    Maximizes rho(t + df) - rho(t) over a dense grid, checks that the maximum
+    equals alpha * delta_f to within tol, and returns alpha * delta_f. A
+    mismatch signals an implementation bug and raises ConsistencyError.
     """
-    closed, numeric = privacy_gap_estimates(alpha, delta_f)
-    bound = _check_alpha(alpha) * float(delta_f)
-    if (
-        abs(closed - numeric) > tol
-        or abs(closed - bound) > tol
-        or abs(numeric - bound) > tol
-    ):
+    grid = _gap_grid_max(alpha, delta_f)
+    bound = float(alpha) * float(delta_f)
+    if abs(grid - bound) > tol:
         raise ConsistencyError(
             f"privacy gap mismatch at alpha={alpha}, delta_f={delta_f}: "
-            f"closed={closed!r}, grid={numeric!r}, alpha*delta_f={bound!r}"
+            f"grid={grid!r}, alpha*delta_f={bound!r}"
         )
-    return closed
+    return bound

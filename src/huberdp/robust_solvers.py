@@ -60,7 +60,7 @@ class RidgeProblem:
 class IrlsConfig:
     """Parameters of the regularized IRLS loop.
 
-    alpha is the Huber-loss transition, lam the regularizer, iterations the
+    alpha is the Huber-loss transition, lam > 0 the regularizer, iterations the
     fixed iteration count K, and noise the mechanism whose draw is added to
     the right-hand side of every iteration (kind "none" for the noiseless
     solver).
@@ -74,8 +74,8 @@ class IrlsConfig:
     def __post_init__(self):
         if not math.isfinite(self.alpha) or self.alpha <= 0:
             raise ValueError("alpha must be a positive real")
-        if not math.isfinite(self.lam) or self.lam < 0:
-            raise ValueError("lam must be a nonnegative real")
+        if not math.isfinite(self.lam) or self.lam <= 0:
+            raise ValueError("lam must be a positive real")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 
@@ -162,8 +162,6 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("y must be finite")
     if not np.isfinite(a).all():
         raise ValueError("a must be finite")
-    if config.lam <= 0:
-        raise ValueError("r_irls requires lam > 0")
     q = a.shape[1]
     eye = config.lam * np.eye(q)
     theta = rng.standard_normal(q)

@@ -7,6 +7,7 @@ import traceback
 import numpy as np
 import pytest
 
+from huberdp import mechanisms
 from huberdp.bench_cli import ExperimentPlan, _stream, _trial_data, main, run_plan
 from huberdp.data_io import SyntheticSpec, generate_synthetic, load_run
 
@@ -97,6 +98,17 @@ class TestVerifyPrivacyCommand:
         code = run_cli(["verify-privacy", "--alphas", "", "--delta-fs", ""])
         assert code == 0
         assert "0 cells checked" in capsys.readouterr().out
+
+    def test_wrong_loss_fails(self, monkeypatch, capsys):
+        # a loss off by one part in a million must fail the 1e-9 check
+        exact = mechanisms.huber_loss
+        monkeypatch.setattr(mechanisms, "huber_loss", lambda t, a: exact(t, a) * (1 + 1e-6))
+        code = run_cli(["verify-privacy", "--alphas", "2", "--delta-fs", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        [row] = [line for line in captured.out.splitlines() if line.endswith("FAIL")]
+        assert row.split()[:3] == ["2", "3", "6.000000"]
+        assert "exceeded" in captured.err
 
 
 class TestGenCommand:
@@ -200,6 +212,9 @@ class TestRunCommand:
              "synthetic rank 40 must lie in [1, 20]"),
             (SMALL + ["--delta", "0"], None, "delta 0.0 must lie in (0, 1)"),
             (SMALL + ["--holdout", "1.5"], None, "holdout_fraction 1.5 must lie in (0, 1)"),
+            (SMALL + ["--seed", "-1"], None, "seed -1 must be >= 0"),
+            (SMALL + ["--seed", "-1", "--trial-mode", "fresh_matrix"], None,
+             "seed -1 must be >= 0"),
         ],
         ids=["duplicate-mechanism", "unknown-dataset", "missing-ratings",
              "missing-plan", "uncalibratable-variance", "dataset-not-str",
@@ -208,7 +223,8 @@ class TestRunCommand:
              "zero-rank", "rank-above-shape", "negative-lambda", "zero-outer-t",
              "zero-irls-k", "negative-loss-alpha", "zero-m", "zero-data-rank",
              "data-rank-above-shape", "data-rank-above-shape-fresh-matrix",
-             "zero-delta", "holdout-above-one"],
+             "zero-delta", "holdout-above-one", "negative-seed",
+             "negative-seed-fresh-matrix"],
     )
     def test_bad_input_is_one_error_line(self, argv, plan, message, tmp_path, capsys):
         if plan is not None:

@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.optimize import brentq
 
+from huberdp import mechanisms
 from huberdp.mechanisms import (
     CalibrationError,
+    ConsistencyError,
     MechanismConfig,
     PrivacyBudget,
     Sensitivity,
@@ -31,7 +33,6 @@ from huberdp.mechanisms import (
     huber_variance,
     mechanism_budget,
     privacy_gap,
-    privacy_gap_estimates,
     sample,
 )
 
@@ -566,8 +567,11 @@ class TestPrivacyGap:
     def test_vanishing_shift(self):
         assert privacy_gap(3.0, 1e-9) == pytest.approx(0.0, abs=1e-8)
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 4.0])
-    @pytest.mark.parametrize("delta_f", [0.1, 1.0, 5.0, 12.0])
+    @pytest.mark.parametrize(
+        "delta_f,alpha",
+        [(df, a) for df in (0.1, 1.0, 5.0, 12.0) for a in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        + [(2.3, 0.7)],
+    )
     def test_matches_brute_force(self, alpha, delta_f):
         gap = privacy_gap(alpha, delta_f)
         assert gap == pytest.approx(alpha * delta_f, abs=1e-9)
@@ -580,9 +584,13 @@ class TestPrivacyGap:
             g = huber_loss(t + delta_f, alpha) - huber_loss(t, alpha)
             assert g == pytest.approx(alpha * delta_f, abs=1e-9)
 
-    def test_estimates_agree(self):
-        closed, grid = privacy_gap_estimates(0.7, 2.3)
-        assert closed == pytest.approx(grid, abs=1e-9)
+    def test_wrong_loss_raises(self, monkeypatch):
+        # a loss off by one part in a million moves the grid maximum far
+        # past 1e-9, so the check is live
+        exact = mechanisms.huber_loss
+        monkeypatch.setattr(mechanisms, "huber_loss", lambda t, a: exact(t, a) * (1 + 1e-6))
+        with pytest.raises(ConsistencyError, match="privacy gap mismatch"):
+            privacy_gap(2.0, 3.0)
 
     @pytest.mark.parametrize("alpha,delta_f", [(2.0, 3.0), (0.5, 8.0)])
     def test_likelihood_ratio_bound(self, alpha, delta_f):

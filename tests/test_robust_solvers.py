@@ -316,8 +316,8 @@ class TestRIrls:
                 r_irls(y, a, cfg, np.random.default_rng(21))
 
     def test_requires_positive_lambda(self):
-        cfg = IrlsConfig(alpha=1.0, lam=0.0, iterations=1)
         with pytest.raises(ValueError):
+            cfg = IrlsConfig(alpha=1.0, lam=0.0, iterations=1)
             r_irls(np.ones(3), np.eye(3), cfg, np.random.default_rng(0))
 
     def test_config_validation(self):

@@ -1,7 +1,8 @@
-"""The runtime paths load no scipy module beyond scipy.special's own.
+"""The runtime paths load no scipy module at all.
 
-scipy.optimize and scipy.linalg together cost more start-up time than a
-short sweep runs, so every runtime call is checked in a fresh interpreter.
+scipy.special alone used to take more start-up time than a short sweep runs,
+so the package needs numpy only, and every runtime call is checked in a
+fresh interpreter. scipy stays a test and benchmark dependency.
 """
 
 import json
@@ -11,42 +12,38 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-_LOADED = "json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-
-_BASELINE = f"""
-import json, sys
-import scipy.special
-print({_LOADED})
-"""
-
 _RUNTIME = f"""
 import contextlib, io, json, sys
 sys.path.insert(0, {SRC!r})
 import numpy as np
 import huberdp
 from huberdp import bench_cli
-from huberdp.mechanisms import MechanismConfig, calibrate_alpha
+from huberdp.mechanisms import MechanismConfig, calibrate_alpha, huber_cdf
 from huberdp.robust_solvers import IrlsConfig, RidgeProblem, r_irls, ridge_solve
 
 with contextlib.redirect_stdout(io.StringIO()):
     assert bench_cli.main(["budget"]) == 0
+    assert bench_cli.main(["calibrate", "--targets", "2,3"]) == 0
+    assert bench_cli.main(["verify-privacy"]) == 0
+    assert bench_cli.main([
+        "run", "--m", "12", "--n", "10", "--data-rank", "2", "--rank", "2",
+        "--fraction", "0.5", "--solver", "als,irls",
+        "--mechanism", "gaussian,laplace,huber", "--variance", "2",
+        "--trials", "1", "--outer-t", "1", "--irls-k", "1", "--seed", "0",
+    ]) == 0
 calibrate_alpha(2.0)
+huber_cdf(np.linspace(-3.0, 3.0, 7), 1.0)
 rng = np.random.default_rng(0)
 a, y = rng.standard_normal((8, 3)), rng.standard_normal(8)
 ridge_solve(RidgeProblem(a, y, 0.5))
 r_irls(y, a, IrlsConfig(1.0, 0.5, 3, MechanismConfig.huber(1.0)), rng)
-print({_LOADED})
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
 
-def _loaded(code: str) -> set[str]:
+def test_runtime_paths_load_no_scipy():
     out = subprocess.run(
-        [sys.executable, "-c", code], check=True, capture_output=True, text=True
+        [sys.executable, "-c", _RUNTIME], check=True, capture_output=True, text=True
     ).stdout
-    return set(json.loads(out.splitlines()[-1]))
-
-
-def test_runtime_scipy_modules_are_those_of_scipy_special():
-    extra = _loaded(_RUNTIME) - _loaded(_BASELINE)
-    packages = sorted({".".join(m.split(".")[:2]) for m in extra})
-    assert not extra, f"runtime paths import scipy beyond scipy.special: {packages}"
+    loaded = json.loads(out.splitlines()[-1])
+    assert not loaded, f"runtime paths import scipy: {loaded}"

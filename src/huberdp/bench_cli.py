@@ -137,6 +137,10 @@ class ExperimentPlan:
             raise ValueError("at least one mechanism is required")
         if not self.solvers:
             raise ValueError("at least one solver is required")
+        if not self.fractions:
+            raise ValueError("at least one fraction is required")
+        if not self.variances and set(self.mechanisms) != {"none"}:
+            raise ValueError("at least one variance is required for a noisy mechanism")
         # a repeated entry would run its cells twice, and the second run's
         # record file would overwrite the first
         for name in ("solvers", "mechanisms", "variances", "fractions"):
@@ -150,6 +154,9 @@ class ExperimentPlan:
         if self.dataset == "synthetic":
             SyntheticSpec(self.m, self.n, self.data_rank, 1.0)  # fractions checked above
             self._check_rank(self.m, self.n)
+            for f in self.fractions:
+                if int(f * self.m * self.n) == 0:
+                    raise ValueError(f"fraction {f!r} observes no entry of a {self.m}x{self.n} matrix")
 
     def solver_config(self) -> SolverConfig:
         """The noiseless solver config; each cell replaces its mechanism."""
@@ -428,6 +435,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_verify_privacy(args) -> int:
+    if not (args.alphas and args.delta_fs):
+        raise ValueError("verify-privacy needs at least one alpha and one delta_f")
     worst = 0.0
     cells = 0
     failed = False

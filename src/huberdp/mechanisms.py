@@ -5,12 +5,15 @@ rho_alpha is the Huber loss: quadratic on [-alpha, alpha] with exponential
 (Laplace-like) tails beyond. Adding i.i.d. Huber noise to a query with
 l1-sensitivity df yields epsilon-DP with epsilon = alpha * df, which
 mechanism_budget computes alongside the classical Laplace and Gaussian
-budgets. The module also provides an exact rejection-free sampler, variance
-calibration, and privacy_gap, which checks the epsilon bound by comparing the
-grid maximum of rho(t + df) - rho(t) with alpha * df at 1e-9.
+budgets. The module also provides an exact sampler, variance calibration,
+and privacy_gap, which checks the epsilon bound by comparing the grid maximum
+of rho(t + df) - rho(t) with alpha * df at 1e-9.
 
-The module needs numpy alone: the closed forms call math.erf and math.erfc,
-and the sampler inverts the normal CDF with a numpy port of Wichura's AS241.
+The sampler thins one standard-normal draw: it keeps z on [-alpha, alpha]
+with probability kappa * sqrt(2 pi), which the Mills ratio inequality
+Q(alpha) <= phi(alpha)/alpha bounds by 1, and moves every other value to an
+exponential tail. The module needs numpy alone: the closed forms call math.erf
+and math.erfc.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
@@ -389,11 +391,13 @@ def huber_alpha_for_variance(variance: float) -> tuple[float, bool]:
 def sample(config: MechanismConfig, k: int, rng: np.random.Generator) -> NoiseDraw:
     """Draw k i.i.d. noise values for the configured mechanism.
 
-    Huber noise uses an exact two-part mixture: with probability
-    huber_central_mass(alpha) a standard normal truncated to [-alpha, alpha]
-    (inverse-CDF method), otherwise magnitude alpha + Exponential(rate alpha)
-    with a uniform random sign. Deterministic given the generator state; kind
-    "none" returns zeros without consuming the stream.
+    Huber noise thins k standard normals z with k uniforms u: z is kept where
+    |z| <= alpha and u < kappa * sqrt(2 pi), which leaves the density
+    kappa * exp(-t^2/2) on [-alpha, alpha] and is exact at every alpha since
+    kappa * sqrt(2 pi) <= 1 (Mills ratio). Every other value becomes
+    alpha + Exponential(rate alpha) with the sign of z, from one exponential
+    block. Deterministic given the generator state; kind "none" returns zeros
+    without consuming the stream.
     """
     try:
         k = operator.index(k)
@@ -411,115 +415,15 @@ def sample(config: MechanismConfig, k: int, rng: np.random.Generator) -> NoiseDr
     return NoiseDraw(_sample_huber(config.scale, k, rng))
 
 
-@lru_cache(maxsize=64)
-def _huber_sampler_constants(alpha: float) -> tuple[float, float]:
-    return huber_central_mass(alpha), _norm_cdf(-alpha)
-
-
-#: Wichura's AS241 ("PPND16", Applied Statistics 37, 1988) rational
-#: approximations to the inverse normal CDF, (numerator, denominator)
-#: coefficients with the highest power first. CENTRAL holds for
-#: |p - 1/2| <= 0.425 in r = 0.180625 - (p - 1/2)^2; NEAR and FAR cover the
-#: tails in r = sqrt(-log(min(p, 1 - p))) shifted by 1.6 (r <= 5) or 5.
-_AS241_CENTRAL = (
-    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-     1.3314166789178437745e2, 3.3871328727963666080e0),
-    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-     4.2313330701600911252e1, 1.0),
-)
-_AS241_NEAR = (
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-     1.2704582524523683826e0, 3.6478483247632045605e0, 5.7694972214606914055e0,
-     4.6303378461565452959e0, 1.4234371107496835773e0),
-    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
-     2.0531916266377588219e0, 1.0),
-)
-_AS241_FAR = (
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
-     5.4637849111641143699e0, 6.6579046435011037772e0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-     7.8686913114561325910e-4, 1.4875361290850614852e-2, 1.3692988092273580531e-1,
-     5.9983220655588793769e-1, 1.0),
-)
-#: values per _ndtri block, so that its temporaries stay a few hundred kB
-#: however many values one call inverts
-_NDTRI_BLOCK = 8192
-
-
-def _polyval(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
-    """Horner's rule, highest power first, accumulated in one new array."""
-    acc = r * coeffs[0]
-    acc += coeffs[1]
-    for c in coeffs[2:]:
-        acc *= r
-        acc += c
-    return acc
-
-
-def _rational(coeffs, r: np.ndarray) -> np.ndarray:
-    return _polyval(coeffs[0], r) / _polyval(coeffs[1], r)
-
-
-def _ndtri_tail(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """AS241 for |p - 1/2| > 0.425; exactly -inf at p = 0 and +inf at 1."""
-    r = np.where(q < 0.0, p, 1.0 - p)
-    endpoint = r == 0.0
-    r[endpoint] = 1.0  # placeholder: log(0) would warn, the value is set below
-    r = np.sqrt(-np.log(r))
-    x = np.empty_like(r)
-    near = r <= 5.0
-    x[near] = _rational(_AS241_NEAR, r[near] - 1.6)
-    x[~near] = _rational(_AS241_FAR, r[~near] - 5.0)
-    x[endpoint] = np.inf
-    return np.copysign(x, q)
-
-
-def _ndtri(p: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF of a 1-D array of probabilities in [0, 1].
-
-    Wichura's AS241, the algorithm of statistics.NormalDist.inv_cdf, accurate
-    to about 1e-16 relative. Each block evaluates the central approximation
-    on all its values, then recomputes the few beyond |p - 1/2| > 0.425 with
-    the tail ones; the central denominator stays above 2e-3 there, so the
-    discarded values are finite.
-    """
-    out = np.empty_like(p)
-    for start in range(0, p.size, _NDTRI_BLOCK):
-        block, x = p[start:start + _NDTRI_BLOCK], out[start:start + _NDTRI_BLOCK]
-        q = block - 0.5
-        r = q * q
-        np.subtract(0.180625, r, out=r)
-        num = _polyval(_AS241_CENTRAL[0], r)
-        num *= q  # AS241's order: (numerator * q) / denominator
-        np.divide(num, _polyval(_AS241_CENTRAL[1], r), out=x)
-        tail = np.flatnonzero(np.abs(q) > 0.425)
-        if tail.size:
-            x[tail] = _ndtri_tail(block[tail], q[tail])
-    return out
-
-
 def _sample_huber(alpha: float, k: int, rng: np.random.Generator) -> np.ndarray:
     a = _check_alpha(alpha)
-    p_central, phi_lo = _huber_sampler_constants(a)
-    central = rng.random(k) < p_central
-    n_central = int(np.count_nonzero(central))
-    out = np.empty(k)
-    # Center: Phi^-1 of a uniform on [Phi(-alpha), Phi(alpha)]. Phi(-alpha)
-    # underflows to 0 for alpha >~ 38, where a zero uniform would map to
-    # -inf, so the result is clipped back onto the support.
-    u = phi_lo + (1.0 - 2.0 * phi_lo) * rng.random(n_central)
-    x = _ndtri(u)
-    out[central] = np.clip(x, -a, a, out=x)
-    # Tails: the conditional density beyond alpha is alpha*exp(-alpha(t-alpha)).
-    n_tail = k - n_central
-    magnitude = a + rng.standard_exponential(n_tail) / a
-    sign = np.where(rng.random(n_tail) < 0.5, -1.0, 1.0)
-    out[~central] = sign * magnitude
-    return out
+    z = rng.standard_normal(k)
+    u = rng.random(k)
+    tail = np.flatnonzero((np.abs(z) > a) | (u >= huber_normalizer(a) * SQRT_2PI))
+    # beyond alpha the density is alpha * exp(-alpha (t - alpha)); the sign of
+    # z does not depend on |z| or u, so it is a fair coin
+    z[tail] = np.copysign(a + rng.standard_exponential(tail.size) / a, z[tail])
+    return z
 
 
 # ---------------------------------------------------------------------------

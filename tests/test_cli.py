@@ -94,10 +94,15 @@ class TestVerifyPrivacyCommand:
         assert code == 0
         assert "6.000000" in out
 
-    def test_empty_grid_is_noop_success(self, capsys):
-        code = run_cli(["verify-privacy", "--alphas", "", "--delta-fs", ""])
-        assert code == 0
-        assert "0 cells checked" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", ["--alphas", "--delta-fs"])
+    def test_empty_grid_is_an_error(self, flag, capsys):
+        # a grid of no cells checks nothing, so it cannot pass
+        code = run_cli(["verify-privacy", flag, ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("huberdp-bench: error: verify-privacy needs at least one")
 
     def test_wrong_loss_fails(self, monkeypatch, capsys):
         # a loss off by one part in a million must fail the 1e-9 check
@@ -198,6 +203,10 @@ class TestRunCommand:
             (["run", "--variance", "2,nan"], None, "variance nan must be a positive real"),
             (["run", "--fraction", "0"], None, "fraction 0.0 must lie in (0, 1]"),
             (["run", "--fraction", "0.1,1.5"], None, "fraction 1.5 must lie in (0, 1]"),
+            (["run", "--fraction", ""], None, "at least one fraction is required"),
+            (["run", "--variance", ""], None, "at least one variance is required"),
+            (SMALL + ["--fraction", "0.001"], None,
+             "fraction 0.001 observes no entry of a 20x20 matrix"),
             (SMALL + ["--rank", "0"], None, "rank must be >= 1"),
             (SMALL + ["--rank", "21"], None, "rank 21 exceeds min(m, n) = 20"),
             (SMALL + ["--lambda", "-1"], None, "lam must be > 0"),
@@ -220,6 +229,7 @@ class TestRunCommand:
              "missing-plan", "uncalibratable-variance", "dataset-not-str",
              "trials-not-int", "rank-not-int", "negative-variance",
              "nan-variance", "zero-fraction", "fraction-above-one",
+             "empty-fractions", "empty-variances", "fraction-observes-nothing",
              "zero-rank", "rank-above-shape", "negative-lambda", "zero-outer-t",
              "zero-irls-k", "negative-loss-alpha", "zero-m", "zero-data-rank",
              "data-rank-above-shape", "data-rank-above-shape-fresh-matrix",
@@ -342,6 +352,10 @@ class TestRunPlanApi:
         assert ("als", "huber", 1.0, 0.1) in cells
         assert ("als", "huber", 2.0, 0.1) in cells
         assert len(cells) == 3
+
+    def test_no_variance_needed_without_noise(self):
+        plan = ExperimentPlan(solvers=["als"], mechanisms=["none"], variances=[])
+        assert plan.cells() == [("als", "none", None, 0.05)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

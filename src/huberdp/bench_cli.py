@@ -56,6 +56,13 @@ def _str_list(text: str) -> list[str]:
     return [p.strip() for p in text.split(",") if p.strip()]
 
 
+def _cell_name(solver: str, mech: str, variance: float | None, fraction: float) -> str:
+    """A cell's name in the log and in its record file's name; numbers print
+    with %g, so a plan whose entries print alike is rejected."""
+    shown = "" if variance is None else f"-v{variance:g}"
+    return f"{solver}-{mech}{shown}-f{fraction:g}"
+
+
 # ---------------------------------------------------------------------------
 # Experiment plans
 # ---------------------------------------------------------------------------
@@ -142,10 +149,11 @@ class ExperimentPlan:
         if not self.variances and set(self.mechanisms) != {"none"}:
             raise ValueError("at least one variance is required for a noisy mechanism")
         # a repeated entry would run its cells twice, and the second run's
-        # record file would overwrite the first
+        # record file would overwrite the first; numbers compare as
+        # _cell_name prints them
         for name in ("solvers", "mechanisms", "variances", "fractions"):
             entries = getattr(self, name)
-            if len(set(entries)) != len(entries):
+            if len({e if isinstance(e, str) else f"{e:g}" for e in entries}) != len(entries):
                 raise ValueError(f"{name} has duplicate entries: {entries}")
         for name in ("delta", "holdout_fraction"):
             if not 0 < getattr(self, name) < 1:
@@ -153,22 +161,30 @@ class ExperimentPlan:
         self.solver_config()
         if self.dataset == "synthetic":
             SyntheticSpec(self.m, self.n, self.data_rank, 1.0)  # fractions checked above
-            self._check_rank(self.m, self.n)
-            for f in self.fractions:
-                if int(f * self.m * self.n) == 0:
-                    raise ValueError(f"fraction {f!r} observes no entry of a {self.m}x{self.n} matrix")
+            self._check_data(self.m, self.n)
 
     def solver_config(self) -> SolverConfig:
-        """The noiseless solver config; each cell replaces its mechanism."""
+        """The noiseless solver config; each cell replaces its mechanism and
+        run_plan passes each trial's stream."""
         return SolverConfig(
             rank=self.rank, lam=self.lam, outer_iterations=self.outer_iterations,
             inner_iterations=self.irls_iterations, huber_loss_alpha=self.huber_loss_alpha,
-            seed=self.seed,
         )
 
-    def _check_rank(self, m: int, n: int) -> None:
+    def _check_data(self, m: int, n: int, observed: int | None = None, split=False) -> None:
+        """Reject a rank or fraction that no trial on m x n data can run. A file
+        of `observed` entries runs fraction 1.0 as is and subsamples
+        int(fraction * m * n) otherwise (a cell fails when there are too few);
+        with split, each trial holds holdout_fraction of them out."""
         if self.rank > min(m, n):
             raise ValueError(f"rank {self.rank} exceeds min(m, n) = {min(m, n)} of the data")
+        for f in self.fractions:
+            k = observed if f == 1.0 and observed is not None else int(f * m * n)
+            if k == 0:
+                raise ValueError(f"fraction {f!r} observes no entry of a {m}x{n} matrix")
+            if split and k <= observed and int(self.holdout_fraction * k) == 0:
+                raise ValueError(f"holdout_fraction {self.holdout_fraction!r} of the {k} entries "
+                                 f"at fraction {f!r} leaves the test side empty")
 
     def cells(self) -> list[tuple[str, str, float | None, float]]:
         """Deterministic cell enumeration; mechanism 'none' collapses the
@@ -258,7 +274,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
         kind, _, path = plan.dataset.partition(":")
         label = f"{kind}-{Path(path).stem}"
         truth, base_obs = _load_file_dataset(kind, path)
-        plan._check_rank(base_obs.m, base_obs.n)
+        plan._check_data(base_obs.m, base_obs.n, base_obs.n_observed, split=truth is None)
     scope = "holdout" if not synthetic and truth is None else "all_entries"
 
     sens = Sensitivity.scalar(plan.delta_f)
@@ -267,9 +283,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
     failures: list[str] = []
 
     for cell_idx, (solver, mech_kind, variance, fraction) in enumerate(plan.cells()):
-        cell_name = f"{solver}-{mech_kind}" + (
-            f"-v{variance:g}" if variance is not None else ""
-        ) + f"-f{fraction:g}"
+        cell_name = _cell_name(solver, mech_kind, variance, fraction)
         started = time.perf_counter()
         try:
             mech = MechanismConfig.from_variance(mech_kind, variance)
@@ -424,7 +438,7 @@ def cmd_calibrate(args) -> int:
         resid = abs(mech.variance() - target)
         note = ""
         if mechanisms._unit_variance_convention(target):
-            note = "  (unreachable target; alpha=3 unit-variance convention)"
+            note = f"  (unreachable target; alpha={mech.scale:g} unit-variance convention)"
             print(
                 f"warning: variance {target:g} <= 1 cannot be calibrated; "
                 f"using alpha={mech.scale:g}",
@@ -506,11 +520,8 @@ def cmd_run(args) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         for rec in records:
-            name = f"run-{rec.solver}-{rec.mechanism}"
-            if rec.variance is not None:
-                name += f"-v{rec.variance:g}"
-            name += f"-f{rec.fraction:g}.json"
-            data_io.persist_run(rec, out_dir / name)
+            name = _cell_name(rec.solver, rec.mechanism, rec.variance, rec.fraction)
+            data_io.persist_run(rec, out_dir / f"run-{name}.json")
         data_io.write_summary_csv(records, out_dir / "summary.csv")
     print(_rmse_table(records, failures))
     if out_dir:

@@ -314,7 +314,7 @@ class RunRecord:
     def __post_init__(self):
         if not self.rmse_trials:
             raise ValueError("rmse_trials must not be empty")
-        mean = sum(self.rmse_trials) / len(self.rmse_trials)
+        mean = float(np.mean(self.rmse_trials))  # as from_trials computes it
         if not math.isclose(mean, self.rmse_mean, rel_tol=0, abs_tol=1e-12):
             raise ValueError(
                 f"rmse_mean {self.rmse_mean!r} does not match trials mean {mean!r}"
@@ -323,11 +323,10 @@ class RunRecord:
     @classmethod
     def from_trials(cls, rmse_trials, **kwargs) -> "RunRecord":
         trials = [float(r) for r in rmse_trials]
-        arr = np.asarray(trials)
         return cls(
             rmse_trials=trials,
-            rmse_mean=float(arr.mean()),
-            rmse_std=float(arr.std()),
+            rmse_mean=float(np.mean(trials)),
+            rmse_std=float(np.std(trials)),
             **kwargs,
         )
 

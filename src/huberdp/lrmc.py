@@ -33,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import (
-    UNIT_VARIANCE_ALPHA,
-    MechanismConfig,
-    huber_alpha_for_variance,
-    sample,
-)
+from .mechanisms import MechanismConfig, huber_alpha_for_variance, sample
 from .robust_solvers import _huber_weights
 
 __all__ = [
@@ -150,10 +145,6 @@ class FactorPair:
         self.U = u
         self.V = v
 
-    @property
-    def rank(self) -> int:
-        return self.U.shape[1]
-
     def predict_entries(self, rows, cols) -> np.ndarray:
         """Entry-wise predictions (U V^T)[rows, cols] without forming U V^T."""
         return _predict_entries(self.U, self.V, rows, cols)
@@ -183,9 +174,9 @@ class SolverConfig:
     noise a group of columns runs at most K, stopping once its weights
     repeat; the result equals K iterations.
     huber_loss_alpha overrides the loss transition used by the IRLS solver;
-    when None it defaults to the mechanism's own alpha for Huber noise, to
-    the alpha calibrated to the noise variance for Laplace/Gaussian noise,
-    and to UNIT_VARIANCE_ALPHA without noise.
+    when None it defaults to the mechanism's own alpha for Huber noise and
+    otherwise to huber_alpha_for_variance of the noise variance (0 without
+    noise).
     """
 
     rank: int
@@ -239,9 +230,7 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
     mech = config.mechanism
     if mech.kind == "huber":
         return mech.scale
-    if mech.kind == "none":
-        return UNIT_VARIANCE_ALPHA
-    return huber_alpha_for_variance(mech.variance())[0]
+    return huber_alpha_for_variance(mech.variance())
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +458,9 @@ def noisy_als(
     vector added to the normal-equation right-hand side. rng may be a seed or
     Generator; omitted, config.seed is used. history, when given a list,
     receives the regularized completion objective after every half-sweep.
-    Raises SolverDivergence when a half-sweep yields non-finite factors.
+    init sets the start of V; its U must have the right shape but is never
+    read, since the first row half-sweep replaces it. Raises
+    SolverDivergence when a half-sweep yields non-finite factors.
     """
     return _alternate("noisy_als", obs, config, rng, counters, init, history, math.inf, 1)
 
@@ -491,7 +482,8 @@ def irls_huber(
     from the column's slice of the sweep's start block and fed its slices of
     the sweep's noise block. Without noise, a group of columns stops once its
     weights repeat exactly; the factors equal those of all K iterations.
-    Raises SolverDivergence like noisy_als.
+    init.U is not read, and divergence raises SolverDivergence, as in
+    noisy_als.
     """
     return _alternate(
         "irls_huber", obs, config, rng, counters, init, history,

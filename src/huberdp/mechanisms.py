@@ -181,8 +181,7 @@ class MechanismConfig:
         """Configuration whose noise has the given variance.
 
         sigma = sqrt(variance), beta = sqrt(variance / 2), and for "huber"
-        the alpha of huber_alpha_for_variance: variances <= 1 are unreachable
-        and fall back to the UNIT_VARIANCE_ALPHA convention.
+        the alpha of huber_alpha_for_variance.
         """
         if kind == "none":
             return cls.none()
@@ -193,8 +192,7 @@ class MechanismConfig:
         if kind == "laplace":
             return cls.laplace(math.sqrt(variance / 2.0))
         if kind == "huber":
-            alpha, _ = huber_alpha_for_variance(variance)
-            return cls.huber(alpha)
+            return cls.huber(huber_alpha_for_variance(variance))
         raise ValueError(f"unknown mechanism kind {kind!r}")
 
     def variance(self) -> float:
@@ -371,16 +369,12 @@ def _unit_variance_convention(variance: float) -> bool:
     return 0.0 < variance <= 1.0
 
 
-def huber_alpha_for_variance(variance: float) -> tuple[float, bool]:
-    """alpha whose Huber noise has the given variance.
-
-    Returns (alpha, convention_applied); convention_applied is True when the
-    target lies in (0, 1] and UNIT_VARIANCE_ALPHA was substituted. Other
-    targets raise calibrate_alpha's errors.
-    """
-    if _unit_variance_convention(variance):
-        return UNIT_VARIANCE_ALPHA, True
-    return calibrate_alpha(variance), False
+def huber_alpha_for_variance(variance: float) -> float:
+    """The one variance-to-alpha rule: UNIT_VARIANCE_ALPHA in [0, 1] (0 is kind
+    "none", whose IRLS loss takes it too), else calibrate_alpha and its errors."""
+    if variance == 0.0 or _unit_variance_convention(variance):
+        return UNIT_VARIANCE_ALPHA
+    return calibrate_alpha(variance)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +480,8 @@ def budget_table(
     """Budgets of Gaussian, Laplace, and Huber noise of matched variance.
 
     Per variance v, MechanismConfig.from_variance calibrates the three
-    mechanisms (sigma = sqrt(v), beta = sqrt(v/2), alpha with Huber variance
-    v, or UNIT_VARIANCE_ALPHA for v <= 1) and mechanism_budget accounts them.
+    mechanisms (sigma = sqrt(v), beta = sqrt(v/2), huber_alpha_for_variance)
+    and mechanism_budget accounts them.
     """
     rows = []
     for v in map(float, variances):

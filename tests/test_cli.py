@@ -224,6 +224,14 @@ class TestRunCommand:
             (SMALL + ["--seed", "-1"], None, "seed -1 must be >= 0"),
             (SMALL + ["--seed", "-1", "--trial-mode", "fresh_matrix"], None,
              "seed -1 must be >= 0"),
+            (["run", "--solver", ""], None, "at least one solver is required"),
+            (["run", "--mechanism", ""], None, "at least one mechanism is required"),
+            (["run", "--plan", "{tmp}/plan.json"], {"trial_mode": "fresh"},
+             "trial_mode must be 'fresh_mask' or 'fresh_matrix'"),
+            (["run", "--dataset", "movielens:{tmp}/u.data", "--rank", "1", "--fraction", "0.01"],
+             None, "fraction 0.01 observes no entry of a 3x3 matrix"),
+            (["run", "--dataset", "movielens:{tmp}/u.data", "--rank", "1", "--fraction", "1"],
+             None, "holdout_fraction 0.1 of the 6 entries at fraction 1.0 leaves the test side empty"),
         ],
         ids=["duplicate-mechanism", "unknown-dataset", "missing-ratings",
              "missing-plan", "uncalibratable-variance", "dataset-not-str",
@@ -234,11 +242,17 @@ class TestRunCommand:
              "zero-irls-k", "negative-loss-alpha", "zero-m", "zero-data-rank",
              "data-rank-above-shape", "data-rank-above-shape-fresh-matrix",
              "zero-delta", "holdout-above-one", "negative-seed",
-             "negative-seed-fresh-matrix"],
+             "negative-seed-fresh-matrix", "empty-solvers", "empty-mechanisms",
+             "unknown-trial-mode", "file-fraction-observes-nothing",
+             "file-holdout-leaves-test-empty"],
     )
     def test_bad_input_is_one_error_line(self, argv, plan, message, tmp_path, capsys):
         if plan is not None:
             (tmp_path / "plan.json").write_text(json.dumps(plan))
+        # six ratings of a 3x3 matrix, for the dataset-file rows
+        (tmp_path / "u.data").write_text(
+            "1\t1\t5\t0\n1\t2\t4\t0\n2\t2\t3\t0\n2\t3\t4\t0\n3\t1\t2\t0\n3\t3\t5\t0\n"
+        )
         code = run_cli([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()
         assert code == 2
@@ -376,6 +390,8 @@ class TestRunPlanApi:
             ("mechanisms", ["huber", "huber"]),
             ("variances", [2.0, 1.0, 2]),
             ("fractions", [0.05, 0.05]),
+            # distinct floats that print alike would write one record file
+            ("variances", [2.0000001, 2.0000002]),
         ],
     )
     def test_duplicate_grid_entries_rejected(self, name, entries):

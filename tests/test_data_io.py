@@ -221,6 +221,17 @@ class TestRatingsParser:
         assert str(err.value).startswith(f"{path}:{line}: rating must be finite")
         assert err.value.line_number == line
 
+    @pytest.mark.parametrize("fmt", ["movielens", "sweetrs"])
+    def test_id_below_one_names_its_line(self, fmt, tmp_path):
+        path = tmp_path / "ratings"
+        if fmt == "movielens":
+            path.write_text("1\t1\t3\t0\n0\t2\t4\t1\n")
+        else:
+            path.write_text("1,1,3\n2,0,4\n")
+        parse = parse_movielens if fmt == "movielens" else parse_sweetrs
+        with pytest.raises(RatingsParseError, match=f"^{path}:2: ids must be >= 1"):
+            parse(path)
+
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
         triples=st.lists(_TRIPLE, min_size=1, max_size=40),
@@ -361,6 +372,19 @@ class TestRunPersistence:
                 fraction=0.1, rank=2, rmse_trials=[0.5, 0.7], rmse_mean=0.9,
                 rmse_std=0.1, epsilon=1.0, delta=0.0, seed=0,
             )
+
+    CELL = dict(dataset="d", solver="als", mechanism="none", variance=None,
+                fraction=0.1, rank=2, epsilon=1.0, delta=0.0, seed=0)
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="rmse_trials must not be empty"):
+            RunRecord(rmse_trials=[], rmse_mean=0.0, rmse_std=0.0, **self.CELL)
+
+    def test_large_trial_mean_accepted(self):
+        # np.mean and sum/len differ by more than 1e-12 at this scale; the
+        # record checks the mean it stores against the same computation
+        trials = [123456.789 + 0.1 * i for i in range(8)]
+        assert RunRecord.from_trials(trials, **self.CELL).rmse_mean == np.mean(trials)
 
     def test_mean_and_std_recomputable(self):
         record = make_record()

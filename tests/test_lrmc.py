@@ -72,6 +72,17 @@ class TestObservedMatrix:
         with pytest.raises(ValueError):
             ObservedMatrix.from_entries(2, 2, [(0, 0, np.nan)])
 
+    @pytest.mark.parametrize(
+        "m,rows,cols,values,message",
+        [(0, [], [], [], "dimensions must be >= 1"),
+         (2, [0, 1], [0], [1.0, 2.0], "1-d arrays of equal length"),
+         (2, [0], [2], [1.0], "column index out of range")],
+        ids=["zero-m", "ragged", "column-out-of-range"],
+    )
+    def test_malformed_triplets_rejected(self, m, rows, cols, values, message):
+        with pytest.raises(ValueError, match=message):
+            ObservedMatrix(m, 2, rows, cols, values)
+
     def test_bad_value_range(self):
         with pytest.raises(ValueError):
             ObservedMatrix.from_entries(2, 2, [(0, 0, 1.0)], value_range=(5.0, 1.0))
@@ -88,6 +99,18 @@ class TestObservedMatrix:
     def test_entries_property(self):
         obs = ObservedMatrix.from_entries(3, 3, [(0, 1, 2.0), (2, 2, 4.0)])
         assert obs.entries == [(0, 1, 2.0), (2, 2, 4.0)]
+
+
+class TestFactorPair:
+    @pytest.mark.parametrize(
+        "u,v,message",
+        [(np.ones(3), np.ones((3, 1)), "must be 2-d"),
+         (np.ones((2, 3)), np.ones((4, 3)), "rank exceeds min")],
+        ids=["one-dimensional", "rank-above-shape"],
+    )
+    def test_malformed_factors_rejected(self, u, v, message):
+        with pytest.raises(ValueError, match=message):
+            FactorPair(u, v)
 
 
 class TestRmse:
@@ -132,6 +155,11 @@ class TestRmse:
         with pytest.raises(ValueError):
             rmse(obs, f)
 
+    def test_truth_shape_checked(self):
+        f = FactorPair(np.ones((2, 1)), np.ones((3, 1)))
+        with pytest.raises(ValueError, match="truth shape"):
+            rmse(np.ones((3, 2)), f)
+
 
 class TestComplete:
     def test_rank_one_product(self):
@@ -146,6 +174,11 @@ class TestComplete:
         np.testing.assert_array_equal(clipped, [[5.0, 1.0]])
         raw = complete(obs, f)
         np.testing.assert_array_equal(raw, [[6.3, 0.0]])
+
+    def test_factor_shapes_checked(self):
+        obs = ObservedMatrix.from_entries(3, 4, [(0, 0, 2.0)])
+        with pytest.raises(ValueError, match="factor shapes"):
+            complete(obs, FactorPair(np.ones((4, 1)), np.ones((3, 1))))
 
     def test_noiseless_full_rank_fit_interpolates(self):
         rng = np.random.default_rng(5)
@@ -263,6 +296,12 @@ class TestNoisyAls:
         obs = ObservedMatrix.from_entries(3, 3, [(0, 0, 1.0)])
         with pytest.raises(ValueError):
             noisy_als(obs, SolverConfig(rank=4, lam=0.5, outer_iterations=1))
+
+    def test_init_shape_checked(self):
+        obs = ObservedMatrix.from_entries(3, 4, [(0, 0, 1.0)])
+        init = FactorPair(np.ones((3, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="init factors have wrong shape"):
+            noisy_als(obs, SolverConfig(rank=2, outer_iterations=1), init=init)
 
 
 class TestIrlsHuber:
@@ -414,6 +453,18 @@ def test_divergent_solve_raises_solver_divergence():
         with pytest.raises(SolverDivergence) as info:
             noisy_als(huge, cfg)
     assert (info.value.solver, info.value.sweep, info.value.half) == ("noisy_als", 0, "v")
+
+
+@pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+def test_row_half_divergence_names_u(solve):
+    # every rating 1e308: V^T y overflows in the first row half-sweep
+    x, obs = generate_synthetic(SyntheticSpec(30, 25, 2, 0.5, seed=8))
+    huge = ObservedMatrix(obs.m, obs.n, obs.rows, obs.cols, np.full(obs.n_observed, 1e308))
+    cfg = SolverConfig(rank=2, outer_iterations=3, seed=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverDivergence) as info:
+            solve(huge, cfg)
+    assert (info.value.solver, info.value.sweep, info.value.half) == (solve.__name__, 0, "u")
 
 
 # The engine against the single-target references over ranks 1..32: each

@@ -21,6 +21,7 @@ from huberdp.mechanisms import (
     PrivacyBudget,
     Sensitivity,
     UNIT_VARIANCE_ALPHA,
+    _unit_variance_convention,
     budget_table,
     calibrate_alpha,
     huber_alpha_for_variance,
@@ -310,10 +311,9 @@ class TestCalibration:
             calibrate_alpha(target)
 
     def test_convention_fallback(self):
-        alpha, convention = huber_alpha_for_variance(1.0)
-        assert alpha == UNIT_VARIANCE_ALPHA and convention
-        alpha, convention = huber_alpha_for_variance(2.0)
-        assert not convention
+        assert huber_alpha_for_variance(1.0) == UNIT_VARIANCE_ALPHA
+        assert _unit_variance_convention(1.0)
+        assert not _unit_variance_convention(2.0)
         # above the calibration range there is no convention to fall back on
         with pytest.raises(CalibrationError, match="no bracket"):
             huber_alpha_for_variance(3e24)
@@ -321,8 +321,8 @@ class TestCalibration:
     @_WIDE
     @given(target=_TARGETS)
     def test_roundtrip_over_reachable_targets(self, target):
-        alpha, convention = huber_alpha_for_variance(target)
-        assert not convention
+        alpha = huber_alpha_for_variance(target)
+        assert not _unit_variance_convention(target)
         assert huber_variance(alpha) == pytest.approx(target, rel=1e-12)
 
     @_WIDE
@@ -551,6 +551,18 @@ class TestBudgets:
         with pytest.raises(ValueError):
             Sensitivity(l1=1.0, l2=2.0)
 
+    @pytest.mark.parametrize(
+        "l1,l2,message",
+        [(math.inf, 1.0, "finite"), (1.0, math.nan, "finite"), (1.0, -1.0, "nonnegative")],
+    )
+    def test_sensitivity_domain(self, l1, l2, message):
+        with pytest.raises(ValueError, match=message):
+            Sensitivity(l1, l2)
+
+    def test_unknown_log_base_rejected(self):
+        with pytest.raises(ValueError, match="log_base"):
+            mechanism_budget(MechanismConfig.gaussian(1.0), Sensitivity.scalar(1.0), 1e-5, "log2")
+
     def test_privacy_budget_domain(self):
         with pytest.raises(ValueError):
             PrivacyBudget(-1.0, 0.0)
@@ -673,6 +685,10 @@ class TestMechanismConfig:
         hub = MechanismConfig.from_variance("huber", 2.0)
         assert huber_variance(hub.scale) == pytest.approx(2.0, abs=1e-8)
         assert MechanismConfig.from_variance("none", 1.0).kind == "none"
+
+    def test_from_variance_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown mechanism kind 'banana'"):
+            MechanismConfig.from_variance("banana", 2.0)
 
     def test_variance_accessor(self):
         assert MechanismConfig.none().variance() == 0.0

@@ -73,6 +73,10 @@ class TestRidgeSolve:
         with pytest.raises(ValueError):
             RidgeProblem(np.eye(2), np.ones(2), -1.0)
 
+    def test_one_dimensional_design_rejected(self):
+        with pytest.raises(ValueError, match="design must be a p x q matrix"):
+            RidgeProblem(np.ones(3), np.ones(3), 1.0)
+
     @pytest.mark.parametrize("name", ["design", "targets"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_problem_is_named(self, name, bad):
@@ -126,6 +130,11 @@ class TestIrlsWeights:
     def test_weight_diagonal_rejects_nan(self):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             WeightDiagonal(np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a positive real"):
+            irls_weights(np.array([0.5]), alpha)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_residual_is_named(self, bad):
@@ -302,6 +311,17 @@ class TestRIrls:
             a[3, 1] = bad
         cfg = IrlsConfig(alpha=1.0, lam=0.5, iterations=3)
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            r_irls(y, a, cfg, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "y,a,message",
+        [(np.ones(3), np.ones(3), "a must be a p x q matrix"),
+         (np.ones(4), np.eye(3), "y must be a vector of length p")],
+        ids=["a-1d", "y-length"],
+    )
+    def test_bad_shapes_rejected(self, y, a, message):
+        cfg = IrlsConfig(alpha=1.0, lam=0.5, iterations=1)
+        with pytest.raises(ValueError, match=message):
             r_irls(y, a, cfg, np.random.default_rng(0))
 
     def test_overflow_to_non_finite_theta_raises(self):

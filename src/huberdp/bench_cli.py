@@ -174,15 +174,18 @@ class ExperimentPlan:
     def _check_data(self, m: int, n: int, observed: int | None = None, split=False) -> None:
         """Reject a rank or fraction that no trial on m x n data can run. A file
         of `observed` entries runs fraction 1.0 as is and subsamples
-        int(fraction * m * n) otherwise (a cell fails when there are too few);
-        with split, each trial holds holdout_fraction of them out."""
+        int(fraction * m * n) of them otherwise, so a lower fraction must not
+        need more; with split, each trial holds holdout_fraction of them out."""
         if self.rank > min(m, n):
             raise ValueError(f"rank {self.rank} exceeds min(m, n) = {min(m, n)} of the data")
         for f in self.fractions:
             k = observed if f == 1.0 and observed is not None else int(f * m * n)
             if k == 0:
                 raise ValueError(f"fraction {f!r} observes no entry of a {m}x{n} matrix")
-            if split and k <= observed and int(self.holdout_fraction * k) == 0:
+            if observed is not None and k > observed:
+                raise ValueError(f"fraction {f!r} needs {k} entries of a {m}x{n} matrix "
+                                 f"but only {observed} are observed")
+            if split and int(self.holdout_fraction * k) == 0:
                 raise ValueError(f"holdout_fraction {self.holdout_fraction!r} of the {k} entries "
                                  f"at fraction {f!r} leaves the test side empty")
 
@@ -246,7 +249,7 @@ def _trial_data(
         return truth, data_io.mask_entries(truth, fraction, rng), None
     obs = base_obs
     # fraction 1.0 means "use the dataset as is"; anything lower subsamples
-    # (and fails loudly when infeasible)
+    # (_check_data made sure the file has enough entries)
     if fraction < 1.0:
         obs = data_io.subsample(obs, fraction, _stream(plan.seed, _DOMAIN_MASK, frac_idx, trial))
     if truth is not None:

@@ -323,6 +323,8 @@ class RunRecord:
     @classmethod
     def from_trials(cls, rmse_trials, **kwargs) -> "RunRecord":
         trials = [float(r) for r in rmse_trials]
+        if not trials:  # before np.mean, which warns on an empty list
+            raise ValueError("rmse_trials must not be empty")
         return cls(
             rmse_trials=trials,
             rmse_mean=float(np.mean(trials)),

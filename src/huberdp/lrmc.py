@@ -161,7 +161,9 @@ def _predict_entries(u, v, rows, cols):
     out = np.empty(rows.size)
     for start in range(0, rows.size, _PREDICT_BLOCK):
         block = slice(start, start + _PREDICT_BLOCK)
-        out[block] = np.einsum("er,er->e", u[rows[block]], v[cols[block]])
+        out[block] = np.einsum(
+            "er,er->e", np.take(u, rows[block], axis=0), np.take(v, cols[block], axis=0)
+        )
     return out
 
 
@@ -248,9 +250,13 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # threads up. Every target is padded to its group's width with slots that
 # index a zero row appended to the fixed factor (index -1) and carry the
 # value 0, so they add nothing to the Gram, the right-hand side or the
-# residual. The residual, Gram and right-hand-side contractions are stacked
-# matmuls on the group's gathered block, so they run on BLAS. Per-target
-# results match solving each system on its own up to rounding.
+# residual. Each group's block of fixed-factor rows is one np.take along
+# axis 0, as are the noise and IRLS-start slices: it copies the same rows as
+# the advanced index other[oidx], which sends every short r-float row through
+# numpy's generic index loop, in about a quarter of the time at rank 5. The
+# residual, Gram and right-hand-side contractions are stacked matmuls on that
+# block, so they run on BLAS. Per-target results match solving each system on
+# its own up to rounding.
 #
 # A half whose Gram work (padded slots x r^2 x iterations) exceeds
 # _PARALLEL_WORK runs on every usable CPU: the groups are dealt round-robin
@@ -338,11 +344,11 @@ def _half_sweep(
 
     def solve_groups(part):
         for ids, oidx, vals in part:
-            ag = other[oidx]
+            ag = np.take(other, oidx, axis=0)
             agt = ag.transpose(0, 2, 1)
             vcol = vals[..., None]
-            gnoise = None if noise is None else noise[ids]
-            theta = init[ids] if reweight else None
+            gnoise = None if noise is None else np.take(noise, ids, axis=0)
+            theta = np.take(init, ids, axis=0) if reweight else None
             prev_w = None
             for k in range(iterations):
                 awt = agt

@@ -232,6 +232,8 @@ class TestRunCommand:
              None, "fraction 0.01 observes no entry of a 3x3 matrix"),
             (["run", "--dataset", "movielens:{tmp}/u.data", "--rank", "1", "--fraction", "1"],
              None, "holdout_fraction 0.1 of the 6 entries at fraction 1.0 leaves the test side empty"),
+            (["run", "--dataset", "movielens:{tmp}/u.data", "--rank", "1", "--fraction", "0.8"],
+             None, "fraction 0.8 needs 7 entries of a 3x3 matrix but only 6 are observed"),
         ],
         ids=["duplicate-mechanism", "unknown-dataset", "missing-ratings",
              "missing-plan", "uncalibratable-variance", "dataset-not-str",
@@ -244,7 +246,7 @@ class TestRunCommand:
              "zero-delta", "holdout-above-one", "negative-seed",
              "negative-seed-fresh-matrix", "empty-solvers", "empty-mechanisms",
              "unknown-trial-mode", "file-fraction-observes-nothing",
-             "file-holdout-leaves-test-empty"],
+             "file-holdout-leaves-test-empty", "file-fraction-above-observed"],
     )
     def test_bad_input_is_one_error_line(self, argv, plan, message, tmp_path, capsys):
         if plan is not None:
@@ -540,6 +542,8 @@ class TestRunPlanApi:
         assert record.config["outer_iterations"] == 2  # explicit flag won
 
     def test_infeasible_subsample_fails_cell(self, tmp_path):
+        # the file's size is known once it is loaded, so run_plan rejects the
+        # plan before any cell runs
         path = tmp_path / "u.data"
         path.write_text("1\t1\t5\t0\n2\t2\t4\t0\n3\t3\t3\t0\n4\t4\t2\t0\n")
         plan = ExperimentPlan(
@@ -547,9 +551,8 @@ class TestRunPlanApi:
             mechanisms=["none"], fractions=[0.9], trials=1,
             outer_iterations=2, seed=8,
         )
-        records, failures = run_plan(plan)
-        assert not records
-        assert failures and "entries" in failures[0]
+        with pytest.raises(ValueError, match="needs 14 entries of a 4x4 matrix but only 4"):
+            run_plan(plan)
 
     def test_divergent_solve_fails_cell(self, tmp_path):
         plan = _divergent_plan(tmp_path)

@@ -380,6 +380,12 @@ class TestRunPersistence:
         with pytest.raises(ValueError, match="rmse_trials must not be empty"):
             RunRecord(rmse_trials=[], rmse_mean=0.0, rmse_std=0.0, **self.CELL)
 
+    def test_from_trials_without_trials_rejected(self):
+        # the named error, not numpy's "Mean of empty slice" warning, which
+        # the suite's filterwarnings turns into an error first
+        with pytest.raises(ValueError, match="rmse_trials must not be empty"):
+            RunRecord.from_trials([], **self.CELL)
+
     def test_large_trial_mean_accepted(self):
         # np.mean and sum/len differ by more than 1e-12 at this scale; the
         # record checks the mean it stores against the same computation

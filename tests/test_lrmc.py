@@ -112,6 +112,23 @@ class TestFactorPair:
         with pytest.raises(ValueError, match=message):
             FactorPair(u, v)
 
+    @pytest.mark.parametrize("rank", [1, 5, 32])
+    def test_predict_entries_past_one_block(self, rank):
+        # more entries than two gather blocks, with rows and columns repeated
+        rng = np.random.default_rng(rank)
+        f = FactorPair(rng.standard_normal((40, rank)), rng.standard_normal((35, rank)))
+        size = 2 * lrmc._PREDICT_BLOCK + 17
+        rows = rng.integers(0, 40, size)
+        cols = rng.integers(0, 35, size)
+        got = f.predict_entries(rows, cols)
+        assert got.shape == (size,)
+        np.testing.assert_allclose(got, (f.U @ f.V.T)[rows, cols], rtol=1e-12, atol=1e-12)
+
+    def test_predict_no_entries(self):
+        f = FactorPair(np.ones((3, 2)), np.ones((4, 2)))
+        empty = np.empty(0, dtype=np.int64)
+        assert f.predict_entries(empty, empty).shape == (0,)
+
 
 class TestRmse:
     def test_exact_factorization_is_zero(self):

@@ -10,9 +10,11 @@ Subcommands:
 All randomness derives from one master seed through a counter-based split:
 ground truth uses stream (seed, 1), the trial mask (seed, 2, fraction_index,
 trial), the holdout split (seed, 3, fraction_index, trial), and each solver
-run (seed, 4, cell_index, trial). Re-running a plan with the same seed
-therefore reproduces the summary byte for byte, regardless of execution
-order.
+run (seed, 4, cell_index, trial); a record's trial_streams lists the last.
+In fresh_matrix mode each trial's truth and mask come together from
+(seed, 1, fraction_index, trial), as data_io.generate_synthetic draws them.
+Re-running a plan with the same seed therefore reproduces the summary byte
+for byte, regardless of execution order.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ class ExperimentPlan:
 
     trial_mode "fresh_mask" fixes the synthetic ground truth for the whole
     plan and redraws the observation mask (and noise) per trial;
-    "fresh_matrix" regenerates the ground truth each trial as well. Fields
-    are checked when the plan is built, a dataset file's shape once it loads.
+    "fresh_matrix" regenerates the ground truth each trial as well, so it
+    applies to synthetic data only. Fields are checked when the plan is
+    built, a dataset file's shape once it loads.
     """
 
     dataset: str = "synthetic"
@@ -134,6 +137,8 @@ class ExperimentPlan:
             raise ValueError(f"seed {self.seed} must be >= 0")
         if self.trial_mode not in ("fresh_mask", "fresh_matrix"):
             raise ValueError("trial_mode must be 'fresh_mask' or 'fresh_matrix'")
+        if self.trial_mode == "fresh_matrix" and self.dataset != "synthetic":
+            raise ValueError("trial_mode 'fresh_matrix' applies to synthetic data only")
         for v in self.variances:
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"variance {v!r} must be a positive real")
@@ -158,6 +163,8 @@ class ExperimentPlan:
         for name in ("delta", "holdout_fraction"):
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} {getattr(self, name)!r} must lie in (0, 1)")
+        if not (math.isfinite(self.delta_f) and self.delta_f > 0):
+            raise ValueError(f"delta_f {self.delta_f!r} must be a positive real")
         self.solver_config()
         if self.dataset == "synthetic":
             SyntheticSpec(self.m, self.n, self.data_rank, 1.0)  # fractions checked above
@@ -242,10 +249,10 @@ def _trial_data(
     """One trial's (x, train, test); test None scores against the dense x."""
     if plan.dataset == "synthetic":
         if plan.trial_mode == "fresh_matrix":
+            spec = SyntheticSpec(plan.m, plan.n, plan.data_rank, fraction)
             rng = _stream(plan.seed, _DOMAIN_TRUTH, frac_idx, trial)
-            truth = data_io.synthetic_truth(plan.m, plan.n, plan.data_rank, rng)
-        else:
-            rng = _stream(plan.seed, _DOMAIN_MASK, frac_idx, trial)
+            return (*data_io.generate_synthetic(spec, rng), None)
+        rng = _stream(plan.seed, _DOMAIN_MASK, frac_idx, trial)
         return truth, data_io.mask_entries(truth, fraction, rng), None
     obs = base_obs
     # fraction 1.0 means "use the dataset as is"; anything lower subsamples
@@ -264,10 +271,9 @@ def _trial_data(
 
 def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
     """Execute every cell of the plan; returns (records, failure messages)."""
-    synthetic = plan.dataset == "synthetic"
     truth = None
     base_obs = None
-    if synthetic:
+    if plan.dataset == "synthetic":
         label = f"synthetic-m{plan.m}-n{plan.n}-rank{plan.data_rank}"
         if plan.trial_mode == "fresh_mask":
             truth = data_io.synthetic_truth(
@@ -278,7 +284,6 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
         label = f"{kind}-{Path(path).stem}"
         truth, base_obs = _load_file_dataset(kind, path)
         plan._check_data(base_obs.m, base_obs.n, base_obs.n_observed, split=truth is None)
-    scope = "holdout" if not synthetic and truth is None else "all_entries"
 
     sens = Sensitivity.scalar(plan.delta_f)
     noiseless = plan.solver_config()
@@ -297,21 +302,17 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
             trial_rmse = []
             train_rmse = []
             frac_idx = plan.fractions.index(fraction)
-            for trial in range(plan.trials):
+            trial_streams = [[plan.seed, _DOMAIN_SOLVER, cell_idx, t] for t in range(plan.trials)]
+            for trial, entropy in enumerate(trial_streams):
                 x, train, test = _trial_data(plan, truth, base_obs, frac_idx, fraction, trial)
-                factors = solve(
-                    train,
-                    config,
-                    _stream(plan.seed, _DOMAIN_SOLVER, cell_idx, trial),
-                    counters=counters,
-                )
+                factors = solve(train, config, _stream(*entropy), counters=counters)
                 trial_rmse.append(lrmc.rmse(x if test is None else test, factors))
                 if test is not None:
                     train_rmse.append(lrmc.rmse(train, factors))
             extras = {}
             if train_rmse:
                 extras["rmse_train_mean"] = float(np.mean(train_rmse))
-            if not synthetic:
+            if base_obs is not None:
                 n_observed = train.n_observed + (0 if test is None else test.n_observed)
                 extras["actual_fraction"] = n_observed / (train.m * train.n)
             if mech_kind == "huber" and mechanisms._unit_variance_convention(variance):
@@ -337,14 +338,11 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
                     ),
                     "delta_f": plan.delta_f,
                     "trial_mode": plan.trial_mode,
-                    "holdout_fraction": plan.holdout_fraction if scope == "holdout" else None,
-                    "trial_streams": [
-                        [plan.seed, _DOMAIN_SOLVER, cell_idx, t]
-                        for t in range(plan.trials)
-                    ],
+                    "holdout_fraction": None if test is None else plan.holdout_fraction,
+                    "trial_streams": trial_streams,
                 },
                 draw_counts={"u_sweep": counters.u_sweep, "v_sweep": counters.v_sweep},
-                rmse_scope=scope,
+                rmse_scope="all_entries" if test is None else "holdout",
                 wall_clock_sec=time.perf_counter() - started,
                 extras=extras,
             )
@@ -392,6 +390,8 @@ def _rmse_table(records: list[RunRecord], failures: list[str]) -> str:
 
 
 def cmd_budget(args) -> int:
+    if not args.variances:
+        raise ValueError("budget needs at least one variance")
     sens = Sensitivity.scalar(args.delta_f)
     rows = mechanisms.budget_table(args.variances, sens, args.delta, args.log_base)
     header = f"{'variance':>8}  {'gaussian (eps, delta)':>26}  {'laplace (eps, delta)':>24}  {'huber (eps, delta)':>22}  {'alpha':>8}"
@@ -433,6 +433,8 @@ def cmd_budget(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if not args.targets:
+        raise ValueError("calibrate needs at least one target")
     sens = Sensitivity.scalar(args.delta_f)
     print(f"{'variance':>10}  {'alpha':>10}  {'epsilon':>10}  {'residual':>10}")
     for target in args.targets:

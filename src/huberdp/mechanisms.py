@@ -284,7 +284,7 @@ def huber_cdf(t, alpha: float):
     out[hi] = 1.0 - (k / a) * np.exp(0.5 * a * a - a * x[hi])
     if scalar_in:
         return float(out[0])
-    return _scalar_or_array(out, t)
+    return out
 
 
 def huber_variance(alpha: float) -> float:
@@ -530,16 +530,16 @@ def _gap_grid_max(alpha: float, delta_f: float) -> float:
     return float(np.max(g))
 
 
-def privacy_gap(alpha: float, delta_f: float, tol: float = _GAP_TOL) -> float:
+def privacy_gap(alpha: float, delta_f: float) -> float:
     """Verified supremum of the Huber log-likelihood ratio at shift delta_f.
 
     Maximizes rho(t + df) - rho(t) over a dense grid, checks that the maximum
-    equals alpha * delta_f to within tol, and returns alpha * delta_f. A
+    equals alpha * delta_f to within _GAP_TOL, and returns alpha * delta_f. A
     mismatch signals an implementation bug and raises ConsistencyError.
     """
     grid = _gap_grid_max(alpha, delta_f)
     bound = float(alpha) * float(delta_f)
-    if abs(grid - bound) > tol:
+    if abs(grid - bound) > _GAP_TOL:
         raise ConsistencyError(
             f"privacy gap mismatch at alpha={alpha}, delta_f={delta_f}: "
             f"grid={grid!r}, alpha*delta_f={bound!r}"

@@ -85,7 +85,7 @@ def test_criterion_4_privacy_bound_grid():
     cases = {"small_shift": 0, "large_shift": 0}
     for alpha in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
         for delta_f in (0.01, 0.5, 1.0, 3.0, 10.0, 50.0):
-            gap = h.privacy_gap(alpha, delta_f, tol=1e-9)
+            gap = h.privacy_gap(alpha, delta_f)
             worst = max(worst, abs(gap - alpha * delta_f))
             cases["small_shift" if delta_f <= 2 * alpha else "large_shift"] += 1
     elapsed = time.perf_counter() - started

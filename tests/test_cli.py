@@ -4,12 +4,15 @@ import json
 import logging
 import traceback
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from huberdp import mechanisms
+from huberdp import data_io, lrmc, mechanisms
 from huberdp.bench_cli import ExperimentPlan, _stream, _trial_data, main, run_plan
 from huberdp.data_io import SyntheticSpec, generate_synthetic, load_run
+from huberdp.mechanisms import MechanismConfig
 
 
 def run_cli(args):
@@ -46,8 +49,13 @@ class TestBudgetCommand:
         assert "1.000" in out  # laplace epsilon at beta = 1
 
     def test_empty_variances(self, capsys):
+        # a table of no rows is an input error, as in verify-privacy
         code = run_cli(["budget", "--variances", ""])
-        assert code == 0
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line == "huberdp-bench: error: budget needs at least one variance"
 
     def test_csv_output(self, tmp_path, capsys):
         csv_path = tmp_path / "budget.csv"
@@ -65,6 +73,14 @@ class TestCalibrateCommand:
         assert code == 0
         for token in ("5.380", "4.216", "3.601"):
             assert token in out
+
+    def test_empty_targets(self, capsys):
+        code = run_cli(["calibrate", "--targets", ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line == "huberdp-bench: error: calibrate needs at least one target"
 
     def test_unit_variance_warning(self, capsys):
         code = run_cli(["calibrate", "--targets", "1", "--delta-f", "5"])
@@ -234,6 +250,15 @@ class TestRunCommand:
              None, "holdout_fraction 0.1 of the 6 entries at fraction 1.0 leaves the test side empty"),
             (["run", "--dataset", "movielens:{tmp}/u.data", "--rank", "1", "--fraction", "0.8"],
              None, "fraction 0.8 needs 7 entries of a 3x3 matrix but only 6 are observed"),
+            (["run", "--dataset", "movielens:{tmp}/u.data", "--rank", "1", "--holdout", "0.5",
+              "--mechanism", "huber,laplace", "--variance", "2", "--delta-f", "0"],
+             None, "delta_f 0.0 must be a positive real"),
+            # rejected before the (missing) file is read
+            (["run", "--dataset", "movielens:{tmp}/missing", "--delta-f", "nan"], None,
+             "delta_f nan must be a positive real"),
+            (["run", "--dataset", "movielens:{tmp}/u.data", "--rank", "1",
+              "--trial-mode", "fresh_matrix"],
+             None, "trial_mode 'fresh_matrix' applies to synthetic data only"),
         ],
         ids=["duplicate-mechanism", "unknown-dataset", "missing-ratings",
              "missing-plan", "uncalibratable-variance", "dataset-not-str",
@@ -246,7 +271,8 @@ class TestRunCommand:
              "zero-delta", "holdout-above-one", "negative-seed",
              "negative-seed-fresh-matrix", "empty-solvers", "empty-mechanisms",
              "unknown-trial-mode", "file-fraction-observes-nothing",
-             "file-holdout-leaves-test-empty", "file-fraction-above-observed"],
+             "file-holdout-leaves-test-empty", "file-fraction-above-observed",
+             "delta-f-zero", "delta-f-nan", "file-fresh-matrix"],
     )
     def test_bad_input_is_one_error_line(self, argv, plan, message, tmp_path, capsys):
         if plan is not None:
@@ -430,6 +456,46 @@ class TestRunPlanApi:
                     assert np.array_equal(getattr(train, name), getattr(obs_ref, name))
                 assert (train.m, train.n) == (obs_ref.m, obs_ref.n)
                 assert train.value_range == obs_ref.value_range
+
+    @pytest.mark.parametrize("mode", ["fresh_mask", "fresh_matrix", "ratings"])
+    def test_records_replay_from_trial_streams(self, mode, tmp_path):
+        # a record names everything a trial ran on: _trial_data rebuilds its
+        # data and trial_streams its solver stream, to the same RMSE
+        grid = dict(solvers=["als", "irls"], mechanisms=["none", "huber"], variances=[2.0],
+                    trials=2, outer_iterations=3, irls_iterations=2, seed=11)
+        truth = base_obs = None
+        if mode == "ratings":
+            rng = np.random.default_rng(23)
+            z = np.clip(np.rint(3 + rng.standard_normal((40, 2)) @ rng.standard_normal((2, 30))),
+                        1, 5)
+            path = tmp_path / "u.data"
+            path.write_text("".join(
+                f"{u + 1}\t{i + 1}\t{int(z[u, i])}\t0\n"
+                for u in range(40) for i in rng.choice(30, size=15, replace=False)
+            ))
+            plan = ExperimentPlan(dataset=f"movielens:{path}", rank=2, fractions=[0.3, 1.0],
+                                  holdout_fraction=0.2, **grid)
+            base_obs = data_io.parse_movielens(path)
+        else:
+            plan = ExperimentPlan(m=30, n=25, data_rank=2, rank=2, fractions=[0.3, 0.5],
+                                  trial_mode=mode, **grid)
+            if mode == "fresh_mask":
+                truth = data_io.synthetic_truth(30, 25, 2, _stream(plan.seed, 1))
+        records, failures = run_plan(plan)
+        assert not failures
+        assert len(records) == 8
+        for record in records:
+            mech = MechanismConfig.from_variance(record.mechanism, record.variance)
+            config = replace(plan.solver_config(), mechanism=mech)
+            solve = lrmc.noisy_als if record.solver == "als" else lrmc.irls_huber
+            frac_idx = plan.fractions.index(record.fraction)
+            for t, entropy in enumerate(record.config["trial_streams"]):
+                x, train, test = _trial_data(plan, truth, base_obs, frac_idx, record.fraction, t)
+                factors = solve(train, config, _stream(*entropy))
+                assert lrmc.rmse(x if test is None else test, factors) == record.rmse_trials[t]
+                assert record.rmse_scope == ("all_entries" if test is None else "holdout")
+                assert record.config["holdout_fraction"] == (None if test is None else 0.2)
+            assert ("actual_fraction" in record.extras) == (mode == "ratings")
 
     def test_file_dataset_round_trip(self, tmp_path, capsys):
         # a generated file carries its ground truth, so scoring uses all

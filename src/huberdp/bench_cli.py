@@ -139,6 +139,8 @@ class ExperimentPlan:
             raise ValueError("trial_mode must be 'fresh_mask' or 'fresh_matrix'")
         if self.trial_mode == "fresh_matrix" and self.dataset != "synthetic":
             raise ValueError("trial_mode 'fresh_matrix' applies to synthetic data only")
+        if self.huber_loss_alpha is not None and "irls" not in self.solvers:
+            raise ValueError("huber_loss_alpha applies to the irls solver only")
         for v in self.variances:
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"variance {v!r} must be a positive real")
@@ -462,15 +464,15 @@ def cmd_verify_privacy(args) -> int:
     print(f"{'alpha':>8}  {'delta_f':>8}  {'sup g':>12}  {'deviation':>12}")
     for alpha in args.alphas:
         for delta_f in args.delta_fs:
-            bound = alpha * delta_f
-            deviation = abs(mechanisms._gap_grid_max(alpha, delta_f) - bound)
+            sup = mechanisms._gap_grid_max(alpha, delta_f)
+            deviation = abs(sup - alpha * delta_f)
             worst = max(worst, deviation)
             cells += 1
             status = ""
             if deviation > mechanisms._GAP_TOL:
                 failed = True
                 status = "  FAIL"
-            print(f"{alpha:>8g}  {delta_f:>8g}  {bound:>12.6f}  {deviation:>12.3e}{status}")
+            print(f"{alpha:>8g}  {delta_f:>8g}  {sup:>12.6f}  {deviation:>12.3e}{status}")
     print(f"{cells} cells checked; max |sup g - alpha*delta_f| = {worst:.3e}")
     if failed:
         print(f"tolerance {mechanisms._GAP_TOL:g} exceeded", file=sys.stderr)
@@ -512,6 +514,10 @@ def cmd_run(args) -> int:
     if args.plan:
         with Path(args.plan).open("r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"plan file {args.plan} must hold a JSON object, got {type(payload).__name__}"
+            )
         unknown = set(payload) - set(ExperimentPlan.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown plan fields: {sorted(unknown)}")

@@ -89,6 +89,11 @@ class SyntheticSpec:
             raise ValueError(f"synthetic rank {self.rank} must lie in [1, {min(self.m, self.n)}]")
         if not 0.0 < self.observed_fraction <= 1.0:
             raise ValueError("observed_fraction must lie in (0, 1]")
+        if int(self.observed_fraction * self.m * self.n) == 0:
+            raise ValueError(f"fraction {self.observed_fraction!r} observes no entry "
+                             f"of a {self.m}x{self.n} matrix")
+        if self.seed < 0:
+            raise ValueError(f"synthetic seed {self.seed} must be >= 0")
 
 
 @dataclass

@@ -51,6 +51,18 @@ __all__ = [
 ]
 
 
+def _coordinates(index, name: str) -> np.ndarray:
+    """An index array as int64. Integer arrays pass as they are; any other
+    must hold finite whole numbers, which the cast would otherwise truncate."""
+    index = np.asarray(index)
+    if index.dtype.kind not in "biu":
+        index = np.asarray(index, dtype=float)
+        bad = ~(np.isfinite(index) & (index == np.floor(index)))
+        if bad.any():
+            raise ValueError(f"{name} must be integer coordinates, got {index[bad][0]:g}")
+    return np.asarray(index, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class ObservedMatrix:
     """A partially observed m x n matrix stored as coordinate triplets.
@@ -71,8 +83,8 @@ class ObservedMatrix:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("matrix dimensions must be >= 1")
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
+        rows = _coordinates(self.rows, "rows")
+        cols = _coordinates(self.cols, "cols")
         values = np.asarray(self.values, dtype=float)
         if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
             raise ValueError("rows, cols, values must be 1-d arrays of equal length")

@@ -128,7 +128,7 @@ class TestVerifyPrivacyCommand:
         captured = capsys.readouterr()
         assert code == 1
         [row] = [line for line in captured.out.splitlines() if line.endswith("FAIL")]
-        assert row.split()[:3] == ["2", "3", "6.000000"]
+        assert row.split()[:3] == ["2", "3", "6.000006"]  # the measured sup, not the bound
         assert "exceeded" in captured.err
 
 
@@ -259,6 +259,19 @@ class TestRunCommand:
             (["run", "--dataset", "movielens:{tmp}/u.data", "--rank", "1",
               "--trial-mode", "fresh_matrix"],
              None, "trial_mode 'fresh_matrix' applies to synthetic data only"),
+            (SMALL + ["--solver", "als", "--huber-loss-alpha", "2"], None,
+             "huber_loss_alpha applies to the irls solver only"),
+            (["run", "--plan", "{tmp}/plan.json"], [], "must hold a JSON object, got list"),
+            (["run", "--plan", "{tmp}/plan.json"], 5, "must hold a JSON object, got int"),
+            (["run", "--plan", "{tmp}/plan.json"], None, "must hold a JSON object, got NoneType"),
+            # rows [0.5, 1, 2.9, 0] would truncate to [0, 1, 2, 0]
+            (["run", "--dataset", "file:{tmp}/float_rows.npz", "--rank", "1", "--fraction", "1",
+              "--trials", "1"], None,
+             "rows must be integer coordinates, got 0.5"),
+            (["gen", "--seed", "-1", "--out", "{tmp}/g.npz"], None,
+             "synthetic seed -1 must be >= 0"),
+            (["gen", "--m", "20", "--n", "20", "--fraction", "0.001", "--out", "{tmp}/g.npz"],
+             None, "fraction 0.001 observes no entry of a 20x20 matrix"),
         ],
         ids=["duplicate-mechanism", "unknown-dataset", "missing-ratings",
              "missing-plan", "uncalibratable-variance", "dataset-not-str",
@@ -272,15 +285,19 @@ class TestRunCommand:
              "negative-seed-fresh-matrix", "empty-solvers", "empty-mechanisms",
              "unknown-trial-mode", "file-fraction-observes-nothing",
              "file-holdout-leaves-test-empty", "file-fraction-above-observed",
-             "delta-f-zero", "delta-f-nan", "file-fresh-matrix"],
+             "delta-f-zero", "delta-f-nan", "file-fresh-matrix", "als-loss-alpha",
+             "plan-list", "plan-int", "plan-null", "file-float-rows", "gen-negative-seed",
+             "gen-fraction-observes-nothing"],
     )
     def test_bad_input_is_one_error_line(self, argv, plan, message, tmp_path, capsys):
-        if plan is not None:
-            (tmp_path / "plan.json").write_text(json.dumps(plan))
+        (tmp_path / "plan.json").write_text(json.dumps(plan))  # None writes null
         # six ratings of a 3x3 matrix, for the dataset-file rows
         (tmp_path / "u.data").write_text(
             "1\t1\t5\t0\n1\t2\t4\t0\n2\t2\t3\t0\n2\t3\t4\t0\n3\t1\t2\t0\n3\t3\t5\t0\n"
         )
+        np.savez(tmp_path / "float_rows.npz", x=np.ones((3, 3)), m=3, n=3,
+                 rows=[0.5, 1.0, 2.9, 0.0], cols=[0, 1, 2, 2], values=[1.0, 2.0, 3.0, 4.0],
+                 value_range=[1.0, 5.0])
         code = run_cli([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()
         assert code == 2

@@ -66,6 +66,10 @@ class TestGenerateSynthetic:
             SyntheticSpec(5, 5, 2, 0.0)
         with pytest.raises(ValueError):
             SyntheticSpec(5, 5, 2, 1.5)
+        with pytest.raises(ValueError, match="fraction 0.001 observes no entry of a 20x20 matrix"):
+            SyntheticSpec(20, 20, 2, 0.001)
+        with pytest.raises(ValueError, match="synthetic seed -1 must be >= 0"):
+            SyntheticSpec(5, 5, 2, 0.5, seed=-1)
 
     def test_mask_entries_direct(self):
         x = np.arange(24.0).reshape(4, 6)

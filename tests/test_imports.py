@@ -1,8 +1,10 @@
-"""The runtime paths load no scipy module at all.
+"""What importing huberdp provides and what it loads.
 
-scipy.special alone used to take more start-up time than a short sweep runs,
-so the package needs numpy only, and every runtime call is checked in a
-fresh interpreter. scipy stays a test and benchmark dependency.
+The runtime paths load no scipy module at all: scipy.special alone used to
+take more start-up time than a short sweep runs, so the package needs numpy
+only, and every runtime call is checked in a fresh interpreter. scipy stays a
+test and benchmark dependency. The package namespace is the union of its
+modules' __all__ lists.
 """
 
 import json
@@ -47,3 +49,16 @@ def test_runtime_paths_load_no_scipy():
     ).stdout
     loaded = json.loads(out.splitlines()[-1])
     assert not loaded, f"runtime paths import scipy: {loaded}"
+
+
+def test_package_exports_each_module_all():
+    """Each module's __all__ is the one list of its public names: the package
+    re-exports every one of them as the same object."""
+    import huberdp
+    from huberdp import data_io, lrmc, mechanisms, robust_solvers
+
+    for module in (mechanisms, robust_solvers, lrmc, data_io):
+        for name in module.__all__:
+            assert getattr(huberdp, name, None) is getattr(module, name), (
+                f"huberdp.{name} is not {module.__name__}.{name}"
+            )

@@ -76,8 +76,13 @@ class TestObservedMatrix:
         "m,rows,cols,values,message",
         [(0, [], [], [], "dimensions must be >= 1"),
          (2, [0, 1], [0], [1.0, 2.0], "1-d arrays of equal length"),
-         (2, [0], [2], [1.0], "column index out of range")],
-        ids=["zero-m", "ragged", "column-out-of-range"],
+         (2, [0], [2], [1.0], "column index out of range"),
+         # a cast would truncate these to the entries (0, 1) and (1, 0)
+         (2, [0.5, 1.9], [1, 0], [1.0, 2.0], "rows must be integer coordinates, got 0.5"),
+         (2, [0, 1], [1.7, 0], [1.0, 2.0], "cols must be integer coordinates, got 1.7"),
+         (2, [np.nan], [0], [1.0], "rows must be integer coordinates, got nan")],
+        ids=["zero-m", "ragged", "column-out-of-range", "fractional-row",
+             "fractional-col", "nan-row"],
     )
     def test_malformed_triplets_rejected(self, m, rows, cols, values, message):
         with pytest.raises(ValueError, match=message):

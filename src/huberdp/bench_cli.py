@@ -234,15 +234,25 @@ def _load_file_dataset(kind: str, path: str) -> tuple[np.ndarray | None, Observe
         return None, getattr(data_io, parser)(path)
     with np.load(path, allow_pickle=False) as npz:
         obs = ObservedMatrix(
-            int(npz["m"]),
-            int(npz["n"]),
+            _whole_number(npz, "m"),
+            _whole_number(npz, "n"),
             npz["rows"],
             npz["cols"],
             npz["values"],
             tuple(npz["value_range"]),
         )
         truth = npz["x"] if "x" in npz.files else None
+    if truth is not None and truth.shape != (obs.m, obs.n):
+        raise ValueError(f"x has shape {truth.shape}, not (m, n) = {(obs.m, obs.n)}")
     return truth, obs
+
+
+def _whole_number(npz, name: str) -> int:
+    """An npz shape field, which int() would truncate or fail on unnamed."""
+    value = float(npz[name])
+    if not (math.isfinite(value) and value == math.floor(value)):
+        raise ValueError(f"{name} must be a whole number, got {value:g}")
+    return int(value)
 
 
 def _trial_data(

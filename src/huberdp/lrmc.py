@@ -11,8 +11,7 @@ update is the ridge update; irls_huber uses the resolved loss alpha and
 K = inner_iterations. Without noise, a group of columns stops iterating
 once its IRLS weights repeat exactly, which leaves the result of all K
 iterations unchanged. Noise enters only the column half-sweep; the row
-half-sweep never touches the noise stream, which the draw counters make
-auditable.
+half-sweep draws nothing, and DrawCounters counts the column draws.
 
 Sweep s draws from one stream, split from (solver entropy, s) by a
 SeedSequence, in at most two block calls: the (n, r) IRLS starting points
@@ -45,7 +44,6 @@ __all__ = [
     "noisy_als",
     "irls_huber",
     "rmse",
-    "complete",
     "completion_objective",
     "resolve_loss_alpha",
 ]
@@ -69,8 +67,8 @@ class ObservedMatrix:
 
     rows, cols, values are parallel arrays over the observed index set; no
     duplicate coordinate is allowed. value_range is the nominal ratings scale
-    (lo, hi), kept as metadata for clipping and sensitivity assumptions; the
-    stored values themselves are not forced into it.
+    (lo, hi), carried for the npz dataset format and for clipping to the
+    scale, which nothing does yet; the stored values are not forced into it.
     """
 
     m: int
@@ -199,7 +197,6 @@ class SolverConfig:
     inner_iterations: int = 20
     huber_loss_alpha: float | None = None
     mechanism: MechanismConfig = MechanismConfig.none()
-    seed: int = 0
 
     def __post_init__(self):
         if self.rank < 1:
@@ -215,7 +212,7 @@ class SolverConfig:
 
 @dataclass
 class DrawCounters:
-    """Count of mechanism noise values consumed per half-sweep kind."""
+    """Mechanism noise values drawn per half-sweep kind (the row half draws none)."""
 
     u_sweep: int = 0
     v_sweep: int = 0
@@ -419,18 +416,17 @@ def _column_draws(mech, e0, e1, sweep, n, iterations, r, draw_init):
 
 
 def _alternate(solver, obs, config, rng, counters, init, history, alpha, iterations):
-    rng = np.random.default_rng(config.seed if rng is None else rng)
+    rng = np.random.default_rng(rng)
     r = config.rank
     if r > min(obs.m, obs.n):
         raise ValueError("rank exceeds min(m, n)")
     if init is None:
-        u = rng.standard_normal((obs.m, r)) / math.sqrt(r)
+        rng.standard_normal((obs.m, r))  # an unread U start, kept so streams stay as recorded
         v = rng.standard_normal((obs.n, r)) / math.sqrt(r)
     else:
-        if init.U.shape != (obs.m, r) or init.V.shape != (obs.n, r):
-            raise ValueError("init factors have wrong shape")
-        u = init.U.copy()
-        v = init.V.copy()
+        v = np.asarray(init, dtype=float)
+        if v.shape != (obs.n, r):
+            raise ValueError(f"init must be the {(obs.n, r)} start of V, got {v.shape}")
     e0, e1 = (int(x) for x in rng.integers(0, 2**63, size=2))
     row_groups = _target_groups(obs.rows, obs.cols, obs.values, obs.m, r)
     col_groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, r)
@@ -463,21 +459,21 @@ def _alternate(solver, obs, config, rng, counters, init, history, alpha, iterati
 def noisy_als(
     obs: ObservedMatrix,
     config: SolverConfig,
-    rng=None,
+    rng,
     *,
     counters: DrawCounters | None = None,
-    init: FactorPair | None = None,
+    init: np.ndarray | None = None,
     history: list[float] | None = None,
 ) -> FactorPair:
     """Alternating least squares with noise in the column updates.
 
     Each sweep solves the ridge update for every row of U against the fixed
     V, then for every column of V against the fixed U with a mechanism noise
-    vector added to the normal-equation right-hand side. rng may be a seed or
-    Generator; omitted, config.seed is used. history, when given a list,
-    receives the regularized completion objective after every half-sweep.
-    init sets the start of V; its U must have the right shape but is never
-    read, since the first row half-sweep replaces it. Raises
+    vector added to the normal-equation right-hand side. rng, a seed or
+    Generator, is the run's one source of randomness. history, when given a
+    list, receives the regularized completion objective after every
+    half-sweep. init, an (n, rank) array, is the start of V, which the first
+    row half-sweep reads; without it V starts at N(0, I / rank). Raises
     SolverDivergence when a half-sweep yields non-finite factors.
     """
     return _alternate("noisy_als", obs, config, rng, counters, init, history, math.inf, 1)
@@ -486,10 +482,10 @@ def noisy_als(
 def irls_huber(
     obs: ObservedMatrix,
     config: SolverConfig,
-    rng=None,
+    rng,
     *,
     counters: DrawCounters | None = None,
-    init: FactorPair | None = None,
+    init: np.ndarray | None = None,
     history: list[float] | None = None,
 ) -> FactorPair:
     """Alternating completion solver with IRLS column updates.
@@ -500,8 +496,7 @@ def irls_huber(
     from the column's slice of the sweep's start block and fed its slices of
     the sweep's noise block. Without noise, a group of columns stops once its
     weights repeat exactly; the factors equal those of all K iterations.
-    init.U is not read, and divergence raises SolverDivergence, as in
-    noisy_als.
+    rng, init, history and SolverDivergence are as in noisy_als.
     """
     return _alternate(
         "irls_huber", obs, config, rng, counters, init, history,
@@ -530,17 +525,6 @@ def rmse(truth, factors: FactorPair) -> float:
     if x.shape != (factors.U.shape[0], factors.V.shape[0]):
         raise ValueError("truth shape does not match the factors")
     return float(np.linalg.norm(x - factors.U @ factors.V.T) / math.sqrt(x.size))
-
-
-def complete(obs: ObservedMatrix, factors: FactorPair, clip: bool = False) -> np.ndarray:
-    """Dense completed matrix U V^T, optionally clipped to obs.value_range."""
-    if factors.U.shape[0] != obs.m or factors.V.shape[0] != obs.n:
-        raise ValueError("factor shapes do not match the observed matrix")
-    z = factors.U @ factors.V.T
-    if clip:
-        lo, hi = obs.value_range
-        np.clip(z, lo, hi, out=z)
-    return z
 
 
 def completion_objective(obs: ObservedMatrix, u, v, lam: float) -> float:

@@ -136,11 +136,10 @@ def test_criterion_7_noiseless_solver_correctness():
     started = time.perf_counter()
     spec = h.SyntheticSpec(m=500, n=500, rank=5, observed_fraction=0.15, seed=MASTER_SEED)
     x, obs = h.generate_synthetic(spec)
-    als = h.noisy_als(obs, h.SolverConfig(rank=5, lam=0.5, outer_iterations=50, seed=99))
+    als = h.noisy_als(obs, h.SolverConfig(rank=5, lam=0.5, outer_iterations=50), 99)
     als_rmse = h.rmse(x, als)
     irls = h.irls_huber(
-        obs,
-        h.SolverConfig(rank=5, lam=0.5, outer_iterations=50, inner_iterations=20, seed=99),
+        obs, h.SolverConfig(rank=5, lam=0.5, outer_iterations=50, inner_iterations=20), 99
     )
     irls_rmse = h.rmse(x, irls)
     elapsed = time.perf_counter() - started
@@ -238,8 +237,8 @@ def _movielens_path() -> Path | None:
 def test_criterion_11_movielens_vanilla_als():
     obs = h.parse_movielens(_movielens_path())
     train, test = h.holdout_split(obs, 0.1, np.random.default_rng(MASTER_SEED))
-    cfg = h.SolverConfig(rank=32, lam=0.5, outer_iterations=20, seed=MASTER_SEED)
-    factors = h.noisy_als(train, cfg)
+    cfg = h.SolverConfig(rank=32, lam=0.5, outer_iterations=20)
+    factors = h.noisy_als(train, cfg, MASTER_SEED)
     holdout_rmse = h.rmse(test, factors)
     check(
         "11 movielens",

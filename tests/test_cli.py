@@ -268,6 +268,13 @@ class TestRunCommand:
             (["run", "--dataset", "file:{tmp}/float_rows.npz", "--rank", "1", "--fraction", "1",
               "--trials", "1"], None,
              "rows must be integer coordinates, got 0.5"),
+            # int() would truncate m = 3.7 to 3, and fail on nan without naming n
+            (["run", "--dataset", "file:{tmp}/fractional_m.npz", "--rank", "1", "--fraction", "1",
+              "--trials", "1"], None, "m must be a whole number, got 3.7"),
+            (["run", "--dataset", "file:{tmp}/nan_n.npz", "--rank", "1", "--fraction", "1",
+              "--trials", "1"], None, "n must be a whole number, got nan"),
+            (["run", "--dataset", "file:{tmp}/wide_x.npz", "--rank", "1", "--fraction", "1",
+              "--trials", "1"], None, "x has shape (5, 6), not (m, n) = (3, 4)"),
             (["gen", "--seed", "-1", "--out", "{tmp}/g.npz"], None,
              "synthetic seed -1 must be >= 0"),
             (["gen", "--m", "20", "--n", "20", "--fraction", "0.001", "--out", "{tmp}/g.npz"],
@@ -286,8 +293,8 @@ class TestRunCommand:
              "unknown-trial-mode", "file-fraction-observes-nothing",
              "file-holdout-leaves-test-empty", "file-fraction-above-observed",
              "delta-f-zero", "delta-f-nan", "file-fresh-matrix", "als-loss-alpha",
-             "plan-list", "plan-int", "plan-null", "file-float-rows", "gen-negative-seed",
-             "gen-fraction-observes-nothing"],
+             "plan-list", "plan-int", "plan-null", "file-float-rows", "file-fractional-m",
+             "file-nan-n", "file-x-shape", "gen-negative-seed", "gen-fraction-observes-nothing"],
     )
     def test_bad_input_is_one_error_line(self, argv, plan, message, tmp_path, capsys):
         (tmp_path / "plan.json").write_text(json.dumps(plan))  # None writes null
@@ -298,6 +305,12 @@ class TestRunCommand:
         np.savez(tmp_path / "float_rows.npz", x=np.ones((3, 3)), m=3, n=3,
                  rows=[0.5, 1.0, 2.9, 0.0], cols=[0, 1, 2, 2], values=[1.0, 2.0, 3.0, 4.0],
                  value_range=[1.0, 5.0])
+        # all 12 entries of a 3x4 matrix, enough for the default holdout
+        valid = dict(x=np.ones((3, 4)), m=3, n=4, rows=np.repeat(np.arange(3), 4),
+                     cols=np.tile(np.arange(4), 3), values=np.ones(12), value_range=[1.0, 5.0])
+        np.savez(tmp_path / "fractional_m.npz", **{**valid, "m": 3.7})
+        np.savez(tmp_path / "nan_n.npz", **{**valid, "n": np.nan})
+        np.savez(tmp_path / "wide_x.npz", **{**valid, "x": np.ones((5, 6))})
         code = run_cli([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()
         assert code == 2

@@ -29,7 +29,6 @@ from huberdp.lrmc import (
     _column_draws,
     _half_sweep,
     _target_groups,
-    complete,
     completion_objective,
     irls_huber,
     noisy_als,
@@ -184,32 +183,14 @@ class TestRmse:
 
 
 class TestComplete:
-    def test_rank_one_product(self):
-        f = FactorPair(np.ones((3, 1)), 2.0 * np.ones((4, 1)))
-        obs = ObservedMatrix.from_entries(3, 4, [(0, 0, 2.0)])
-        np.testing.assert_array_equal(complete(obs, f), 2.0 * np.ones((3, 4)))
-
-    def test_clipping(self):
-        f = FactorPair(np.array([[6.3]]), np.array([[1.0], [0.0]]))
-        obs = ObservedMatrix.from_entries(1, 2, [(0, 0, 5.0)], value_range=(1.0, 5.0))
-        clipped = complete(obs, f, clip=True)
-        np.testing.assert_array_equal(clipped, [[5.0, 1.0]])
-        raw = complete(obs, f)
-        np.testing.assert_array_equal(raw, [[6.3, 0.0]])
-
-    def test_factor_shapes_checked(self):
-        obs = ObservedMatrix.from_entries(3, 4, [(0, 0, 2.0)])
-        with pytest.raises(ValueError, match="factor shapes"):
-            complete(obs, FactorPair(np.ones((4, 1)), np.ones((3, 1))))
-
     def test_noiseless_full_rank_fit_interpolates(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 6))
         obs = ObservedMatrix.from_dense(x)
-        cfg = SolverConfig(rank=6, lam=1e-9, outer_iterations=60, seed=0)
-        factors = noisy_als(obs, cfg)
-        z = complete(obs, factors)
-        np.testing.assert_allclose(z[obs.rows, obs.cols], obs.values, atol=1e-6)
+        cfg = SolverConfig(rank=6, lam=1e-9, outer_iterations=60)
+        factors = noisy_als(obs, cfg, 0)
+        z = factors.predict_entries(obs.rows, obs.cols)
+        np.testing.assert_allclose(z, obs.values, atol=1e-6)
 
 
 class TestNoisyAls:
@@ -217,25 +198,25 @@ class TestNoisyAls:
         rng = np.random.default_rng(6)
         x = np.outer(rng.standard_normal(5), rng.standard_normal(5))
         obs = ObservedMatrix.from_dense(x)
-        cfg = SolverConfig(rank=1, lam=1e-3, outer_iterations=50, seed=1)
-        factors = noisy_als(obs, cfg)
+        cfg = SolverConfig(rank=1, lam=1e-3, outer_iterations=50)
+        factors = noisy_als(obs, cfg, 1)
         assert rmse(x, factors) < 1e-3
 
     def test_full_rank_interpolation(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((5, 5))
         obs = ObservedMatrix.from_dense(x)
-        cfg = SolverConfig(rank=5, lam=1e-9, outer_iterations=80, seed=2)
-        assert rmse(x, noisy_als(obs, cfg)) < 1e-3
+        cfg = SolverConfig(rank=5, lam=1e-9, outer_iterations=80)
+        assert rmse(x, noisy_als(obs, cfg, 2)) < 1e-3
 
     def test_seeded_reproducibility_bit_identical(self):
         x, obs = generate_synthetic(SyntheticSpec(30, 25, 2, 0.5, seed=8))
         cfg = SolverConfig(
             rank=2, lam=0.5, outer_iterations=5,
-            mechanism=MechanismConfig.huber(1.0), seed=13,
+            mechanism=MechanismConfig.huber(1.0),
         )
-        a = noisy_als(obs, cfg)
-        b = noisy_als(obs, cfg)
+        a = noisy_als(obs, cfg, 13)
+        b = noisy_als(obs, cfg, 13)
         np.testing.assert_array_equal(a.U, b.U)
         np.testing.assert_array_equal(a.V, b.V)
 
@@ -243,23 +224,23 @@ class TestNoisyAls:
     def test_noise_only_in_column_sweep(self, kind, variance):
         x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=9))
         mech = MechanismConfig.from_variance(kind, variance)
-        cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=4, mechanism=mech, seed=3)
+        cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=4, mechanism=mech)
         counters = DrawCounters()
-        noisy_als(obs, cfg, counters=counters)
+        noisy_als(obs, cfg, 3, counters=counters)
         assert counters.u_sweep == 0
         assert counters.v_sweep == 4 * obs.n * cfg.rank
 
     def test_no_noise_consumes_no_draws(self):
         x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=10))
         counters = DrawCounters()
-        noisy_als(obs, SolverConfig(rank=2, lam=0.5, outer_iterations=3), counters=counters)
+        noisy_als(obs, SolverConfig(rank=2, lam=0.5, outer_iterations=3), 0, counters=counters)
         assert counters.u_sweep == 0 and counters.v_sweep == 0
 
     def test_noiseless_objective_monotone(self):
         x, obs = generate_synthetic(SyntheticSpec(40, 35, 3, 0.3, seed=11))
-        cfg = SolverConfig(rank=3, lam=0.5, outer_iterations=15, seed=4)
+        cfg = SolverConfig(rank=3, lam=0.5, outer_iterations=15)
         history = []
-        noisy_als(obs, cfg, history=history)
+        noisy_als(obs, cfg, 4, history=history)
         diffs = np.diff(history)
         assert np.all(diffs <= 1e-9)
 
@@ -270,16 +251,11 @@ class TestNoisyAls:
         permuted = ObservedMatrix(
             obs.m, obs.n, perm[obs.rows], obs.cols, obs.values, obs.value_range
         )
-        init = FactorPair(
-            rng.standard_normal((obs.m, 2)), rng.standard_normal((obs.n, 2))
-        )
-        # permute the initialization rows the same way as the data
-        u_perm = np.empty_like(init.U)
-        u_perm[perm] = init.U
-        init_perm = FactorPair(u_perm, init.V.copy())
-        cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=5, seed=5)
-        base = noisy_als(obs, cfg, init=init)
-        moved = noisy_als(permuted, cfg, init=init_perm)
+        # permuting rows leaves the columns, and so the V start, as they are
+        v0 = rng.standard_normal((obs.n, 2))
+        cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=5)
+        base = noisy_als(obs, cfg, 5, init=v0)
+        moved = noisy_als(permuted, cfg, 5, init=v0)
         np.testing.assert_allclose(moved.U[perm], base.U, atol=1e-10)
         x_permuted = np.empty_like(x)
         x_permuted[perm] = x
@@ -289,7 +265,7 @@ class TestNoisyAls:
         # one sweep of the batched engine equals per-column reference solves
         x, obs = generate_synthetic(SyntheticSpec(15, 12, 2, 0.5, seed=13))
         mech = MechanismConfig.huber(2.0)
-        cfg = SolverConfig(rank=2, lam=0.7, outer_iterations=1, mechanism=mech, seed=6)
+        cfg = SolverConfig(rank=2, lam=0.7, outer_iterations=1, mechanism=mech)
         factors = noisy_als(obs, cfg, np.random.default_rng(21))
         _, v0, stream = _replay(21, obs, 2, sweep=0)
         noise = sample(mech, obs.n * 2, stream).values.reshape(obs.n, 1, 2)
@@ -310,20 +286,19 @@ class TestNoisyAls:
         obs = ObservedMatrix.from_entries(
             3, 3, [(0, 0, 1.0), (1, 1, 2.0), (2, 0, 3.0), (0, 1, 0.5)]
         )
-        cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=3, seed=7)
-        factors = noisy_als(obs, cfg)
+        cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=3)
+        factors = noisy_als(obs, cfg, 7)
         np.testing.assert_array_equal(factors.V[2], np.zeros(2))
 
     def test_rank_validation(self):
         obs = ObservedMatrix.from_entries(3, 3, [(0, 0, 1.0)])
         with pytest.raises(ValueError):
-            noisy_als(obs, SolverConfig(rank=4, lam=0.5, outer_iterations=1))
+            noisy_als(obs, SolverConfig(rank=4, lam=0.5, outer_iterations=1), 0)
 
     def test_init_shape_checked(self):
         obs = ObservedMatrix.from_entries(3, 4, [(0, 0, 1.0)])
-        init = FactorPair(np.ones((3, 2)), np.ones((3, 2)))
-        with pytest.raises(ValueError, match="init factors have wrong shape"):
-            noisy_als(obs, SolverConfig(rank=2, outer_iterations=1), init=init)
+        with pytest.raises(ValueError, match=r"init must be the \(4, 2\) start of V, got \(3, 2\)"):
+            noisy_als(obs, SolverConfig(rank=2, outer_iterations=1), 0, init=np.ones((3, 2)))
 
 
 class TestIrlsHuber:
@@ -331,13 +306,12 @@ class TestIrlsHuber:
         # a huge loss transition keeps every weight at 1, so the IRLS column
         # update collapses onto the ridge update and the trajectories agree
         x, obs = generate_synthetic(SyntheticSpec(25, 20, 2, 0.5, seed=14))
-        als_cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=8, seed=8)
+        als_cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=8)
         irls_cfg = SolverConfig(
-            rank=2, lam=0.5, outer_iterations=8, inner_iterations=20,
-            huber_loss_alpha=1e9, seed=8,
+            rank=2, lam=0.5, outer_iterations=8, inner_iterations=20, huber_loss_alpha=1e9,
         )
-        a = noisy_als(obs, als_cfg)
-        b = irls_huber(obs, irls_cfg)
+        a = noisy_als(obs, als_cfg, 8)
+        b = irls_huber(obs, irls_cfg, 8)
         np.testing.assert_allclose(a.U, b.U, atol=1e-6)
         np.testing.assert_allclose(a.V, b.V, atol=1e-6)
 
@@ -368,10 +342,10 @@ class TestIrlsHuber:
         mech = MechanismConfig.laplace(1.0)
         cfg = SolverConfig(
             rank=2, lam=0.5, outer_iterations=3, inner_iterations=5,
-            mechanism=mech, seed=10,
+            mechanism=mech,
         )
         counters = DrawCounters()
-        irls_huber(obs, cfg, counters=counters)
+        irls_huber(obs, cfg, 10, counters=counters)
         assert counters.u_sweep == 0
         assert counters.v_sweep == 3 * obs.n * 5 * cfg.rank
 
@@ -379,10 +353,10 @@ class TestIrlsHuber:
         x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=17))
         cfg = SolverConfig(
             rank=2, lam=0.5, outer_iterations=3, inner_iterations=4,
-            mechanism=MechanismConfig.huber(1.0), seed=11,
+            mechanism=MechanismConfig.huber(1.0),
         )
-        a = irls_huber(obs, cfg)
-        b = irls_huber(obs, cfg)
+        a = irls_huber(obs, cfg, 11)
+        b = irls_huber(obs, cfg, 11)
         np.testing.assert_array_equal(a.U, b.U)
         np.testing.assert_array_equal(a.V, b.V)
 
@@ -390,8 +364,8 @@ class TestIrlsHuber:
         obs = ObservedMatrix.from_entries(
             3, 3, [(0, 0, 1.0), (1, 1, 2.0), (2, 0, 3.0), (0, 1, 0.5)]
         )
-        cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=2, inner_iterations=3, seed=12)
-        factors = irls_huber(obs, cfg)
+        cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=2, inner_iterations=3)
+        factors = irls_huber(obs, cfg, 12)
         np.testing.assert_array_equal(factors.V[2], np.zeros(2))
 
 
@@ -405,10 +379,10 @@ def test_empty_column_under_noise_is_last_draw_over_lam(solve):
     mech = MechanismConfig.huber(1.2)
     cfg = SolverConfig(
         rank=2, lam=0.7, outer_iterations=3, inner_iterations=4,
-        mechanism=mech, seed=14,
+        mechanism=mech,
     )
-    factors = solve(obs, cfg)
-    *_, stream = _replay(cfg.seed, obs, 2, sweep=cfg.outer_iterations - 1)
+    factors = solve(obs, cfg, 14)
+    *_, stream = _replay(14, obs, 2, sweep=cfg.outer_iterations - 1)
     iterations = 1
     if solve is irls_huber:
         stream.standard_normal((obs.n, 2))  # the IRLS start block comes first
@@ -425,10 +399,10 @@ def test_sweep_draws_start_block_then_noise_block(solve):
     mech = MechanismConfig.huber(1.5)
     cfg = SolverConfig(
         rank=2, lam=0.6, outer_iterations=1, inner_iterations=4,
-        mechanism=mech, seed=15,
+        mechanism=mech,
     )
-    factors = solve(obs, cfg)
-    _, v0, stream = _replay(cfg.seed, obs, 2, sweep=0)
+    factors = solve(obs, cfg, 15)
+    _, v0, stream = _replay(15, obs, 2, sweep=0)
     alpha, iterations, init = math.inf, 1, None
     if solve is irls_huber:
         alpha, iterations = resolve_loss_alpha(cfg), cfg.inner_iterations
@@ -454,10 +428,84 @@ def test_noisy_solve_samples_one_block_per_sweep(monkeypatch, solve, iterations)
     x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
     cfg = SolverConfig(
         rank=2, lam=0.5, outer_iterations=3, inner_iterations=5,
-        mechanism=MechanismConfig.laplace(1.0), seed=10,
+        mechanism=MechanismConfig.laplace(1.0),
     )
-    solve(obs, cfg)
+    solve(obs, cfg, 10)
     assert sizes == [obs.n * iterations * cfg.rank] * cfg.outer_iterations
+
+
+def _draw_audit(monkeypatch, solve, obs, cfg):
+    """Values drawn through lrmc.sample in each sweep's U and V half, and the
+    solve's DrawCounters. A draw belongs to the half in progress: the history
+    list gets one append per finished half, U first, so an even length means
+    a U half is running."""
+    sweeps = cfg.outer_iterations
+    drawn = {"u": [0] * sweeps, "v": [0] * sweeps}
+    history = []
+    sample_values = lrmc.sample
+
+    def audited_sample(mech, k, rng):
+        draw = sample_values(mech, k, rng)
+        sweep, in_v_half = divmod(len(history), 2)
+        drawn["v" if in_v_half else "u"][sweep] += draw.values.size
+        return draw
+
+    monkeypatch.setattr(lrmc, "sample", audited_sample)
+    counters = DrawCounters()
+    solve(obs, cfg, 3, counters=counters, history=history)
+    return drawn, counters
+
+
+_AUDIT_CONFIG = SolverConfig(
+    rank=2, lam=0.5, outer_iterations=3, inner_iterations=4,
+    mechanism=MechanismConfig.huber(1.2),
+)
+
+
+@pytest.mark.parametrize("solve,iterations", [(noisy_als, 1), (irls_huber, 4)])
+def test_u_half_draws_nothing(monkeypatch, solve, iterations):
+    _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    drawn, counters = _draw_audit(monkeypatch, solve, obs, _AUDIT_CONFIG)
+    assert drawn["u"] == [0, 0, 0]
+    assert drawn["v"] == [obs.n * iterations * _AUDIT_CONFIG.rank] * 3
+    assert sum(drawn["v"]) == counters.v_sweep
+
+
+def test_draw_audit_reports_a_u_half_draw(monkeypatch):
+    # a draw slipped into every U half shows in the audit, not in the counters
+    half_sweep = lrmc._half_sweep
+    halves = []
+
+    def leaky_half_sweep(*args):
+        if len(halves) % 2 == 0:  # the halves alternate, U first
+            lrmc.sample(MechanismConfig.laplace(1.0), 7, np.random.default_rng(0))
+        halves.append(None)
+        return half_sweep(*args)
+
+    monkeypatch.setattr(lrmc, "_half_sweep", leaky_half_sweep)
+    _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    drawn, counters = _draw_audit(monkeypatch, noisy_als, obs, _AUDIT_CONFIG)
+    assert drawn["u"] == [7, 7, 7]
+    assert counters.u_sweep == 0
+
+
+@pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+def test_init_is_the_v_start_a_sweep_reads(solve):
+    # a solve started at the replayed V start, its stream advanced past the
+    # U and V starts, is the solve that drew them
+    _, obs = generate_synthetic(SyntheticSpec(15, 12, 2, 0.5, seed=19))
+    cfg = SolverConfig(
+        rank=2, lam=0.6, outer_iterations=2, inner_iterations=3,
+        mechanism=MechanismConfig.huber(1.5),
+    )
+    _, v0, _ = _replay(23, obs, 2, sweep=0)
+    advanced = np.random.default_rng(23)
+    advanced.standard_normal((obs.m, 2))
+    advanced.standard_normal((obs.n, 2))
+    drawn = solve(obs, cfg, 23)
+    started = solve(obs, cfg, advanced, init=v0)
+    np.testing.assert_array_equal(started.U, drawn.U)
+    np.testing.assert_array_equal(started.V, drawn.V)
 
 
 def test_noiseless_als_draws_nothing():
@@ -470,10 +518,10 @@ def test_divergent_solve_raises_solver_divergence():
     # but U^T U overflows in the column half-sweep that follows
     x, obs = generate_synthetic(SyntheticSpec(30, 25, 2, 0.5, seed=8))
     huge = ObservedMatrix(obs.m, obs.n, obs.rows, obs.cols, obs.values * 1e200)
-    cfg = SolverConfig(rank=2, outer_iterations=3, seed=1)
+    cfg = SolverConfig(rank=2, outer_iterations=3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverDivergence) as info:
-            noisy_als(huge, cfg)
+            noisy_als(huge, cfg, 1)
     assert (info.value.solver, info.value.sweep, info.value.half) == ("noisy_als", 0, "v")
 
 
@@ -482,10 +530,10 @@ def test_row_half_divergence_names_u(solve):
     # every rating 1e308: V^T y overflows in the first row half-sweep
     x, obs = generate_synthetic(SyntheticSpec(30, 25, 2, 0.5, seed=8))
     huge = ObservedMatrix(obs.m, obs.n, obs.rows, obs.cols, np.full(obs.n_observed, 1e308))
-    cfg = SolverConfig(rank=2, outer_iterations=3, seed=1)
+    cfg = SolverConfig(rank=2, outer_iterations=3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverDivergence) as info:
-            solve(huge, cfg)
+            solve(huge, cfg, 1)
     assert (info.value.solver, info.value.sweep, info.value.half) == (solve.__name__, 0, "u")
 
 
@@ -668,16 +716,16 @@ class TestThreadedHalves:
         mech = MechanismConfig.none() if kind == "none" else MechanismConfig.huber(1.3)
         cfg = SolverConfig(
             rank=self.RANK, lam=0.5, outer_iterations=3, inner_iterations=5,
-            huber_loss_alpha=1.0, mechanism=mech, seed=17,
+            huber_loss_alpha=1.0, mechanism=mech,
         )
         monkeypatch.setattr(lrmc, "_usable_cpus", lambda: 1)
-        serial = solve(obs, cfg)
+        serial = solve(obs, cfg, 17)
 
         threads = self._record_solve_threads(monkeypatch)
         monkeypatch.setattr(lrmc, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(lrmc, "_PARALLEL_WORK", 0)
         alive = threading.active_count()
-        threaded = solve(obs, cfg)
+        threaded = solve(obs, cfg, 17)
         assert threading.active_count() == alive  # the solve joined its threads
         # the calling thread ran one part and the solve's own workers the rest
         assert threading.current_thread().name in threads and len(threads) > 1
@@ -713,7 +761,7 @@ class TestThreadedHalves:
     def test_small_halves_stay_serial(self, monkeypatch):
         threads = self._record_solve_threads(monkeypatch)
         monkeypatch.setattr(lrmc, "_usable_cpus", lambda: 2)
-        noisy_als(self._observed(), SolverConfig(rank=self.RANK, outer_iterations=2))
+        noisy_als(self._observed(), SolverConfig(rank=self.RANK, outer_iterations=2), 0)
         assert threads == {threading.current_thread().name}
 
     def test_divergence_is_reported_from_threads(self, monkeypatch):
@@ -725,7 +773,7 @@ class TestThreadedHalves:
         huge = ObservedMatrix(obs.m, obs.n, obs.rows, obs.cols, obs.values * 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverDivergence) as info:
-                noisy_als(huge, SolverConfig(rank=self.RANK, outer_iterations=3, seed=1))
+                noisy_als(huge, SolverConfig(rank=self.RANK, outer_iterations=3), 1)
         assert (info.value.sweep, info.value.half) == (0, "v")
 
     def test_error_in_a_later_part_waits_for_every_part(self, monkeypatch):
@@ -834,6 +882,14 @@ class TestSolverConfig:
     def test_rejects_invalid_huber_loss_alpha(self, alpha):
         with pytest.raises(ValueError, match="huber_loss_alpha"):
             SolverConfig(rank=1, huber_loss_alpha=alpha)
+
+    @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+    def test_rng_is_the_one_seed(self, solve):
+        obs = ObservedMatrix.from_entries(2, 2, [(0, 0, 1.0)])
+        with pytest.raises(TypeError, match="rng"):
+            solve(obs, SolverConfig(rank=1))
+        with pytest.raises(TypeError, match="seed"):
+            SolverConfig(rank=1, seed=0)
 
 
 class TestLossAlphaResolution:

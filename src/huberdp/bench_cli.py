@@ -33,7 +33,7 @@ import numpy as np
 
 from . import data_io, lrmc, mechanisms
 from .data_io import RunRecord, SyntheticSpec
-from .lrmc import DrawCounters, ObservedMatrix, SolverConfig
+from .lrmc import ObservedMatrix, SolverConfig
 from .mechanisms import MechanismConfig, Sensitivity
 
 __all__ = ["ExperimentPlan", "main", "run_plan"]
@@ -56,6 +56,14 @@ def _float_list(text: str) -> list[float]:
 
 def _str_list(text: str) -> list[str]:
     return [p.strip() for p in text.split(",") if p.strip()]
+
+
+def _sensitivity(delta_f: float) -> Sensitivity:
+    """The query sensitivity a --delta-f gives. Only a positive real is taken:
+    a sensitivity of 0 would budget epsilon 0, a claim of perfect privacy."""
+    if not (math.isfinite(delta_f) and delta_f > 0):
+        raise ValueError(f"delta_f {delta_f!r} must be a positive real")
+    return Sensitivity.scalar(delta_f)
 
 
 def _cell_name(solver: str, mech: str, variance: float | None, fraction: float) -> str:
@@ -165,8 +173,7 @@ class ExperimentPlan:
         for name in ("delta", "holdout_fraction"):
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} {getattr(self, name)!r} must lie in (0, 1)")
-        if not (math.isfinite(self.delta_f) and self.delta_f > 0):
-            raise ValueError(f"delta_f {self.delta_f!r} must be a positive real")
+        _sensitivity(self.delta_f)
         self.solver_config()
         if self.dataset == "synthetic":
             SyntheticSpec(self.m, self.n, self.data_rank, 1.0)  # fractions checked above
@@ -297,7 +304,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
         truth, base_obs = _load_file_dataset(kind, path)
         plan._check_data(base_obs.m, base_obs.n, base_obs.n_observed, split=truth is None)
 
-    sens = Sensitivity.scalar(plan.delta_f)
+    sens = _sensitivity(plan.delta_f)
     noiseless = plan.solver_config()
     records: list[RunRecord] = []
     failures: list[str] = []
@@ -310,14 +317,15 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
             budget = mechanisms.mechanism_budget(mech, sens, delta=plan.delta)
             config = replace(noiseless, mechanism=mech)
             solve = lrmc.noisy_als if solver == "als" else lrmc.irls_huber
-            counters = DrawCounters()
+            noise_draws = 0
             trial_rmse = []
             train_rmse = []
             frac_idx = plan.fractions.index(fraction)
             trial_streams = [[plan.seed, _DOMAIN_SOLVER, cell_idx, t] for t in range(plan.trials)]
             for trial, entropy in enumerate(trial_streams):
                 x, train, test = _trial_data(plan, truth, base_obs, frac_idx, fraction, trial)
-                factors = solve(train, config, _stream(*entropy), counters=counters)
+                factors = solve(train, config, _stream(*entropy))
+                noise_draws += factors.noise_draws
                 trial_rmse.append(lrmc.rmse(x if test is None else test, factors))
                 if test is not None:
                     train_rmse.append(lrmc.rmse(train, factors))
@@ -329,14 +337,14 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
                 extras["actual_fraction"] = n_observed / (train.m * train.n)
             if mech_kind == "huber" and mechanisms._unit_variance_convention(variance):
                 extras["huber_unit_variance_convention"] = True
-            record = RunRecord.from_trials(
-                trial_rmse,
+            record = RunRecord(
                 dataset=label,
                 solver=solver,
                 mechanism=mech_kind,
                 variance=variance,
                 fraction=fraction,
                 rank=plan.rank,
+                rmse_trials=trial_rmse,
                 epsilon=budget.epsilon,
                 delta=budget.delta,
                 seed=plan.seed,
@@ -353,7 +361,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
                     "holdout_fraction": None if test is None else plan.holdout_fraction,
                     "trial_streams": trial_streams,
                 },
-                draw_counts={"u_sweep": counters.u_sweep, "v_sweep": counters.v_sweep},
+                # a U half draws nothing: tests/test_lrmc.py::test_u_half_draws_nothing
+                draw_counts={"u_sweep": 0, "v_sweep": noise_draws},
                 rmse_scope="all_entries" if test is None else "holdout",
                 wall_clock_sec=time.perf_counter() - started,
                 extras=extras,
@@ -404,7 +413,7 @@ def _rmse_table(records: list[RunRecord], failures: list[str]) -> str:
 def cmd_budget(args) -> int:
     if not args.variances:
         raise ValueError("budget needs at least one variance")
-    sens = Sensitivity.scalar(args.delta_f)
+    sens = _sensitivity(args.delta_f)
     rows = mechanisms.budget_table(args.variances, sens, args.delta, args.log_base)
     header = f"{'variance':>8}  {'gaussian (eps, delta)':>26}  {'laplace (eps, delta)':>24}  {'huber (eps, delta)':>22}  {'alpha':>8}"
     print(header)
@@ -447,7 +456,7 @@ def cmd_budget(args) -> int:
 def cmd_calibrate(args) -> int:
     if not args.targets:
         raise ValueError("calibrate needs at least one target")
-    sens = Sensitivity.scalar(args.delta_f)
+    sens = _sensitivity(args.delta_f)
     print(f"{'variance':>10}  {'alpha':>10}  {'epsilon':>10}  {'residual':>10}")
     for target in args.targets:
         mech = MechanismConfig.from_variance("huber", target)

@@ -292,8 +292,8 @@ def holdout_split(
 class RunRecord:
     """One benchmark cell: config, data descriptor, per-trial RMSEs, budget.
 
-    rmse_mean must equal the arithmetic mean of rmse_trials (checked); the
-    std is the population standard deviation. epsilon may be infinite for the
+    rmse_mean and rmse_std are derived from rmse_trials: the arithmetic mean
+    and the population standard deviation. epsilon may be infinite for the
     no-noise baseline.
     """
 
@@ -304,8 +304,6 @@ class RunRecord:
     fraction: float
     rank: int
     rmse_trials: list[float]
-    rmse_mean: float
-    rmse_std: float
     epsilon: float
     delta: float
     seed: int
@@ -317,25 +315,16 @@ class RunRecord:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        if not self.rmse_trials:
+        if not self.rmse_trials:  # np.mean would warn and return nan
             raise ValueError("rmse_trials must not be empty")
-        mean = float(np.mean(self.rmse_trials))  # as from_trials computes it
-        if not math.isclose(mean, self.rmse_mean, rel_tol=0, abs_tol=1e-12):
-            raise ValueError(
-                f"rmse_mean {self.rmse_mean!r} does not match trials mean {mean!r}"
-            )
 
-    @classmethod
-    def from_trials(cls, rmse_trials, **kwargs) -> "RunRecord":
-        trials = [float(r) for r in rmse_trials]
-        if not trials:  # before np.mean, which warns on an empty list
-            raise ValueError("rmse_trials must not be empty")
-        return cls(
-            rmse_trials=trials,
-            rmse_mean=float(np.mean(trials)),
-            rmse_std=float(np.std(trials)),
-            **kwargs,
-        )
+    @property
+    def rmse_mean(self) -> float:
+        return float(np.mean(self.rmse_trials))
+
+    @property
+    def rmse_std(self) -> float:
+        return float(np.std(self.rmse_trials))
 
 
 def _encode_float(x):
@@ -355,8 +344,10 @@ def _decode_float(x):
 
 
 def persist_run(record: RunRecord, path) -> None:
-    """Write a RunRecord as pretty-printed JSON (schema-versioned)."""
+    """Write a RunRecord, its derived statistics too, as pretty-printed JSON."""
     payload = asdict(record)
+    payload["rmse_mean"] = record.rmse_mean
+    payload["rmse_std"] = record.rmse_std
     payload["epsilon"] = _encode_float(record.epsilon)
     payload["variance"] = _encode_float(record.variance)
     path = Path(path)
@@ -367,7 +358,8 @@ def persist_run(record: RunRecord, path) -> None:
 
 
 def load_run(path) -> RunRecord:
-    """Read a RunRecord back; unknown schema versions raise, never misparse."""
+    """Read a RunRecord back; unknown schema versions raise, never misparse,
+    and a stored rmse_mean or rmse_std that its trials do not give raises."""
     with Path(path).open("r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("schema_version")
@@ -378,7 +370,12 @@ def load_run(path) -> RunRecord:
         )
     payload["epsilon"] = _decode_float(payload["epsilon"])
     payload["variance"] = _decode_float(payload["variance"])
-    return RunRecord(**payload)
+    stored = {key: payload.pop(key) for key in ("rmse_mean", "rmse_std")}
+    record = RunRecord(**payload)
+    for key, value in stored.items():
+        if not math.isclose(value, getattr(record, key), rel_tol=0, abs_tol=1e-12):
+            raise ValueError(f"{path}: {key} {value!r} does not match its rmse_trials")
+    return record
 
 
 def _format_cell(x) -> str:

@@ -11,7 +11,7 @@ update is the ridge update; irls_huber uses the resolved loss alpha and
 K = inner_iterations. Without noise, a group of columns stops iterating
 once its IRLS weights repeat exactly, which leaves the result of all K
 iterations unchanged. Noise enters only the column half-sweep; the row
-half-sweep draws nothing, and DrawCounters counts the column draws.
+half-sweep draws nothing, and FactorPair.noise_draws counts the column draws.
 
 Sweep s draws from one stream, split from (solver entropy, s) by a
 SeedSequence, in at most two block calls: the (n, r) IRLS starting points
@@ -39,7 +39,6 @@ __all__ = [
     "ObservedMatrix",
     "FactorPair",
     "SolverConfig",
-    "DrawCounters",
     "SolverDivergence",
     "noisy_als",
     "irls_huber",
@@ -140,10 +139,12 @@ class ObservedMatrix:
 
 @dataclass(eq=False)
 class FactorPair:
-    """Low-rank factors U (m x r) and V (n x r) of the estimate U V^T."""
+    """Low-rank factors U (m x r) and V (n x r) of the estimate U V^T, and
+    the number of mechanism noise values the solve that made them drew."""
 
     U: np.ndarray
     V: np.ndarray
+    noise_draws: int = 0
 
     def __post_init__(self):
         u = np.asarray(self.U, dtype=float)
@@ -208,14 +209,6 @@ class SolverConfig:
         alpha = self.huber_loss_alpha
         if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
             raise ValueError("huber_loss_alpha must be a positive real")
-
-
-@dataclass
-class DrawCounters:
-    """Mechanism noise values drawn per half-sweep kind (the row half draws none)."""
-
-    u_sweep: int = 0
-    v_sweep: int = 0
 
 
 class SolverDivergence(ArithmeticError):
@@ -415,7 +408,7 @@ def _column_draws(mech, e0, e1, sweep, n, iterations, r, draw_init):
     return init, noise
 
 
-def _alternate(solver, obs, config, rng, counters, init, history, alpha, iterations):
+def _alternate(solver, obs, config, rng, init, history, alpha, iterations):
     rng = np.random.default_rng(rng)
     r = config.rank
     if r > min(obs.m, obs.n):
@@ -432,6 +425,7 @@ def _alternate(solver, obs, config, rng, counters, init, history, alpha, iterati
     col_groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, r)
     lam = config.lam
     workers = _usable_cpus()
+    drawn = 0
     with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
         for sweep in range(config.outer_iterations):
             u = _half_sweep(
@@ -444,8 +438,7 @@ def _alternate(solver, obs, config, rng, counters, init, history, alpha, iterati
             starts, noise = _column_draws(
                 config.mechanism, e0, e1, sweep, obs.n, iterations, r, math.isfinite(alpha)
             )
-            if counters is not None and noise is not None:
-                counters.v_sweep += noise.size
+            drawn += 0 if noise is None else noise.size
             v = _half_sweep(
                 col_groups, u, lam, alpha, iterations, starts, noise, obs.n, pool, workers
             )
@@ -453,7 +446,7 @@ def _alternate(solver, obs, config, rng, counters, init, history, alpha, iterati
                 raise SolverDivergence(solver, sweep, "v")
             if history is not None:
                 history.append(completion_objective(obs, u, v, lam))
-    return FactorPair(u, v)
+    return FactorPair(u, v, drawn)
 
 
 def noisy_als(
@@ -461,7 +454,6 @@ def noisy_als(
     config: SolverConfig,
     rng,
     *,
-    counters: DrawCounters | None = None,
     init: np.ndarray | None = None,
     history: list[float] | None = None,
 ) -> FactorPair:
@@ -476,7 +468,7 @@ def noisy_als(
     row half-sweep reads; without it V starts at N(0, I / rank). Raises
     SolverDivergence when a half-sweep yields non-finite factors.
     """
-    return _alternate("noisy_als", obs, config, rng, counters, init, history, math.inf, 1)
+    return _alternate("noisy_als", obs, config, rng, init, history, math.inf, 1)
 
 
 def irls_huber(
@@ -484,7 +476,6 @@ def irls_huber(
     config: SolverConfig,
     rng,
     *,
-    counters: DrawCounters | None = None,
     init: np.ndarray | None = None,
     history: list[float] | None = None,
 ) -> FactorPair:
@@ -499,7 +490,7 @@ def irls_huber(
     rng, init, history and SolverDivergence are as in noisy_als.
     """
     return _alternate(
-        "irls_huber", obs, config, rng, counters, init, history,
+        "irls_huber", obs, config, rng, init, history,
         resolve_loss_alpha(config), config.inner_iterations,
     )
 
@@ -516,14 +507,16 @@ def rmse(truth, factors: FactorPair) -> float:
     held-out split for test error on real data). Any other truth is the
     dense ground-truth matrix X and gives ||X - U V^T||_F / sqrt(m n).
     """
-    if isinstance(truth, ObservedMatrix):
-        if truth.n_observed == 0:
-            raise ValueError("cannot compute RMSE over an empty index set")
-        err = truth.values - factors.predict_entries(truth.rows, truth.cols)
-        return float(math.sqrt(np.mean(err * err)))
-    x = np.asarray(truth, dtype=float)
-    if x.shape != (factors.U.shape[0], factors.V.shape[0]):
+    observed = isinstance(truth, ObservedMatrix)
+    x = truth if observed else np.asarray(truth, dtype=float)
+    shape = (x.m, x.n) if observed else x.shape
+    if shape != (factors.U.shape[0], factors.V.shape[0]):
         raise ValueError("truth shape does not match the factors")
+    if observed:
+        if x.n_observed == 0:
+            raise ValueError("cannot compute RMSE over an empty index set")
+        err = x.values - factors.predict_entries(x.rows, x.cols)
+        return float(math.sqrt(np.mean(err * err)))
     return float(np.linalg.norm(x - factors.U @ factors.V.T) / math.sqrt(x.size))
 
 

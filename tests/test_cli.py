@@ -279,6 +279,15 @@ class TestRunCommand:
              "synthetic seed -1 must be >= 0"),
             (["gen", "--m", "20", "--n", "20", "--fraction", "0.001", "--out", "{tmp}/g.npz"],
              None, "fraction 0.001 observes no entry of a 20x20 matrix"),
+            # a sensitivity of 0 would print epsilon 0, a claim of perfect privacy
+            (["budget", "--variances", "2", "--delta-f", "0"], None,
+             "delta_f 0.0 must be a positive real"),
+            (["budget", "--variances", "2", "--delta-f", "-1"], None,
+             "delta_f -1.0 must be a positive real"),
+            (["calibrate", "--targets", "2", "--delta-f", "0"], None,
+             "delta_f 0.0 must be a positive real"),
+            (["calibrate", "--targets", "2", "--delta-f", "nan"], None,
+             "delta_f nan must be a positive real"),
         ],
         ids=["duplicate-mechanism", "unknown-dataset", "missing-ratings",
              "missing-plan", "uncalibratable-variance", "dataset-not-str",
@@ -294,7 +303,9 @@ class TestRunCommand:
              "file-holdout-leaves-test-empty", "file-fraction-above-observed",
              "delta-f-zero", "delta-f-nan", "file-fresh-matrix", "als-loss-alpha",
              "plan-list", "plan-int", "plan-null", "file-float-rows", "file-fractional-m",
-             "file-nan-n", "file-x-shape", "gen-negative-seed", "gen-fraction-observes-nothing"],
+             "file-nan-n", "file-x-shape", "gen-negative-seed", "gen-fraction-observes-nothing",
+             "budget-delta-f-zero", "budget-delta-f-negative", "calibrate-delta-f-zero",
+             "calibrate-delta-f-nan"],
     )
     def test_bad_input_is_one_error_line(self, argv, plan, message, tmp_path, capsys):
         (tmp_path / "plan.json").write_text(json.dumps(plan))  # None writes null

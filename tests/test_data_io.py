@@ -340,7 +340,7 @@ def make_record(**overrides):
         extras={"note": 1},
     )
     base.update(overrides)
-    return RunRecord.from_trials([0.5, 0.7, 0.6], **base)
+    return RunRecord(rmse_trials=[0.5, 0.7, 0.6], **base)
 
 
 class TestRunPersistence:
@@ -369,32 +369,21 @@ class TestRunPersistence:
         with pytest.raises(SchemaVersionError):
             load_run(path)
 
-    def test_mean_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            RunRecord(
-                dataset="d", solver="als", mechanism="none", variance=None,
-                fraction=0.1, rank=2, rmse_trials=[0.5, 0.7], rmse_mean=0.9,
-                rmse_std=0.1, epsilon=1.0, delta=0.0, seed=0,
-            )
+    def test_mean_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "run.json"
+        persist_run(make_record(), path)
+        payload = json.loads(path.read_text())
+        payload["rmse_mean"] = 0.9
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"run\.json: rmse_mean 0\.9 does not match"):
+            load_run(path)
 
     CELL = dict(dataset="d", solver="als", mechanism="none", variance=None,
                 fraction=0.1, rank=2, epsilon=1.0, delta=0.0, seed=0)
 
     def test_no_trials_rejected(self):
         with pytest.raises(ValueError, match="rmse_trials must not be empty"):
-            RunRecord(rmse_trials=[], rmse_mean=0.0, rmse_std=0.0, **self.CELL)
-
-    def test_from_trials_without_trials_rejected(self):
-        # the named error, not numpy's "Mean of empty slice" warning, which
-        # the suite's filterwarnings turns into an error first
-        with pytest.raises(ValueError, match="rmse_trials must not be empty"):
-            RunRecord.from_trials([], **self.CELL)
-
-    def test_large_trial_mean_accepted(self):
-        # np.mean and sum/len differ by more than 1e-12 at this scale; the
-        # record checks the mean it stores against the same computation
-        trials = [123456.789 + 0.1 * i for i in range(8)]
-        assert RunRecord.from_trials(trials, **self.CELL).rmse_mean == np.mean(trials)
+            RunRecord(rmse_trials=[], **self.CELL)
 
     def test_mean_and_std_recomputable(self):
         record = make_record()

@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from huberdp import lrmc
 from huberdp.data_io import SyntheticSpec, generate_synthetic
 from huberdp.lrmc import (
-    DrawCounters,
     FactorPair,
     ObservedMatrix,
     SolverConfig,
@@ -176,10 +175,17 @@ class TestRmse:
         with pytest.raises(ValueError):
             rmse(obs, f)
 
-    def test_truth_shape_checked(self):
-        f = FactorPair(np.ones((2, 1)), np.ones((3, 1)))
+    @pytest.mark.parametrize(
+        "truth",
+        [np.ones((4, 3)),
+         ObservedMatrix.from_dense(np.ones((3, 9))),
+         ObservedMatrix.from_dense(np.ones((5, 4)))],
+        ids=["dense", "observed-wider", "observed-taller"],
+    )
+    def test_truth_shape_checked(self, truth):
+        f = FactorPair(np.ones((3, 1)), np.ones((4, 1)))
         with pytest.raises(ValueError, match="truth shape"):
-            rmse(np.ones((3, 2)), f)
+            rmse(truth, f)
 
 
 class TestComplete:
@@ -225,16 +231,12 @@ class TestNoisyAls:
         x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=9))
         mech = MechanismConfig.from_variance(kind, variance)
         cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=4, mechanism=mech)
-        counters = DrawCounters()
-        noisy_als(obs, cfg, 3, counters=counters)
-        assert counters.u_sweep == 0
-        assert counters.v_sweep == 4 * obs.n * cfg.rank
+        assert noisy_als(obs, cfg, 3).noise_draws == 4 * obs.n * cfg.rank
 
     def test_no_noise_consumes_no_draws(self):
         x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=10))
-        counters = DrawCounters()
-        noisy_als(obs, SolverConfig(rank=2, lam=0.5, outer_iterations=3), 0, counters=counters)
-        assert counters.u_sweep == 0 and counters.v_sweep == 0
+        factors = noisy_als(obs, SolverConfig(rank=2, lam=0.5, outer_iterations=3), 0)
+        assert factors.noise_draws == 0
 
     def test_noiseless_objective_monotone(self):
         x, obs = generate_synthetic(SyntheticSpec(40, 35, 3, 0.3, seed=11))
@@ -260,6 +262,24 @@ class TestNoisyAls:
         x_permuted = np.empty_like(x)
         x_permuted[perm] = x
         assert rmse(x_permuted, moved) == pytest.approx(rmse(x, base), abs=1e-10)
+
+    @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+    def test_column_permutation_equivariance(self, solve):
+        rng = np.random.default_rng(12)
+        x, obs = generate_synthetic(SyntheticSpec(12, 10, 2, 0.6, seed=12))
+        perm = rng.permutation(obs.n)
+        permuted = ObservedMatrix(
+            obs.m, obs.n, obs.rows, perm[obs.cols], obs.values, obs.value_range
+        )
+        # column j moves to perm[j], and its row of the V start with it
+        v0 = rng.standard_normal((obs.n, 2))
+        v0_permuted = np.empty_like(v0)
+        v0_permuted[perm] = v0
+        cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=5)
+        base = solve(obs, cfg, 5, init=v0)
+        moved = solve(permuted, cfg, 5, init=v0_permuted)
+        np.testing.assert_allclose(moved.U, base.U, atol=1e-10)
+        np.testing.assert_allclose(moved.V[perm], base.V, atol=1e-10)
 
     def test_column_update_matches_ridge_solve(self):
         # one sweep of the batched engine equals per-column reference solves
@@ -344,10 +364,7 @@ class TestIrlsHuber:
             rank=2, lam=0.5, outer_iterations=3, inner_iterations=5,
             mechanism=mech,
         )
-        counters = DrawCounters()
-        irls_huber(obs, cfg, 10, counters=counters)
-        assert counters.u_sweep == 0
-        assert counters.v_sweep == 3 * obs.n * 5 * cfg.rank
+        assert irls_huber(obs, cfg, 10).noise_draws == 3 * obs.n * 5 * cfg.rank
 
     def test_seeded_reproducibility(self):
         x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=17))
@@ -436,7 +453,7 @@ def test_noisy_solve_samples_one_block_per_sweep(monkeypatch, solve, iterations)
 
 def _draw_audit(monkeypatch, solve, obs, cfg):
     """Values drawn through lrmc.sample in each sweep's U and V half, and the
-    solve's DrawCounters. A draw belongs to the half in progress: the history
+    solve's factors, which count its noise draws. A draw belongs to the half in progress: the history
     list gets one append per finished half, U first, so an even length means
     a U half is running."""
     sweeps = cfg.outer_iterations
@@ -451,9 +468,7 @@ def _draw_audit(monkeypatch, solve, obs, cfg):
         return draw
 
     monkeypatch.setattr(lrmc, "sample", audited_sample)
-    counters = DrawCounters()
-    solve(obs, cfg, 3, counters=counters, history=history)
-    return drawn, counters
+    return drawn, solve(obs, cfg, 3, history=history)
 
 
 _AUDIT_CONFIG = SolverConfig(
@@ -465,14 +480,14 @@ _AUDIT_CONFIG = SolverConfig(
 @pytest.mark.parametrize("solve,iterations", [(noisy_als, 1), (irls_huber, 4)])
 def test_u_half_draws_nothing(monkeypatch, solve, iterations):
     _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
-    drawn, counters = _draw_audit(monkeypatch, solve, obs, _AUDIT_CONFIG)
+    drawn, factors = _draw_audit(monkeypatch, solve, obs, _AUDIT_CONFIG)
     assert drawn["u"] == [0, 0, 0]
     assert drawn["v"] == [obs.n * iterations * _AUDIT_CONFIG.rank] * 3
-    assert sum(drawn["v"]) == counters.v_sweep
+    assert sum(drawn["v"]) == factors.noise_draws
 
 
 def test_draw_audit_reports_a_u_half_draw(monkeypatch):
-    # a draw slipped into every U half shows in the audit, not in the counters
+    # a draw slipped into every U half shows in the audit, not in the solve's count
     half_sweep = lrmc._half_sweep
     halves = []
 
@@ -484,9 +499,9 @@ def test_draw_audit_reports_a_u_half_draw(monkeypatch):
 
     monkeypatch.setattr(lrmc, "_half_sweep", leaky_half_sweep)
     _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
-    drawn, counters = _draw_audit(monkeypatch, noisy_als, obs, _AUDIT_CONFIG)
+    drawn, factors = _draw_audit(monkeypatch, noisy_als, obs, _AUDIT_CONFIG)
     assert drawn["u"] == [7, 7, 7]
-    assert counters.u_sweep == 0
+    assert factors.noise_draws == sum(drawn["v"])
 
 
 @pytest.mark.parametrize("solve", [noisy_als, irls_huber])

@@ -124,19 +124,14 @@ def generate_synthetic(
 
     Returns (X, observed): X from synthetic_truth, and observed holding a
     uniform random sample of floor(observed_fraction * m * n) distinct cells
-    drawn from the same generator, on the default (1, 5) value range.
+    drawn from the same generator.
     """
     rng = np.random.default_rng(spec.seed if rng is None else rng)
     x = synthetic_truth(spec.m, spec.n, spec.rank, rng)
     return x, mask_entries(x, spec.observed_fraction, rng)
 
 
-def mask_entries(
-    x: np.ndarray,
-    fraction: float,
-    rng: np.random.Generator,
-    value_range: tuple[float, float] = (1.0, 5.0),
-) -> ObservedMatrix:
+def mask_entries(x: np.ndarray, fraction: float, rng: np.random.Generator) -> ObservedMatrix:
     """Observe a uniform random subset of floor(fraction * m * n) cells."""
     x = np.asarray(x, dtype=float)
     m, n = x.shape
@@ -146,7 +141,7 @@ def mask_entries(
     flat = rng.choice(m * n, size=k, replace=False)
     flat.sort()
     rows, cols = np.divmod(flat, n)
-    return ObservedMatrix(m, n, rows, cols, x[rows, cols], value_range)
+    return ObservedMatrix(m, n, rows, cols, x[rows, cols])
 
 
 #: per ratings format: field separator, field count, and whether line 1 may
@@ -159,7 +154,8 @@ _RATINGS_FORMATS = {
 
 def _parse_ratings(path, kind: str, report: ParseReport | None) -> ObservedMatrix:
     """One loop for every `_RATINGS_FORMATS` kind; whitespace-only lines are
-    skipped. Each coordinate keeps its first position and its last value."""
+    skipped. Each coordinate keeps its first position and its last value.
+    Ratings off the 1-5 scale are kept, and only counted."""
     sep, n_fields, header = _RATINGS_FORMATS[kind]
     path = Path(path)
     if not path.is_file():
@@ -208,7 +204,7 @@ def _parse_ratings(path, kind: str, report: ParseReport | None) -> ObservedMatri
     if report is not None:
         report.duplicates = duplicates
         report.out_of_range = out_of_range
-    return ObservedMatrix(m, n, rows[first], cols[first], values[last], (lo, hi))
+    return ObservedMatrix(m, n, rows[first], cols[first], values[last])
 
 
 def parse_movielens(path, report: ParseReport | None = None) -> ObservedMatrix:
@@ -216,11 +212,10 @@ def parse_movielens(path, report: ParseReport | None = None) -> ObservedMatrix:
 
     Each line is ``user_id<TAB>item_id<TAB>rating<TAB>timestamp`` with
     1-indexed ids; the timestamp is not read. Dimensions are the maximum ids
-    seen; the ratings scale is (1, 5). Duplicate (user, item) pairs resolve
-    last-write-wins and out-of-range ratings are kept, both logged and
-    counted in the optional report. A missing file or a malformed line
-    (reported with its number), including a nan or infinite rating, raises
-    RatingsParseError.
+    seen. Duplicate (user, item) pairs resolve last-write-wins and
+    out-of-range ratings are kept, both logged and counted in the optional
+    report. A missing file or a malformed line (reported with its number),
+    including a nan or infinite rating, raises RatingsParseError.
     """
     return _parse_ratings(path, "movielens", report)
 
@@ -229,9 +224,9 @@ def parse_sweetrs(path, report: ParseReport | None = None) -> ObservedMatrix:
     """Parse a SweetRS-style ratings dump.
 
     Pinned schema: comma-separated ``user,item,rating`` records with
-    1-indexed integer ids and numeric ratings on the (1, 5) scale; an
-    optional header on the first line is skipped. Duplicate, out-of-range
-    and error handling match parse_movielens.
+    1-indexed integer ids and numeric ratings; an optional header on the
+    first line is skipped. Duplicate, out-of-range and error handling match
+    parse_movielens.
     """
     return _parse_ratings(path, "sweetrs", report)
 
@@ -253,9 +248,7 @@ def subsample(
         return obs
     keep = rng.choice(obs.n_observed, size=k, replace=False)
     keep.sort()
-    return ObservedMatrix(
-        obs.m, obs.n, obs.rows[keep], obs.cols[keep], obs.values[keep], obs.value_range
-    )
+    return ObservedMatrix(obs.m, obs.n, obs.rows[keep], obs.cols[keep], obs.values[keep])
 
 
 def holdout_split(
@@ -277,9 +270,7 @@ def holdout_split(
     perm = rng.permutation(obs.n_observed)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
-    make = lambda idx: ObservedMatrix(
-        obs.m, obs.n, obs.rows[idx], obs.cols[idx], obs.values[idx], obs.value_range
-    )
+    make = lambda idx: ObservedMatrix(obs.m, obs.n, obs.rows[idx], obs.cols[idx], obs.values[idx])
     return make(train_idx), make(test_idx)
 
 

@@ -65,9 +65,7 @@ class ObservedMatrix:
     """A partially observed m x n matrix stored as coordinate triplets.
 
     rows, cols, values are parallel arrays over the observed index set; no
-    duplicate coordinate is allowed. value_range is the nominal ratings scale
-    (lo, hi), carried for the npz dataset format and for clipping to the
-    scale, which nothing does yet; the stored values are not forced into it.
+    duplicate coordinate is allowed.
     """
 
     m: int
@@ -75,7 +73,6 @@ class ObservedMatrix:
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    value_range: tuple[float, float] = (1.0, 5.0)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -95,31 +92,27 @@ class ObservedMatrix:
                 raise ValueError("duplicate (row, col) coordinates")
         if not np.all(np.isfinite(values)):
             raise ValueError("observed values must be finite")
-        lo, hi = self.value_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError("value_range must satisfy lo < hi")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "value_range", (float(lo), float(hi)))
 
     @classmethod
-    def from_entries(cls, m, n, entries, value_range=(1.0, 5.0)) -> "ObservedMatrix":
+    def from_entries(cls, m, n, entries) -> "ObservedMatrix":
         """Build from an iterable of (i, j, value) triplets."""
         entries = list(entries)
         if entries:
             rows, cols, values = (np.asarray(x) for x in zip(*entries))
         else:
             rows = cols = values = np.empty(0)
-        return cls(m, n, rows, cols, values, value_range)
+        return cls(m, n, rows, cols, values)
 
     @classmethod
-    def from_dense(cls, x, value_range=(1.0, 5.0)) -> "ObservedMatrix":
+    def from_dense(cls, x) -> "ObservedMatrix":
         """Fully observed view of a dense matrix."""
         x = np.asarray(x, dtype=float)
         m, n = x.shape
         rows, cols = np.divmod(np.arange(m * n), n)
-        return cls(m, n, rows, cols, x.ravel().copy(), value_range)
+        return cls(m, n, rows, cols, x.ravel().copy())
 
     @property
     def n_observed(self) -> int:

@@ -513,8 +513,10 @@ _GAP_GRID_POINTS = 100_000
 _GAP_TOL = 1e-9
 
 
-def _gap_grid_max(alpha: float, delta_f: float) -> float:
-    """Grid maximum of rho(t + df) - rho(t) over t.
+def _gap_check(alpha: float, delta_f: float) -> tuple[float, float, bool]:
+    """(grid maximum of rho(t + df) - rho(t), its deviation from
+    alpha * delta_f, passed): the one pass rule of privacy_gap and
+    verify-privacy, under which a NaN grid maximum fails.
 
     The grid spans every breakpoint (-df - alpha, -alpha, alpha - df, alpha),
     which are added to it exactly, and reaches into both constant plateaus.
@@ -526,8 +528,9 @@ def _gap_grid_max(alpha: float, delta_f: float) -> float:
     grid = np.linspace(-df - 2.0 * a - 1.0, 2.0 * a + df + 1.0, _GAP_GRID_POINTS)
     breakpoints = np.array([-df - a, -a, a - df, a])
     ts = np.concatenate([grid, breakpoints])
-    g = huber_loss(ts + df, a) - huber_loss(ts, a)
-    return float(np.max(g))
+    g_max = float(np.max(huber_loss(ts + df, a) - huber_loss(ts, a)))
+    deviation = abs(g_max - a * df)
+    return g_max, deviation, deviation <= _GAP_TOL
 
 
 def privacy_gap(alpha: float, delta_f: float) -> float:
@@ -537,9 +540,9 @@ def privacy_gap(alpha: float, delta_f: float) -> float:
     equals alpha * delta_f to within _GAP_TOL, and returns alpha * delta_f. A
     mismatch signals an implementation bug and raises ConsistencyError.
     """
-    grid = _gap_grid_max(alpha, delta_f)
+    grid, _, passed = _gap_check(alpha, delta_f)
     bound = float(alpha) * float(delta_f)
-    if abs(grid - bound) > _GAP_TOL:
+    if not passed:
         raise ConsistencyError(
             f"privacy gap mismatch at alpha={alpha}, delta_f={delta_f}: "
             f"grid={grid!r}, alpha*delta_f={bound!r}"

@@ -131,6 +131,17 @@ class TestVerifyPrivacyCommand:
         assert row.split()[:3] == ["2", "3", "6.000006"]  # the measured sup, not the bound
         assert "exceeded" in captured.err
 
+    def test_nan_grid_fails(self, capsys):
+        # huber_loss overflows at alpha = delta_f = 1e200, so the grid maximum
+        # is NaN; a NaN must fail the check, not pass it
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(["verify-privacy", "--alphas", "1e200", "--delta-fs", "1e200"])
+        out = capsys.readouterr().out
+        assert code == 1
+        [row] = [line for line in out.splitlines() if line.endswith("FAIL")]
+        assert row.split()[2:4] == ["nan", "nan"]
+        assert "max |sup g - alpha*delta_f| = nan" in out
+
 
 class TestGenCommand:
     def test_writes_loadable_dataset(self, tmp_path, capsys):
@@ -143,6 +154,7 @@ class TestGenCommand:
         with np.load(out) as npz:
             assert npz["x"].shape == (40, 30)
             assert npz["rows"].size == int(0.3 * 40 * 30)
+            assert "value_range" not in npz.files
 
 
 class TestRunCommand:
@@ -275,6 +287,12 @@ class TestRunCommand:
               "--trials", "1"], None, "n must be a whole number, got nan"),
             (["run", "--dataset", "file:{tmp}/wide_x.npz", "--rank", "1", "--fraction", "1",
               "--trials", "1"], None, "x has shape (5, 6), not (m, n) = (3, 4)"),
+            (["run", "--dataset", "file:{tmp}/no_rows.npz", "--rank", "1", "--fraction", "1",
+              "--trials", "1"], None, "no_rows.npz lacks npz key(s) rows"),
+            (["run", "--dataset", "file:{tmp}/values.npy", "--rank", "1", "--fraction", "1",
+              "--trials", "1"], None, "values.npy is not an npz archive"),
+            (["run", "--dataset", "file:{tmp}/u.data", "--rank", "1", "--fraction", "1",
+              "--trials", "1"], None, "u.data is not an npz archive"),
             (["gen", "--seed", "-1", "--out", "{tmp}/g.npz"], None,
              "synthetic seed -1 must be >= 0"),
             (["gen", "--m", "20", "--n", "20", "--fraction", "0.001", "--out", "{tmp}/g.npz"],
@@ -303,7 +321,8 @@ class TestRunCommand:
              "file-holdout-leaves-test-empty", "file-fraction-above-observed",
              "delta-f-zero", "delta-f-nan", "file-fresh-matrix", "als-loss-alpha",
              "plan-list", "plan-int", "plan-null", "file-float-rows", "file-fractional-m",
-             "file-nan-n", "file-x-shape", "gen-negative-seed", "gen-fraction-observes-nothing",
+             "file-nan-n", "file-x-shape", "file-missing-rows", "file-npy",
+             "file-text", "gen-negative-seed", "gen-fraction-observes-nothing",
              "budget-delta-f-zero", "budget-delta-f-negative", "calibrate-delta-f-zero",
              "calibrate-delta-f-nan"],
     )
@@ -322,6 +341,8 @@ class TestRunCommand:
         np.savez(tmp_path / "fractional_m.npz", **{**valid, "m": 3.7})
         np.savez(tmp_path / "nan_n.npz", **{**valid, "n": np.nan})
         np.savez(tmp_path / "wide_x.npz", **{**valid, "x": np.ones((5, 6))})
+        np.savez(tmp_path / "no_rows.npz", **{k: v for k, v in valid.items() if k != "rows"})
+        np.save(tmp_path / "values.npy", valid["values"])
         code = run_cli([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()
         assert code == 2
@@ -339,6 +360,19 @@ class TestRunCommand:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line == "huberdp-bench: error: rank 4 exceeds min(m, n) = 3 of the data"
+
+    def test_unusable_out_found_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        # --out naming an existing file is caught before the sweep, not after
+        calls = []
+        monkeypatch.setattr("huberdp.bench_cli.run_plan", lambda plan: calls.append(plan))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli(["run", "--m", "20", "--n", "20", "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("huberdp-bench: error: ")
+        assert calls == []
 
     def test_non_finite_rating_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "u.data"
@@ -496,7 +530,6 @@ class TestRunPlanApi:
                 for name in ("rows", "cols", "values"):
                     assert np.array_equal(getattr(train, name), getattr(obs_ref, name))
                 assert (train.m, train.n) == (obs_ref.m, obs_ref.n)
-                assert train.value_range == obs_ref.value_range
 
     @pytest.mark.parametrize("mode", ["fresh_mask", "fresh_matrix", "ratings"])
     def test_records_replay_from_trial_streams(self, mode, tmp_path):

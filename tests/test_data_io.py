@@ -73,10 +73,9 @@ class TestGenerateSynthetic:
 
     def test_mask_entries_direct(self):
         x = np.arange(24.0).reshape(4, 6)
-        obs = mask_entries(x, 0.5, np.random.default_rng(11), value_range=(0.0, 24.0))
+        obs = mask_entries(x, 0.5, np.random.default_rng(11))
         assert obs.n_observed == 12
         np.testing.assert_array_equal(obs.values, x[obs.rows, obs.cols])
-        assert obs.value_range == (0.0, 24.0)
         with pytest.raises(ValueError):
             mask_entries(x, 0.0, np.random.default_rng(0))
 
@@ -92,7 +91,6 @@ class TestParseMovielens:
         assert obs.n_observed == 2
         assert obs.m == 196 and obs.n == 302
         assert (195, 241, 3.0) in obs.entries
-        assert obs.value_range == (1.0, 5.0)
 
     def test_malformed_line_carries_number(self, tmp_path):
         path = tmp_path / "u.data"
@@ -287,7 +285,6 @@ class TestSubsample:
         out = subsample(self.obs, 0.1, np.random.default_rng(3))
         original = set(zip(self.obs.rows.tolist(), self.obs.cols.tolist()))
         assert set(zip(out.rows.tolist(), out.cols.tolist())) <= original
-        assert out.value_range == self.obs.value_range
         assert (out.m, out.n) == (self.obs.m, self.obs.n)
 
     def test_infeasible_target(self):

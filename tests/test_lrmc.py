@@ -86,10 +86,6 @@ class TestObservedMatrix:
         with pytest.raises(ValueError, match=message):
             ObservedMatrix(m, 2, rows, cols, values)
 
-    def test_bad_value_range(self):
-        with pytest.raises(ValueError):
-            ObservedMatrix.from_entries(2, 2, [(0, 0, 1.0)], value_range=(5.0, 1.0))
-
     def test_from_dense_round_trip(self):
         x = np.arange(6.0).reshape(2, 3)
         obs = ObservedMatrix.from_dense(x)
@@ -250,9 +246,7 @@ class TestNoisyAls:
         rng = np.random.default_rng(12)
         x, obs = generate_synthetic(SyntheticSpec(12, 10, 2, 0.6, seed=12))
         perm = rng.permutation(obs.m)
-        permuted = ObservedMatrix(
-            obs.m, obs.n, perm[obs.rows], obs.cols, obs.values, obs.value_range
-        )
+        permuted = ObservedMatrix(obs.m, obs.n, perm[obs.rows], obs.cols, obs.values)
         # permuting rows leaves the columns, and so the V start, as they are
         v0 = rng.standard_normal((obs.n, 2))
         cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=5)
@@ -268,9 +262,7 @@ class TestNoisyAls:
         rng = np.random.default_rng(12)
         x, obs = generate_synthetic(SyntheticSpec(12, 10, 2, 0.6, seed=12))
         perm = rng.permutation(obs.n)
-        permuted = ObservedMatrix(
-            obs.m, obs.n, obs.rows, perm[obs.cols], obs.values, obs.value_range
-        )
+        permuted = ObservedMatrix(obs.m, obs.n, obs.rows, perm[obs.cols], obs.values)
         # column j moves to perm[j], and its row of the V start with it
         v0 = rng.standard_normal((obs.n, 2))
         v0_permuted = np.empty_like(v0)

@@ -654,6 +654,13 @@ class TestPrivacyGap:
         with pytest.raises(ConsistencyError, match="privacy gap mismatch"):
             privacy_gap(2.0, 3.0)
 
+    def test_nan_grid_raises(self):
+        # huber_loss overflows at alpha = delta_f = 1e155, so the grid maximum
+        # is NaN; a NaN must fail the check, not return alpha * delta_f = inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConsistencyError, match="grid=nan"):
+                privacy_gap(1e155, 1e155)
+
     @pytest.mark.parametrize("alpha,delta_f", [(2.0, 3.0), (0.5, 8.0)])
     def test_likelihood_ratio_bound(self, alpha, delta_f):
         # the pointwise restatement of the epsilon guarantee

@@ -20,6 +20,7 @@ for byte, regardless of execution order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -543,9 +544,18 @@ def cmd_run(args) -> int:
         payload.setdefault(key, value)
     plan = ExperimentPlan(**payload)
     out_dir = Path(plan.out) if plan.out else None
+    made = []  # directories this call creates, deepest first
     if out_dir:
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
-    records, failures = run_plan(plan)
+    try:
+        records, failures = run_plan(plan)
+    except BaseException:
+        # a dataset that fails to load leaves no empty --out behind
+        for d in made:
+            with contextlib.suppress(OSError):  # not empty: keep it
+                d.rmdir()
+        raise
     if out_dir:
         for rec in records:
             name = _cell_name(rec.solver, rec.mechanism, rec.variance, rec.fraction)

@@ -14,8 +14,10 @@ import csv
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -144,29 +146,102 @@ def mask_entries(x: np.ndarray, fraction: float, rng: np.random.Generator) -> Ob
     return ObservedMatrix(m, n, rows, cols, x[rows, cols])
 
 
-#: per ratings format: field separator, field count, and whether line 1 may
-#: be a header (a first field that is not an integer id)
+#: per ratings format: field separator, row dtype for numpy's reader, and
+#: whether line 1 may be a header (a first field that is not an integer id).
+#: MovieLens's timestamp is not read: as one character of text its
+#: conversion cannot fail, and the reader still counts it as a field.
 _RATINGS_FORMATS = {
-    "movielens": ("\t", 4, False),
-    "sweetrs": (",", 3, True),
+    "movielens": ("\t", np.dtype([("user", "i8"), ("item", "i8"), ("rating", "f8"),
+                                  ("timestamp", "U1")]), False),
+    "sweetrs": (",", np.dtype([("user", "i8"), ("item", "i8"), ("rating", "f8")]), True),
 }
+
+#: int() and float() strip every whitespace character but these four
+#: separators, which numpy's reader strips too. As "?" they make the reader
+#: refuse a number they pad, as int() and float() do.
+_PADDING_NUMPY_ONLY = dict.fromkeys(range(0x1C, 0x20), "?")
+
+
+def _is_header(first_field: str) -> bool:
+    return not first_field.strip().lstrip("-").isdigit()
 
 
 def _parse_ratings(path, kind: str, report: ParseReport | None) -> ObservedMatrix:
-    """One loop for every `_RATINGS_FORMATS` kind; whitespace-only lines are
-    skipped. Each coordinate keeps its first position and its last value.
-    Ratings off the 1-5 scale are kept, and only counted."""
-    sep, n_fields, header = _RATINGS_FORMATS[kind]
+    """One bulk read by numpy's reader for every `_RATINGS_FORMATS` kind;
+    whitespace-only lines are skipped. Each coordinate keeps its first
+    position and its last value. Ratings off the 1-5 scale are kept, and
+    only counted. A file that the reader or the id and rating checks refuse
+    goes to _raise_first_bad_line, which names its first bad line."""
+    sep, row, header = _RATINGS_FORMATS[kind]
     path = Path(path)
     if not path.is_file():
         raise RatingsParseError(f"{path}: no such file")
-    users, items, ratings = [], [], []
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        _raise_first_bad_line(path, kind)
+    lines = text.split("\n")
+    if header and _is_header(lines[0].split(sep, 1)[0]):
+        del lines[0]
+    # the reader skips empty lines itself, but not whitespace-only ones
+    lines = [line for line in lines if not line.isspace()]
+    if not any(lines):
+        raise RatingsParseError(f"{path}: no ratings found")
+    if any(chr(c) in text for c in _PADDING_NUMPY_ONLY):
+        lines = [line.translate(_PADDING_NUMPY_ONLY) for line in lines]
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads an integer field such as "1.5" through float,
+            # with only a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines, dtype=row, delimiter=sep, comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        _raise_first_bad_line(path, kind)
+    users, items, values = table["user"], table["item"], table["rating"].copy()
+    if (users < 1).any() or (items < 1).any() or not np.isfinite(values).all():
+        _raise_first_bad_line(path, kind)
+    rows, cols = users - 1, items - 1
+    m, n = int(rows.max()) + 1, int(cols.max()) + 1
+    lo, hi = 1.0, 5.0
+    out_of_range = int(np.count_nonzero(~((lo <= values) & (values <= hi))))
+    flat = rows * n + cols
+    keys = np.sort(flat)
+    new_key = np.concatenate(([True], keys[1:] != keys[:-1]))
+    duplicates = flat.size - int(np.count_nonzero(new_key))
+    if duplicates:
+        # a stable sort keeps each key's entries in file order: the first of
+        # a run is the key's first position, the last of it its last write
+        order = np.argsort(flat, kind="stable")
+        starts = np.flatnonzero(new_key)
+        last = np.empty_like(order)
+        last[order[starts]] = order[np.append(starts[1:], flat.size) - 1]
+        first = np.sort(order[starts])
+        rows, cols, values = rows[first], cols[first], values[last[first]]
+        logger.warning("%s: %d duplicate ratings, last write wins", path, duplicates)
+    if out_of_range:
+        logger.warning("%s: %d ratings outside [%g, %g] (kept)", path, out_of_range, lo, hi)
+    if report is not None:
+        report.duplicates = duplicates
+        report.out_of_range = out_of_range
+    return ObservedMatrix(m, n, rows, cols, values)
+
+
+def _raise_first_bad_line(path: Path, kind: str) -> NoReturn:
+    """The per-line rules, run once the bulk read has refused a file: raises
+    RatingsParseError for the first line that breaks one. A number that
+    int() or float() reads but numpy's reader does not (one with '_'
+    separators or non-ASCII digits, an id of 2**63 or more) is named only
+    once every line has passed the other rules, so that any other error
+    keeps its place."""
+    sep, row, header = _RATINGS_FORMATS[kind]
+    n_fields = len(row.names)
+    deferred = None
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             parts = line.rstrip("\r\n").split(sep)
-            if header and lineno == 1 and not parts[0].strip().lstrip("-").isdigit():
+            if header and lineno == 1 and _is_header(parts[0]):
                 continue
             try:
                 if len(parts) != n_fields:
@@ -178,41 +253,28 @@ def _parse_ratings(path, kind: str, report: ParseReport | None) -> ObservedMatri
                     raise ValueError(f"rating must be finite, got {parts[2].strip()!r}")
             except ValueError as exc:
                 raise RatingsParseError(f"{path}:{lineno}: {exc}", lineno) from exc
-            users.append(user)
-            items.append(item)
-            ratings.append(rating)
-    if not users:
-        raise RatingsParseError(f"{path}: no ratings found")
-    rows = np.array(users, dtype=np.int64) - 1
-    cols = np.array(items, dtype=np.int64) - 1
-    values = np.array(ratings, dtype=float)
-    m, n = int(rows.max()) + 1, int(cols.max()) + 1
-    flat = rows * n + cols
-    # np.unique returns each key's first index; on the reversed array, its
-    # last write. Sorting the first indices restores first-appearance order.
-    _, first = np.unique(flat, return_index=True)
-    _, last = np.unique(flat[::-1], return_index=True)
-    order = np.argsort(first)
-    first, last = first[order], flat.size - 1 - last[order]
-    lo, hi = 1.0, 5.0
-    duplicates = flat.size - first.size
-    out_of_range = int(np.count_nonzero(~((lo <= values) & (values <= hi))))
-    if duplicates:
-        logger.warning("%s: %d duplicate ratings, last write wins", path, duplicates)
-    if out_of_range:
-        logger.warning("%s: %d ratings outside [%g, %g] (kept)", path, out_of_range, lo, hi)
-    if report is not None:
-        report.duplicates = duplicates
-        report.out_of_range = out_of_range
-    return ObservedMatrix(m, n, rows[first], cols[first], values[last])
+            if deferred is None:
+                texts = [part.strip() for part in parts[:3]]
+                unread = [text for text in texts if not text.isascii() or "_" in text]
+                if unread:
+                    problem = f"numbers must be ASCII without '_' separators, got {unread[0]!r}"
+                elif max(user, item) >= 2**63:
+                    problem = f"ids must be < 2**63, got {max(user, item)}"
+                else:
+                    continue
+                deferred = RatingsParseError(f"{path}:{lineno}: {problem}", lineno)
+    if deferred is None:
+        raise AssertionError(f"{path}: numpy's reader refused a file that passes every line rule")
+    raise deferred
 
 
 def parse_movielens(path, report: ParseReport | None = None) -> ObservedMatrix:
     """Parse a MovieLens100k ``u.data`` file.
 
     Each line is ``user_id<TAB>item_id<TAB>rating<TAB>timestamp`` with
-    1-indexed ids; the timestamp is not read. Dimensions are the maximum ids
-    seen. Duplicate (user, item) pairs resolve last-write-wins and
+    1-indexed ids; the timestamp is not read. Ids are ASCII decimal
+    integers below 2**63, and ratings ASCII numbers in Python's float syntax
+    without '_' separators. Dimensions are the maximum ids seen. Duplicate (user, item) pairs resolve last-write-wins and
     out-of-range ratings are kept, both logged and counted in the optional
     report. A missing file or a malformed line (reported with its number),
     including a nan or infinite rating, raises RatingsParseError.

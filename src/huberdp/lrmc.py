@@ -275,7 +275,9 @@ def _usable_cpus():
 
 def _target_groups(target_idx, other_idx, values, num_targets, rank):
     counts = np.bincount(target_idx, minlength=num_targets)
-    order = np.argsort(target_idx, kind="stable")
+    # numpy sorts 8- and 16-bit keys by radix: the same stable order, at a
+    # tenth of the int64 sort's cost
+    order = np.argsort(target_idx.astype(np.min_scalar_type(num_targets - 1)), kind="stable")
     ptr = np.concatenate(([0], np.cumsum(counts)))
     # the sorted entries plus one trailing padding slot (zero row, value 0)
     other_sorted = np.append(other_idx[order], -1)

@@ -374,12 +374,33 @@ class TestRunCommand:
         assert line.startswith("huberdp-bench: error: ")
         assert calls == []
 
+    def test_dataset_error_leaves_no_out_directory(self, tmp_path, capsys):
+        # --out is made before run_plan loads the dataset; a dataset that
+        # fails there takes the directories this call made with it, and
+        # leaves one that was already there
+        np.savez(tmp_path / "no_rows.npz", m=3, n=4, cols=np.arange(4), values=np.ones(4))
+        argv = ["run", "--dataset", f"file:{tmp_path}/no_rows.npz", "--rank", "1",
+                "--fraction", "1", "--trials", "1", "--out"]
+        assert run_cli(argv + [str(tmp_path / "new" / "results")]) == 2
+        assert not (tmp_path / "new").exists()
+        (tmp_path / "kept").mkdir()
+        assert run_cli(argv + [str(tmp_path / "kept")]) == 2
+        assert (tmp_path / "kept").is_dir()
+        assert capsys.readouterr().out == ""
+
     def test_non_finite_rating_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "u.data"
         path.write_text("1\t1\t3\t0\n2\t2\tnan\t1\n")
         assert run_cli(["run", "--dataset", f"movielens:{path}"]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"huberdp-bench: error: {path}:2: ")
+
+    def test_id_beyond_int64_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "u.data"
+        path.write_text("1\t1\t3\t0\n99999999999999999999\t2\t4\t0\n")
+        assert run_cli(["run", "--dataset", f"movielens:{path}"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"huberdp-bench: error: {path}:2: ids must be < 2**63, got 99999999999999999999"
 
     @pytest.mark.parametrize(
         "field,value",

@@ -263,6 +263,101 @@ class TestRatingsParser:
         assert (report.duplicates, report.out_of_range) == (duplicates, out_of_range)
 
 
+def _parse_error(parse, path, text):
+    Path(path).write_text(text, encoding="utf-8")
+    with pytest.raises(RatingsParseError) as err:
+        parse(path)
+    return str(err.value), err.value.line_number
+
+
+class TestRatingsParserEdges:
+    """Inputs where numpy's bulk reader and the line rules could part ways."""
+
+    @pytest.mark.parametrize("line,got", [("2\t2\t4", 3), ("2\t2\t4\t1\t9", 5)])
+    def test_movielens_field_count_names_its_line(self, line, got, tmp_path):
+        path = tmp_path / "u.data"
+        message, lineno = _parse_error(parse_movielens, path, f"1\t1\t3\t0\n{line}\n")
+        assert (message, lineno) == (f"{path}:2: expected 4 fields, got {got}", 2)
+
+    @pytest.mark.parametrize(
+        "parse,text",
+        [(parse_movielens, "1\t1\t3\t0\n\n2\t2\t4.5\t1\n1\t1\t7\t2\n"),
+         (parse_sweetrs, "user,item,rating\n1,1,3\n \n2,2,4.5\n1,1,7\n")],
+        ids=["movielens", "sweetrs"],
+    )
+    def test_crlf_file_parses_as_its_lf_twin(self, parse, text, tmp_path):
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        reports = ParseReport(), ParseReport()
+        a, b = parse(lf, reports[0]), parse(crlf, reports[1])
+        assert (a.m, a.n) == (b.m, b.n) == (2, 2)
+        for name in ("rows", "cols", "values"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert reports[0] == reports[1] == ParseReport(duplicates=1, out_of_range=1)
+
+    @pytest.mark.parametrize(
+        "parse,text",
+        [(parse_movielens, "1\t1\t3\t0\n2\t2\t3#\t0\n"),
+         (parse_movielens, "1\t1\t3\t0\n#2\t2\t3\t0\n"),
+         (parse_sweetrs, "1,1,3\n2,2,3 # four\n")],
+    )
+    def test_hash_is_data_not_a_comment(self, parse, text, tmp_path):
+        path = tmp_path / "ratings"
+        message, lineno = _parse_error(parse, path, text)
+        assert message.startswith(f"{path}:2: ") and lineno == 2
+
+    def test_hash_in_the_unread_timestamp_is_kept(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_text("1\t1\t3\t# no time\n")
+        assert parse_movielens(path).entries == [(0, 0, 3.0)]
+
+    def test_header_only_sweetrs_has_no_ratings(self, tmp_path):
+        path = tmp_path / "sweetrs.csv"
+        message, lineno = _parse_error(parse_sweetrs, path, "user,item,rating\n\n")
+        assert (message, lineno) == (f"{path}: no ratings found", None)
+
+    @pytest.mark.parametrize(
+        "line,field",
+        [("1_0\t2\t4\t0", "1_0"), ("2\t٣\t4\t0", "٣"), ("2\t2\t4_0\t0", "4_0"),
+         ("2\t2\t٣.5\t0", "٣.5")],
+        ids=["id-underscore", "id-arabic-indic", "rating-underscore", "rating-arabic-indic"],
+    )
+    def test_number_int_reads_but_numpy_does_not_names_its_line(self, line, field, tmp_path):
+        # int() and float() accept '_' separators and any Unicode digit
+        path = tmp_path / "u.data"
+        message, lineno = _parse_error(parse_movielens, path, f"1\t1\t3\t0\n{line}\n")
+        assert message == (
+            f"{path}:2: numbers must be ASCII without '_' separators, got {field!r}"
+        )
+        assert lineno == 2
+
+    def test_id_beyond_int64_names_its_line(self, tmp_path):
+        path = tmp_path / "u.data"
+        huge = "99999999999999999999"
+        message, lineno = _parse_error(parse_movielens, path, f"1\t1\t3\t0\n{huge}\t2\t4\t0\n")
+        assert (message, lineno) == (f"{path}:2: ids must be < 2**63, got {huge}", 2)
+
+    def test_other_errors_keep_their_place_before_a_numpy_only_refusal(self, tmp_path):
+        # line 1 is valid to int(); the nan on line 3 is the file's first
+        # error under the rules that predate numpy's reader
+        path = tmp_path / "u.data"
+        message, lineno = _parse_error(parse_movielens, path, "1_0\t1\t3\t0\n\n2\t2\tnan\t1\n")
+        assert (message, lineno) == (f"{path}:3: rating must be finite, got 'nan'", 3)
+
+    @pytest.mark.parametrize("pad", ["\x1c", "\x1f"])
+    def test_separator_padding_is_refused_as_int_refuses_it(self, pad, tmp_path):
+        # numpy's reader strips these four ASCII separators around a number;
+        # int() and float() do not, and a line of them alone is blank
+        path = tmp_path / "u.data"
+        message, lineno = _parse_error(
+            parse_movielens, path, f"1\t1\t3\t0\n{pad}\n2\t2{pad}\t4\t1\n"
+        )
+        assert message.startswith(f"{path}:3: invalid literal for int()") and lineno == 3
+        path.write_text(f"1\t1\t3\t0\n{pad}\n2\t2\t4\t{pad}\n")
+        assert parse_movielens(path).n_observed == 2
+
+
 class TestSubsample:
     def setup_method(self):
         self.x, self.obs = generate_synthetic(SyntheticSpec(20, 20, 2, 0.4, seed=6))

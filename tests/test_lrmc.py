@@ -857,6 +857,25 @@ class TestTargetGroups:
                 members = ids[counts[ids] <= w]
                 assert may_merge(members, w, c, int((counts[ids] == c).sum()))
 
+    @pytest.mark.parametrize("num_targets", [1, 256, 257, 65_536, 65_537])
+    def test_narrow_sort_key_gives_the_int64_groups(self, monkeypatch, num_targets):
+        # each side of the uint8/uint16 and uint16/uint32 key boundaries, with
+        # the largest id present; the reference sorts int64 keys
+        rng = np.random.default_rng(num_targets)
+        target_idx = rng.permutation(
+            np.append(rng.integers(0, num_targets, 3 * num_targets + 5), num_targets - 1)
+        )
+        other_idx = rng.integers(0, 40, target_idx.size)
+        values = rng.standard_normal(target_idx.size)
+        got = _target_groups(target_idx, other_idx, values, num_targets, 4)
+        monkeypatch.setattr(np, "min_scalar_type", lambda _: np.dtype(np.int64))
+        reference = _target_groups(target_idx, other_idx, values, num_targets, 4)
+        assert len(got) == len(reference)
+        for group, expected in zip(got, reference):
+            for a, b in zip(group, expected):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
     def test_rank5_synthetic_mask_merges_into_few_groups(self):
         # at rank 5 the IRLS V half-sweep is bound by numpy call overhead,
         # paid K times per group, so the merge must collapse the ~28 distinct

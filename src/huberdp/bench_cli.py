@@ -20,7 +20,6 @@ for byte, regardless of execution order.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import math
@@ -291,7 +290,10 @@ def _trial_data(
 
 
 def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
-    """Execute every cell of the plan; returns (records, failure messages)."""
+    """Execute every cell of the plan; returns (records, failure messages).
+    With plan.out set, the directory is made once the dataset has loaded and
+    passed its checks, before any cell runs; it receives one run-*.json per
+    record and summary.csv."""
     truth = None
     base_obs = None
     if plan.dataset == "synthetic":
@@ -305,6 +307,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
         label = f"{kind}-{Path(path).stem}"
         truth, base_obs = _load_file_dataset(kind, path)
         plan._check_data(base_obs.m, base_obs.n, base_obs.n_observed, split=truth is None)
+    if plan.out:
+        Path(plan.out).mkdir(parents=True, exist_ok=True)
 
     sens = _sensitivity(plan.delta_f)
     noiseless = plan.solver_config()
@@ -373,6 +377,11 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
         except Exception as exc:  # cell isolation: a bad cell must not kill the sweep
             logger.exception("cell %s failed", cell_name)
             failures.append(f"{cell_name}: {type(exc).__name__}: {exc}")
+    if plan.out:
+        for rec in records:
+            name = _cell_name(rec.solver, rec.mechanism, rec.variance, rec.fraction)
+            data_io.persist_run(rec, Path(plan.out) / f"run-{name}.json")
+        data_io.write_summary_csv(records, Path(plan.out) / "summary.csv")
     return records, failures
 
 
@@ -543,27 +552,10 @@ def cmd_run(args) -> int:
     for key, value in _FILE_KINDS.get(kind, (None, {}))[1].items():
         payload.setdefault(key, value)
     plan = ExperimentPlan(**payload)
-    out_dir = Path(plan.out) if plan.out else None
-    made = []  # directories this call creates, deepest first
-    if out_dir:
-        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-        out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        records, failures = run_plan(plan)
-    except BaseException:
-        # a dataset that fails to load leaves no empty --out behind
-        for d in made:
-            with contextlib.suppress(OSError):  # not empty: keep it
-                d.rmdir()
-        raise
-    if out_dir:
-        for rec in records:
-            name = _cell_name(rec.solver, rec.mechanism, rec.variance, rec.fraction)
-            data_io.persist_run(rec, out_dir / f"run-{name}.json")
-        data_io.write_summary_csv(records, out_dir / "summary.csv")
+    records, failures = run_plan(plan)
     print(_rmse_table(records, failures))
-    if out_dir:
-        print(f"\nwrote {len(records)} records + summary.csv to {out_dir}")
+    if plan.out:
+        print(f"\nwrote {len(records)} records + summary.csv to {Path(plan.out)}")
     return 1 if failures else 0
 
 

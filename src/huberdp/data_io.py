@@ -21,7 +21,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .lrmc import ObservedMatrix
+from .lrmc import ObservedMatrix, _flat_keys
 
 __all__ = [
     "SyntheticSpec",
@@ -204,7 +204,10 @@ def _parse_ratings(path, kind: str, report: ParseReport | None) -> ObservedMatri
     m, n = int(rows.max()) + 1, int(cols.max()) + 1
     lo, hi = 1.0, 5.0
     out_of_range = int(np.count_nonzero(~((lo <= values) & (values <= hi))))
-    flat = rows * n + cols
+    try:
+        flat = _flat_keys(rows, cols, m, n)
+    except ValueError as exc:
+        raise RatingsParseError(f"{path}: {exc}") from exc
     keys = np.sort(flat)
     new_key = np.concatenate(([True], keys[1:] != keys[:-1]))
     duplicates = flat.size - int(np.count_nonzero(new_key))
@@ -277,7 +280,8 @@ def parse_movielens(path, report: ParseReport | None = None) -> ObservedMatrix:
     without '_' separators. Dimensions are the maximum ids seen. Duplicate (user, item) pairs resolve last-write-wins and
     out-of-range ratings are kept, both logged and counted in the optional
     report. A missing file or a malformed line (reported with its number),
-    including a nan or infinite rating, raises RatingsParseError.
+    including a nan or infinite rating, raises RatingsParseError, as do ids
+    whose matrix would have 2**63 or more entries.
     """
     return _parse_ratings(path, "movielens", report)
 

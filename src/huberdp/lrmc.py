@@ -60,6 +60,16 @@ def _coordinates(index, name: str) -> np.ndarray:
     return np.asarray(index, dtype=np.int64)
 
 
+def _flat_keys(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The row-major int64 key rows * n + cols of each coordinate of an m x n
+    matrix. A shape of 2**63 entries or more is refused: its keys, or n
+    itself, would not fit int64, and distinct coordinates could share a key."""
+    if int(m) * int(n) >= 2**63:
+        raise ValueError(f"a {m}x{n} matrix has 2**63 or more entries, "
+                         f"too many for int64 coordinate keys")
+    return rows * n + cols
+
+
 @dataclass(frozen=True, eq=False)
 class ObservedMatrix:
     """A partially observed m x n matrix stored as coordinate triplets.
@@ -87,7 +97,7 @@ class ObservedMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= self.n:
                 raise ValueError("column index out of range")
-            flat = np.sort(rows * self.n + cols)
+            flat = np.sort(_flat_keys(rows, cols, self.m, self.n))
             if (flat[1:] == flat[:-1]).any():
                 raise ValueError("duplicate (row, col) coordinates")
         if not np.all(np.isfinite(values)):

@@ -20,7 +20,6 @@ from .mechanisms import MechanismConfig, NoiseDraw, huber_loss, sample
 __all__ = [
     "RidgeProblem",
     "IrlsConfig",
-    "WeightDiagonal",
     "ridge_solve",
     "irls_weights",
     "r_irls",
@@ -80,19 +79,6 @@ class IrlsConfig:
             raise ValueError("iterations must be >= 1")
 
 
-@dataclass(frozen=True)
-class WeightDiagonal:
-    """Diagonal of IRLS weights, each in (0, 1]."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if not ((w > 0) & (w <= 1)).all():
-            raise ValueError("weights must lie in (0, 1]")
-        object.__setattr__(self, "weights", w)
-
-
 def ridge_solve(problem: RidgeProblem, noise: NoiseDraw | None = None) -> np.ndarray:
     """Solve (AtA + lam I) theta = At y + t with numpy's LAPACK solve.
 
@@ -126,17 +112,21 @@ def _huber_weights(abs_residuals, alpha):
     return np.divide(alpha, abs_residuals, out=abs_residuals)
 
 
-def irls_weights(residuals, alpha: float) -> WeightDiagonal:
+def irls_weights(residuals, alpha: float) -> np.ndarray:
     """Huber IRLS weights psi_alpha(r)/r = min(1, alpha/|r|), 1 at r = 0.
 
-    Raises ValueError for a non-finite residual.
+    Raises ValueError for a non-finite residual, and for a weight that
+    underflows to 0 (alpha tiny against |r|), which would drop its row.
     """
     if not math.isfinite(alpha) or alpha <= 0:
         raise ValueError("alpha must be a positive real")
     r = np.abs(np.asarray(residuals, dtype=float))
     if not np.isfinite(r).all():
         raise ValueError("residuals must be finite")
-    return WeightDiagonal(_huber_weights(r, alpha))
+    w = _huber_weights(r, alpha)
+    if not ((w > 0) & (w <= 1)).all():
+        raise ValueError("weights must lie in (0, 1]")
+    return w
 
 
 def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:

@@ -190,7 +190,7 @@ def test_criterion_9_rirls_descent():
         theta = np.random.default_rng(1000 + trial).standard_normal(q)
         prev = h.huber_objective(y, a, theta, alpha, lam)
         for _ in range(20):
-            w = h.irls_weights(y - a @ theta, alpha).weights
+            w = h.irls_weights(y - a @ theta, alpha)
             gram = a.T @ (a * w[:, None]) + lam * np.eye(q)
             theta = np.linalg.solve(gram, a.T @ (w * y))
             now = h.huber_objective(y, a, theta, alpha, lam)

@@ -306,6 +306,9 @@ class TestRunCommand:
              "delta_f 0.0 must be a positive real"),
             (["calibrate", "--targets", "2", "--delta-f", "nan"], None,
              "delta_f nan must be a positive real"),
+            # int64 keys of (0, 0) and (4294967296, 0) in this shape would collide
+            (["run", "--dataset", "movielens:{tmp}/wrap.data"], None,
+             "wrap.data: a 4294967297x4294967296 matrix has 2**63 or more entries"),
         ],
         ids=["duplicate-mechanism", "unknown-dataset", "missing-ratings",
              "missing-plan", "uncalibratable-variance", "dataset-not-str",
@@ -324,7 +327,7 @@ class TestRunCommand:
              "file-nan-n", "file-x-shape", "file-missing-rows", "file-npy",
              "file-text", "gen-negative-seed", "gen-fraction-observes-nothing",
              "budget-delta-f-zero", "budget-delta-f-negative", "calibrate-delta-f-zero",
-             "calibrate-delta-f-nan"],
+             "calibrate-delta-f-nan", "ratings-keys-wrap"],
     )
     def test_bad_input_is_one_error_line(self, argv, plan, message, tmp_path, capsys):
         (tmp_path / "plan.json").write_text(json.dumps(plan))  # None writes null
@@ -332,6 +335,7 @@ class TestRunCommand:
         (tmp_path / "u.data").write_text(
             "1\t1\t5\t0\n1\t2\t4\t0\n2\t2\t3\t0\n2\t3\t4\t0\n3\t1\t2\t0\n3\t3\t5\t0\n"
         )
+        (tmp_path / "wrap.data").write_text("1\t1\t3\t0\n4294967297\t1\t4\t0\n1\t4294967296\t5\t0\n")
         np.savez(tmp_path / "float_rows.npz", x=np.ones((3, 3)), m=3, n=3,
                  rows=[0.5, 1.0, 2.9, 0.0], cols=[0, 1, 2, 2], values=[1.0, 2.0, 3.0, 4.0],
                  value_range=[1.0, 5.0])
@@ -362,9 +366,10 @@ class TestRunCommand:
         assert line == "huberdp-bench: error: rank 4 exceeds min(m, n) = 3 of the data"
 
     def test_unusable_out_found_before_any_cell(self, tmp_path, monkeypatch, capsys):
-        # --out naming an existing file is caught before the sweep, not after
-        calls = []
-        monkeypatch.setattr("huberdp.bench_cli.run_plan", lambda plan: calls.append(plan))
+        # --out naming an existing file is one error line, and no solve runs
+        solves = []
+        for name in ("noisy_als", "irls_huber"):
+            monkeypatch.setattr(lrmc, name, lambda *args, **kwargs: solves.append(args))
         taken = tmp_path / "taken"
         taken.write_text("")
         assert run_cli(["run", "--m", "20", "--n", "20", "--out", str(taken)]) == 2
@@ -372,11 +377,11 @@ class TestRunCommand:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("huberdp-bench: error: ")
-        assert calls == []
+        assert solves == []
 
     def test_dataset_error_leaves_no_out_directory(self, tmp_path, capsys):
-        # --out is made before run_plan loads the dataset; a dataset that
-        # fails there takes the directories this call made with it, and
+        # run_plan makes --out only once the dataset has loaded and passed
+        # its checks, so a dataset that fails creates no directory, and
         # leaves one that was already there
         np.savez(tmp_path / "no_rows.npz", m=3, n=4, cols=np.arange(4), values=np.ones(4))
         argv = ["run", "--dataset", f"file:{tmp_path}/no_rows.npz", "--rank", "1",
@@ -533,6 +538,32 @@ class TestRunPlanApi:
         assert not failures
         assert len(records) == 1
         assert records[0].rmse_scope == "all_entries"
+
+    def test_run_plan_writes_out_as_the_cli_does(self, tmp_path, capsys):
+        # a library call with out set writes the files `run --out` writes
+        argv = ["run", "--m", "30", "--n", "25", "--data-rank", "2", "--rank", "2",
+                "--mechanism", "none,huber", "--variance", "2", "--fraction", "0.4",
+                "--trials", "2", "--outer-t", "3", "--irls-k", "2", "--seed", "3"]
+        assert run_cli(argv + ["--out", str(tmp_path / "cli")]) == 0
+        plan = ExperimentPlan(m=30, n=25, data_rank=2, rank=2, mechanisms=["none", "huber"],
+                              variances=[2.0], fractions=[0.4], trials=2, outer_iterations=3,
+                              irls_iterations=2, seed=3, out=str(tmp_path / "api"))
+        records, failures = run_plan(plan)
+        assert not failures
+
+        def written(directory):
+            files = {}
+            for path in sorted(directory.iterdir()):
+                if path.suffix == ".json":
+                    files[path.name] = {k: v for k, v in json.loads(path.read_text()).items()
+                                        if k != "wall_clock_sec"}
+                else:
+                    files[path.name] = path.read_bytes()
+            return files
+
+        api = written(tmp_path / "api")
+        assert len(api) == len(records) + 1 and "summary.csv" in api
+        assert api == written(tmp_path / "cli")
 
     def test_fresh_matrix_trial_matches_generate_synthetic(self):
         # fresh_matrix draws truth and mask from one (seed, 1, fraction, trial)

@@ -120,6 +120,15 @@ class TestParseMovielens:
         assert obs.n_observed == 2
         assert (0, 0, 4.0) in obs.entries
 
+    def test_ids_whose_keys_would_wrap_rejected(self, tmp_path):
+        # user 4294967297's (4294967296, 0) and (0, 0) share an int64 key
+        # in a 4294967297 x 4294967296 matrix; no rating is merged
+        path = tmp_path / "u.data"
+        path.write_text("1\t1\t3\t0\n4294967297\t1\t4\t0\n1\t4294967296\t5\t0\n")
+        with pytest.raises(RatingsParseError,
+                           match=r"4294967297x4294967296 matrix has 2\*\*63 or more entries"):
+            parse_movielens(path)
+
     def test_out_of_range_rating_kept(self, tmp_path):
         path = tmp_path / "u.data"
         path.write_text("1\t1\t7\t0\n2\t2\t1\t0\n")

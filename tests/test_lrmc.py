@@ -62,6 +62,16 @@ class TestObservedMatrix:
         with pytest.raises(ValueError, match="duplicate"):
             ObservedMatrix.from_entries(3, 3, entries)
 
+    def test_shape_whose_keys_would_wrap_rejected(self):
+        # (0, 0) and (2**32, 0) of a (2**32 + 1) x 2**32 matrix share the
+        # int64 key 2**64 mod 2**64 = 0; the shape is refused, not the pair
+        with pytest.raises(ValueError, match=r"4294967297x4294967296 matrix has 2\*\*63"):
+            ObservedMatrix(2**32 + 1, 2**32, rows=[0, 2**32], cols=[0, 0], values=[1.0, 2.0])
+        # 2**63 - 2**31 entries: the largest key still fits
+        obs = ObservedMatrix(2**31, 2**32 - 1, rows=[0, 2**31 - 1], cols=[2**32 - 2, 0],
+                             values=[1.0, 2.0])
+        assert obs.n_observed == 2
+
     def test_out_of_range_indices_rejected(self):
         with pytest.raises(ValueError):
             ObservedMatrix.from_entries(2, 2, [(2, 0, 1.0)])

@@ -10,7 +10,6 @@ from huberdp.mechanisms import MechanismConfig, NoiseDraw, sample
 from huberdp.robust_solvers import (
     IrlsConfig,
     RidgeProblem,
-    WeightDiagonal,
     _huber_weights,
     huber_objective,
     irls_weights,
@@ -102,34 +101,29 @@ class TestRidgeSolve:
 
 class TestIrlsWeights:
     def test_inside_quadratic_zone(self):
-        w = irls_weights(np.array([0.5, -0.5]), 1.0).weights
+        w = irls_weights(np.array([0.5, -0.5]), 1.0)
         np.testing.assert_array_equal(w, [1.0, 1.0])
 
     def test_downweights_outlier(self):
-        assert irls_weights(np.array([4.0]), 2.0).weights[0] == pytest.approx(0.5)
+        assert irls_weights(np.array([4.0]), 2.0)[0] == pytest.approx(0.5)
 
     def test_zero_residual_limit(self):
-        assert irls_weights(np.array([0.0]), 1.0).weights[0] == 1.0
+        assert irls_weights(np.array([0.0]), 1.0)[0] == 1.0
 
     def test_bounds(self):
         rng = np.random.default_rng(6)
         r = rng.uniform(-50, 50, size=500)
         for alpha in (0.3, 1.0, 4.0):
-            w = irls_weights(r, alpha).weights
+            w = irls_weights(r, alpha)
             assert np.all(w > 0) and np.all(w <= 1)
             inside = np.abs(r) <= alpha
             assert np.all(w[inside] == 1.0)
             assert np.all(w[~inside] < 1.0)
 
-    def test_weight_diagonal_validation(self):
-        with pytest.raises(ValueError):
-            WeightDiagonal(np.array([0.0]))
-        with pytest.raises(ValueError):
-            WeightDiagonal(np.array([1.5]))
-
-    def test_weight_diagonal_rejects_nan(self):
-        with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            WeightDiagonal(np.array([0.5, np.nan]))
+    def test_underflowed_weight_rejected(self):
+        # alpha / |r| = 1e-600 rounds to a weight of 0
+        with pytest.raises(ValueError, match=r"weights must lie in \(0, 1\]"):
+            irls_weights(np.array([0.5, 1e300]), 1e-300)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
     def test_bad_alpha_rejected(self, alpha):
@@ -161,14 +155,14 @@ class TestIrlsWeights:
         big = absr >= 1e-12
         former[big] = np.minimum(1.0, alpha / absr[big])
         assert np.array_equal(_huber_weights(np.abs(r), alpha), former)
-        assert np.array_equal(irls_weights(r, alpha).weights, former)
+        assert np.array_equal(irls_weights(r, alpha), former)
 
     @pytest.mark.parametrize("alpha", [1e-300, 1e-15, 9.9e-13])
     def test_exact_psi_over_r_below_1e_minus_12(self, alpha):
         # the former rule gave weight 1 to every |r| < 1e-12
         r = alpha * np.array([0.0, 0.5, -1.0, 2.0, -7.0, 1e3])
         expected = np.concatenate(([1.0, 1.0, 1.0], alpha / np.abs(r[3:])))
-        assert np.array_equal(irls_weights(r, alpha).weights, expected)
+        assert np.array_equal(irls_weights(r, alpha), expected)
 
 
 def random_instance(rng, p=30, q=5, outliers=0):
@@ -248,7 +242,7 @@ class TestRIrls:
             theta = np.random.default_rng(100 + trial).standard_normal(6)
             prev = huber_objective(y, a, theta, alpha, lam)
             for _ in range(20):
-                w = irls_weights(y - a @ theta, alpha).weights
+                w = irls_weights(y - a @ theta, alpha)
                 gram = a.T @ (a * w[:, None]) + lam * np.eye(6)
                 theta = np.linalg.solve(gram, a.T @ (w * y))
                 now = huber_objective(y, a, theta, alpha, lam)
@@ -266,7 +260,7 @@ class TestRIrls:
         star = ridge_solve(RidgeProblem(a, y, lam))
         resid = y - a @ star
         alpha = float(np.abs(resid).max() * 2 + 1.0)
-        w = irls_weights(resid, alpha).weights
+        w = irls_weights(resid, alpha)
         assert np.all(w == 1.0)
         gram = a.T @ a + lam * np.eye(4)
         step = np.linalg.solve(gram, a.T @ y)

@@ -175,18 +175,26 @@ class ExperimentPlan:
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} {getattr(self, name)!r} must lie in (0, 1)")
         _sensitivity(self.delta_f)
-        self.solver_config()
+        for solver, mech_kind, variance, _ in self.cells():
+            self._cell_config(solver, mech_kind, variance)
         if self.dataset == "synthetic":
             SyntheticSpec(self.m, self.n, self.data_rank, 1.0)  # fractions checked above
             self._check_data(self.m, self.n)
 
     def solver_config(self) -> SolverConfig:
-        """The noiseless solver config; each cell replaces its mechanism and
+        """The noiseless solver config; _cell_config replaces its mechanism and
         run_plan passes each trial's stream."""
         return SolverConfig(
             rank=self.rank, lam=self.lam, outer_iterations=self.outer_iterations,
             inner_iterations=self.irls_iterations, huber_loss_alpha=self.huber_loss_alpha,
         )
+
+    def _cell_config(self, solver: str, mech_kind: str, variance: float | None):
+        """A cell's solver config and the IRLS loss alpha it records (None for
+        als). A variance that no Huber alpha reaches raises CalibrationError."""
+        mech = MechanismConfig.from_variance(mech_kind, variance)
+        config = replace(self.solver_config(), mechanism=mech)
+        return config, lrmc.resolve_loss_alpha(config) if solver == "irls" else None
 
     def _check_data(self, m: int, n: int, observed: int | None = None, split=False) -> None:
         """Reject a rank or fraction that no trial on m x n data can run. A file
@@ -311,7 +319,6 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
         Path(plan.out).mkdir(parents=True, exist_ok=True)
 
     sens = _sensitivity(plan.delta_f)
-    noiseless = plan.solver_config()
     records: list[RunRecord] = []
     failures: list[str] = []
 
@@ -319,9 +326,9 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
         cell_name = _cell_name(solver, mech_kind, variance, fraction)
         started = time.perf_counter()
         try:
-            mech = MechanismConfig.from_variance(mech_kind, variance)
+            config, loss_alpha = plan._cell_config(solver, mech_kind, variance)
+            mech = config.mechanism
             budget = mechanisms.mechanism_budget(mech, sens, delta=plan.delta)
-            config = replace(noiseless, mechanism=mech)
             solve = lrmc.noisy_als if solver == "als" else lrmc.irls_huber
             noise_draws = 0
             trial_rmse = []
@@ -359,9 +366,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
                     "outer_iterations": plan.outer_iterations,
                     "irls_iterations": plan.irls_iterations,
                     "mechanism_scale": mech.scale,
-                    "huber_loss_alpha": (
-                        lrmc.resolve_loss_alpha(config) if solver == "irls" else None
-                    ),
+                    "huber_loss_alpha": loss_alpha,
                     "delta_f": plan.delta_f,
                     "trial_mode": plan.trial_mode,
                     "holdout_fraction": None if test is None else plan.holdout_fraction,

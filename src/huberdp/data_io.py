@@ -170,8 +170,9 @@ def _parse_ratings(path, kind: str, report: ParseReport | None) -> ObservedMatri
     """One bulk read by numpy's reader for every `_RATINGS_FORMATS` kind;
     whitespace-only lines are skipped. Each coordinate keeps its first
     position and its last value. Ratings off the 1-5 scale are kept, and
-    only counted. A file that the reader or the id and rating checks refuse
-    goes to _raise_first_bad_line, which names its first bad line."""
+    only counted. A file that is not UTF-8, or that the reader or the id and
+    rating checks refuse, goes to _raise_first_bad_line, which names its
+    first bad line."""
     sep, row, header = _RATINGS_FORMATS[kind]
     path = Path(path)
     if not path.is_file():
@@ -231,22 +232,22 @@ def _parse_ratings(path, kind: str, report: ParseReport | None) -> ObservedMatri
 
 def _raise_first_bad_line(path: Path, kind: str) -> NoReturn:
     """The per-line rules, run once the bulk read has refused a file: raises
-    RatingsParseError for the first line that breaks one. A number that
-    int() or float() reads but numpy's reader does not (one with '_'
-    separators or non-ASCII digits, an id of 2**63 or more) is named only
-    once every line has passed the other rules, so that any other error
-    keeps its place."""
+    RatingsParseError for the first line that breaks one. Besides int() and
+    float(), a line must be UTF-8 text and its numbers what numpy's reader
+    takes: ASCII without '_' separators, ids below 2**63."""
     sep, row, header = _RATINGS_FORMATS[kind]
     n_fields = len(row.names)
-    deferred = None
-    with path.open("r", encoding="utf-8") as fh:
+    # an undecodable byte reads as a lone surrogate, U+DC80 to U+DCFF
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             parts = line.rstrip("\r\n").split(sep)
-            if header and lineno == 1 and _is_header(parts[0]):
-                continue
             try:
+                if any("\udc80" <= char <= "\udcff" for char in line):
+                    raise ValueError("not UTF-8 text")
+                if header and lineno == 1 and _is_header(parts[0]):
+                    continue
                 if len(parts) != n_fields:
                     raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
                 user, item, rating = int(parts[0]), int(parts[1]), float(parts[2])
@@ -254,21 +255,16 @@ def _raise_first_bad_line(path: Path, kind: str) -> NoReturn:
                     raise ValueError("ids must be >= 1")
                 if not math.isfinite(rating):
                     raise ValueError(f"rating must be finite, got {parts[2].strip()!r}")
-            except ValueError as exc:
-                raise RatingsParseError(f"{path}:{lineno}: {exc}", lineno) from exc
-            if deferred is None:
                 texts = [part.strip() for part in parts[:3]]
                 unread = [text for text in texts if not text.isascii() or "_" in text]
                 if unread:
-                    problem = f"numbers must be ASCII without '_' separators, got {unread[0]!r}"
-                elif max(user, item) >= 2**63:
-                    problem = f"ids must be < 2**63, got {max(user, item)}"
-                else:
-                    continue
-                deferred = RatingsParseError(f"{path}:{lineno}: {problem}", lineno)
-    if deferred is None:
-        raise AssertionError(f"{path}: numpy's reader refused a file that passes every line rule")
-    raise deferred
+                    raise ValueError(
+                        f"numbers must be ASCII without '_' separators, got {unread[0]!r}")
+                if max(user, item) >= 2**63:
+                    raise ValueError(f"ids must be < 2**63, got {max(user, item)}")
+            except ValueError as exc:
+                raise RatingsParseError(f"{path}:{lineno}: {exc}", lineno) from exc
+    raise AssertionError(f"{path}: numpy's reader refused a file that passes every line rule")
 
 
 def parse_movielens(path, report: ParseReport | None = None) -> ObservedMatrix:
@@ -277,11 +273,12 @@ def parse_movielens(path, report: ParseReport | None = None) -> ObservedMatrix:
     Each line is ``user_id<TAB>item_id<TAB>rating<TAB>timestamp`` with
     1-indexed ids; the timestamp is not read. Ids are ASCII decimal
     integers below 2**63, and ratings ASCII numbers in Python's float syntax
-    without '_' separators. Dimensions are the maximum ids seen. Duplicate (user, item) pairs resolve last-write-wins and
-    out-of-range ratings are kept, both logged and counted in the optional
-    report. A missing file or a malformed line (reported with its number),
-    including a nan or infinite rating, raises RatingsParseError, as do ids
-    whose matrix would have 2**63 or more entries.
+    without '_' separators. Dimensions are the maximum ids seen. Duplicate
+    (user, item) pairs resolve last-write-wins and out-of-range ratings are
+    kept, both logged and counted in the optional report. A missing file or
+    a malformed line (reported with its number), including a nan or infinite
+    rating and a line that is not UTF-8 text, raises RatingsParseError, as
+    do ids whose matrix would have 2**63 or more entries.
     """
     return _parse_ratings(path, "movielens", report)
 

@@ -106,24 +106,6 @@ class ObservedMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_entries(cls, m, n, entries) -> "ObservedMatrix":
-        """Build from an iterable of (i, j, value) triplets."""
-        entries = list(entries)
-        if entries:
-            rows, cols, values = (np.asarray(x) for x in zip(*entries))
-        else:
-            rows = cols = values = np.empty(0)
-        return cls(m, n, rows, cols, values)
-
-    @classmethod
-    def from_dense(cls, x) -> "ObservedMatrix":
-        """Fully observed view of a dense matrix."""
-        x = np.asarray(x, dtype=float)
-        m, n = x.shape
-        rows, cols = np.divmod(np.arange(m * n), n)
-        return cls(m, n, rows, cols, x.ravel().copy())
-
     @property
     def n_observed(self) -> int:
         return int(self.rows.size)
@@ -131,13 +113,6 @@ class ObservedMatrix:
     @property
     def observed_fraction(self) -> float:
         return self.rows.size / (self.m * self.n)
-
-    @property
-    def entries(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(i), int(j), float(v))
-            for i, j, v in zip(self.rows, self.cols, self.values)
-        ]
 
 
 @dataclass(eq=False)

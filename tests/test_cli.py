@@ -379,6 +379,22 @@ class TestRunCommand:
         assert line.startswith("huberdp-bench: error: ")
         assert solves == []
 
+    def test_uncalibratable_variance_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # the plan calibrates every cell when it is built: no cell runs and
+        # --out is not made
+        solves = []
+        for name in ("noisy_als", "irls_huber"):
+            monkeypatch.setattr(lrmc, name, lambda *args, **kwargs: solves.append(args))
+        out = tmp_path / "fresh" / "results"
+        argv = ["run", "--m", "20", "--n", "20", "--solver", "als,irls",
+                "--mechanism", "huber,laplace", "--variance", "3e24", "--out", str(out)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "huberdp-bench: error: no bracket found for target variance 3e+24\n"
+        assert solves == []
+        assert not (tmp_path / "fresh").exists()
+
     def test_dataset_error_leaves_no_out_directory(self, tmp_path, capsys):
         # run_plan makes --out only once the dataset has loaded and passed
         # its checks, so a dataset that fails creates no directory, and
@@ -698,19 +714,18 @@ class TestRunPlanApi:
         assert v1.config["mechanism_scale"] == 3.0
         assert v2.variance == 2.0 and "huber_unit_variance_convention" not in v2.extras
 
-    def test_uncalibratable_variance_fails_cell(self):
-        # no finite alpha reaches 3e24; the cell fails instead of running the
-        # unit-variance convention's alpha
-        plan = ExperimentPlan(
-            m=20, n=20, data_rank=2, rank=2, solvers=["als"], mechanisms=["huber"],
-            variances=[3e24], fractions=[0.5], trials=1, outer_iterations=2,
-        )
-        records, failures = run_plan(plan)
-        assert not records
-        assert failures == [
-            "als-huber-v3e+24-f0.5: CalibrationError: "
-            "no bracket found for target variance 3e+24"
-        ]
+    @pytest.mark.parametrize("solver,mechanism", [("als", "huber"), ("irls", "laplace")])
+    def test_uncalibratable_variance_is_a_plan_error(self, solver, mechanism):
+        # no finite alpha reaches 3e24, for the Huber noise or for the loss
+        # alpha that irls matches to the noise variance (Laplace's 2 beta**2
+        # gives it back as 3.0000000000000005e+24); the plan is refused
+        # instead of running the unit-variance convention's alpha
+        with pytest.raises(mechanisms.CalibrationError,
+                           match=r"^no bracket found for target variance 3(\.0*5)?e\+24$"):
+            ExperimentPlan(
+                m=20, n=20, data_rank=2, rank=2, solvers=[solver], mechanisms=[mechanism],
+                variances=[3e24], fractions=[0.5], trials=1, outer_iterations=2,
+            )
 
     def test_protocol_defaults_for_real_datasets(self, tmp_path, capsys):
         # MovieLens-format runs default to rank 32 / 20 sweeps unless overridden

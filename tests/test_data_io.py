@@ -90,7 +90,7 @@ class TestParseMovielens:
         obs = parse_movielens(path)
         assert obs.n_observed == 2
         assert obs.m == 196 and obs.n == 302
-        assert (195, 241, 3.0) in obs.entries
+        assert (obs.rows.tolist(), obs.cols.tolist(), obs.values.tolist()) == ([195, 185], [241, 301], [3.0, 3.0])
 
     def test_malformed_line_carries_number(self, tmp_path):
         path = tmp_path / "u.data"
@@ -118,7 +118,7 @@ class TestParseMovielens:
         obs = parse_movielens(path, report)
         assert report.duplicates == 1
         assert obs.n_observed == 2
-        assert (0, 0, 4.0) in obs.entries
+        assert (obs.rows.tolist(), obs.cols.tolist(), obs.values.tolist()) == ([0, 1], [0, 1], [4.0, 5.0])
 
     def test_ids_whose_keys_would_wrap_rejected(self, tmp_path):
         # user 4294967297's (4294967296, 0) and (0, 0) share an int64 key
@@ -135,7 +135,7 @@ class TestParseMovielens:
         report = ParseReport()
         obs = parse_movielens(path, report)
         assert report.out_of_range == 1
-        assert (0, 0, 7.0) in obs.entries
+        assert (obs.rows.tolist(), obs.cols.tolist(), obs.values.tolist()) == ([0, 1], [0, 1], [7.0, 1.0])
 
     CANONICAL = os.environ.get("HUBERDP_MOVIELENS", "data/ml-100k/u.data")
 
@@ -170,7 +170,7 @@ class TestParseSweetrs:
         report = ParseReport()
         obs = parse_sweetrs(path, report)
         assert report.duplicates == 1
-        assert obs.entries == [(0, 0, 3.0)]
+        assert (obs.rows.tolist(), obs.cols.tolist(), obs.values.tolist()) == ([0], [0], [3.0])
 
     def test_malformed_record(self, tmp_path):
         path = tmp_path / "sweetrs.csv"
@@ -319,7 +319,8 @@ class TestRatingsParserEdges:
     def test_hash_in_the_unread_timestamp_is_kept(self, tmp_path):
         path = tmp_path / "u.data"
         path.write_text("1\t1\t3\t# no time\n")
-        assert parse_movielens(path).entries == [(0, 0, 3.0)]
+        obs = parse_movielens(path)
+        assert (obs.rows.tolist(), obs.cols.tolist(), obs.values.tolist()) == ([0], [0], [3.0])
 
     def test_header_only_sweetrs_has_no_ratings(self, tmp_path):
         path = tmp_path / "sweetrs.csv"
@@ -347,12 +348,32 @@ class TestRatingsParserEdges:
         message, lineno = _parse_error(parse_movielens, path, f"1\t1\t3\t0\n{huge}\t2\t4\t0\n")
         assert (message, lineno) == (f"{path}:2: ids must be < 2**63, got {huge}", 2)
 
-    def test_other_errors_keep_their_place_before_a_numpy_only_refusal(self, tmp_path):
-        # line 1 is valid to int(); the nan on line 3 is the file's first
-        # error under the rules that predate numpy's reader
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [("1_0\t1\t3\t0\n\n2\t2\tnan\t1\n", 1), ("1\t1\t5\t0\n1_0\t2\t4\t0\n1\t2\t4\n", 2)],
+        ids=["before-a-nan", "before-a-short-line"],
+    )
+    def test_numpy_only_refusal_in_line_order(self, text, lineno, tmp_path):
+        # '1_0' is valid to int() but not to numpy's reader; it is the file's
+        # first bad line, ahead of a later line that int() or float() refuses
         path = tmp_path / "u.data"
-        message, lineno = _parse_error(parse_movielens, path, "1_0\t1\t3\t0\n\n2\t2\tnan\t1\n")
-        assert (message, lineno) == (f"{path}:3: rating must be finite, got 'nan'", 3)
+        assert _parse_error(parse_movielens, path, text) == (
+            f"{path}:{lineno}: numbers must be ASCII without '_' separators, got '1_0'", lineno)
+
+    @pytest.mark.parametrize(
+        "parse,data,lineno",
+        [(parse_movielens, b"1\t1\t5\t0\n1\t2\t4\t0 \xff\n1\t3\n", 2),
+         (parse_sweetrs, b"1,1,5\n1,2\xff,4\n", 2),
+         (parse_sweetrs, b"us\xe9r,item,rating\n1,1,5\n", 1)],
+        ids=["movielens", "sweetrs", "sweetrs-header"],
+    )
+    def test_line_that_is_not_utf8_names_its_line(self, parse, data, lineno, tmp_path):
+        # an undecodable byte is its line's first error, a header's too
+        path = tmp_path / "ratings"
+        path.write_bytes(data)
+        with pytest.raises(RatingsParseError) as err:
+            parse(path)
+        assert (str(err.value), err.value.line_number) == (f"{path}:{lineno}: not UTF-8 text", lineno)
 
     @pytest.mark.parametrize("pad", ["\x1c", "\x1f"])
     def test_separator_padding_is_refused_as_int_refuses_it(self, pad, tmp_path):

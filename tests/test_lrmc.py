@@ -9,6 +9,7 @@ the (n, K, r) noise block, in that order.
 """
 
 import math
+import os
 import sys
 import threading
 import time
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from huberdp import lrmc
-from huberdp.data_io import SyntheticSpec, generate_synthetic
+from huberdp.data_io import SyntheticSpec, generate_synthetic, mask_entries
 from huberdp.lrmc import (
     FactorPair,
     ObservedMatrix,
@@ -56,11 +57,10 @@ def _replay(seed, obs, r, sweep):
 class TestObservedMatrix:
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValueError):
-            ObservedMatrix.from_entries(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
+            ObservedMatrix(2, 2, [0, 0], [0, 0], [1.0, 2.0])
         # the two (1, 2) entries are not neighbours in input order
-        entries = [(1, 2, 1.0), (0, 0, 1.0), (2, 1, 1.0), (1, 2, 2.0)]
         with pytest.raises(ValueError, match="duplicate"):
-            ObservedMatrix.from_entries(3, 3, entries)
+            ObservedMatrix(3, 3, [1, 0, 2, 1], [2, 0, 1, 2], [1.0, 1.0, 1.0, 2.0])
 
     def test_shape_whose_keys_would_wrap_rejected(self):
         # (0, 0) and (2**32, 0) of a (2**32 + 1) x 2**32 matrix share the
@@ -74,11 +74,11 @@ class TestObservedMatrix:
 
     def test_out_of_range_indices_rejected(self):
         with pytest.raises(ValueError):
-            ObservedMatrix.from_entries(2, 2, [(2, 0, 1.0)])
+            ObservedMatrix(2, 2, [2], [0], [1.0])
 
     def test_nonfinite_values_rejected(self):
         with pytest.raises(ValueError):
-            ObservedMatrix.from_entries(2, 2, [(0, 0, np.nan)])
+            ObservedMatrix(2, 2, [0], [0], [np.nan])
 
     @pytest.mark.parametrize(
         "m,rows,cols,values,message",
@@ -95,19 +95,6 @@ class TestObservedMatrix:
     def test_malformed_triplets_rejected(self, m, rows, cols, values, message):
         with pytest.raises(ValueError, match=message):
             ObservedMatrix(m, 2, rows, cols, values)
-
-    def test_from_dense_round_trip(self):
-        x = np.arange(6.0).reshape(2, 3)
-        obs = ObservedMatrix.from_dense(x)
-        assert obs.n_observed == 6
-        assert obs.observed_fraction == 1.0
-        dense = np.zeros_like(x)
-        dense[obs.rows, obs.cols] = obs.values
-        np.testing.assert_array_equal(dense, x)
-
-    def test_entries_property(self):
-        obs = ObservedMatrix.from_entries(3, 3, [(0, 1, 2.0), (2, 2, 4.0)])
-        assert obs.entries == [(0, 1, 2.0), (2, 2, 4.0)]
 
 
 class TestFactorPair:
@@ -165,9 +152,7 @@ class TestRmse:
     def test_observed_scope_matches_brute_force(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((6, 6))
-        obs = ObservedMatrix.from_entries(
-            6, 6, [(0, 0, x[0, 0]), (3, 2, x[3, 2]), (5, 5, x[5, 5])]
-        )
+        obs = ObservedMatrix(6, 6, [0, 3, 5], [0, 2, 5], [x[0, 0], x[3, 2], x[5, 5]])
         f = FactorPair(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)))
         z = f.U @ f.V.T
         expected = math.sqrt(
@@ -176,7 +161,7 @@ class TestRmse:
         assert rmse(obs, f) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_index_set_rejected(self):
-        obs = ObservedMatrix.from_entries(2, 2, [])
+        obs = ObservedMatrix(2, 2, [], [], [])
         f = FactorPair(np.ones((2, 1)), np.ones((2, 1)))
         with pytest.raises(ValueError):
             rmse(obs, f)
@@ -184,8 +169,8 @@ class TestRmse:
     @pytest.mark.parametrize(
         "truth",
         [np.ones((4, 3)),
-         ObservedMatrix.from_dense(np.ones((3, 9))),
-         ObservedMatrix.from_dense(np.ones((5, 4)))],
+         mask_entries(np.ones((3, 9)), 1.0, np.random.default_rng(0)),
+         mask_entries(np.ones((5, 4)), 1.0, np.random.default_rng(0))],
         ids=["dense", "observed-wider", "observed-taller"],
     )
     def test_truth_shape_checked(self, truth):
@@ -198,7 +183,7 @@ class TestComplete:
     def test_noiseless_full_rank_fit_interpolates(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 6))
-        obs = ObservedMatrix.from_dense(x)
+        obs = mask_entries(x, 1.0, rng)
         cfg = SolverConfig(rank=6, lam=1e-9, outer_iterations=60)
         factors = noisy_als(obs, cfg, 0)
         z = factors.predict_entries(obs.rows, obs.cols)
@@ -209,7 +194,7 @@ class TestNoisyAls:
     def test_rank_one_recovery(self):
         rng = np.random.default_rng(6)
         x = np.outer(rng.standard_normal(5), rng.standard_normal(5))
-        obs = ObservedMatrix.from_dense(x)
+        obs = mask_entries(x, 1.0, rng)
         cfg = SolverConfig(rank=1, lam=1e-3, outer_iterations=50)
         factors = noisy_als(obs, cfg, 1)
         assert rmse(x, factors) < 1e-3
@@ -217,7 +202,7 @@ class TestNoisyAls:
     def test_full_rank_interpolation(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((5, 5))
-        obs = ObservedMatrix.from_dense(x)
+        obs = mask_entries(x, 1.0, rng)
         cfg = SolverConfig(rank=5, lam=1e-9, outer_iterations=80)
         assert rmse(x, noisy_als(obs, cfg, 2)) < 1e-3
 
@@ -305,20 +290,18 @@ class TestNoisyAls:
 
     def test_empty_column_without_noise_is_zero(self):
         # column 2 has no observations
-        obs = ObservedMatrix.from_entries(
-            3, 3, [(0, 0, 1.0), (1, 1, 2.0), (2, 0, 3.0), (0, 1, 0.5)]
-        )
+        obs = ObservedMatrix(3, 3, [0, 1, 2, 0], [0, 1, 0, 1], [1.0, 2.0, 3.0, 0.5])
         cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=3)
         factors = noisy_als(obs, cfg, 7)
         np.testing.assert_array_equal(factors.V[2], np.zeros(2))
 
     def test_rank_validation(self):
-        obs = ObservedMatrix.from_entries(3, 3, [(0, 0, 1.0)])
+        obs = ObservedMatrix(3, 3, [0], [0], [1.0])
         with pytest.raises(ValueError):
             noisy_als(obs, SolverConfig(rank=4, lam=0.5, outer_iterations=1), 0)
 
     def test_init_shape_checked(self):
-        obs = ObservedMatrix.from_entries(3, 4, [(0, 0, 1.0)])
+        obs = ObservedMatrix(3, 4, [0], [0], [1.0])
         with pytest.raises(ValueError, match=r"init must be the \(4, 2\) start of V, got \(3, 2\)"):
             noisy_als(obs, SolverConfig(rank=2, outer_iterations=1), 0, init=np.ones((3, 2)))
 
@@ -380,9 +363,7 @@ class TestIrlsHuber:
         np.testing.assert_array_equal(a.V, b.V)
 
     def test_empty_column_without_noise_is_zero(self):
-        obs = ObservedMatrix.from_entries(
-            3, 3, [(0, 0, 1.0), (1, 1, 2.0), (2, 0, 3.0), (0, 1, 0.5)]
-        )
+        obs = ObservedMatrix(3, 3, [0, 1, 2, 0], [0, 1, 0, 1], [1.0, 2.0, 3.0, 0.5])
         cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=2, inner_iterations=3)
         factors = irls_huber(obs, cfg, 12)
         np.testing.assert_array_equal(factors.V[2], np.zeros(2))
@@ -392,9 +373,7 @@ class TestIrlsHuber:
 def test_empty_column_under_noise_is_last_draw_over_lam(solve):
     # column 2 has no observations, so its update solves lam I theta = t with
     # t column 2's last noise draw of the final sweep
-    obs = ObservedMatrix.from_entries(
-        3, 3, [(0, 0, 1.0), (1, 1, 2.0), (2, 0, 3.0), (0, 1, 0.5)]
-    )
+    obs = ObservedMatrix(3, 3, [0, 1, 2, 0], [0, 1, 0, 1], [1.0, 2.0, 3.0, 0.5])
     mech = MechanismConfig.huber(1.2)
     cfg = SolverConfig(
         rank=2, lam=0.7, outer_iterations=3, inner_iterations=4,
@@ -781,6 +760,14 @@ class TestThreadedHalves:
         noisy_als(self._observed(), SolverConfig(rank=self.RANK, outer_iterations=2), 0)
         assert threads == {threading.current_thread().name}
 
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
+        # where os.sched_getaffinity is missing, the CPU count is used, and
+        # one CPU when that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert lrmc._usable_cpus() == os.cpu_count()
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert lrmc._usable_cpus() == 1
+
     def test_divergence_is_reported_from_threads(self, monkeypatch):
         # the caller's np.errstate reaches the workers: the overflow stays
         # silent there and the solver names the diverged half
@@ -921,7 +908,7 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
     def test_rng_is_the_one_seed(self, solve):
-        obs = ObservedMatrix.from_entries(2, 2, [(0, 0, 1.0)])
+        obs = ObservedMatrix(2, 2, [0], [0], [1.0])
         with pytest.raises(TypeError, match="rng"):
             solve(obs, SolverConfig(rank=1))
         with pytest.raises(TypeError, match="seed"):
@@ -955,6 +942,6 @@ class TestCompletionObjective:
         v = rng.standard_normal((7, 2))
         z = u @ v.T
         total = sum(
-            (val - z[i, j]) ** 2 for i, j, val in obs.entries
+            (val - z[i, j]) ** 2 for i, j, val in zip(obs.rows, obs.cols, obs.values)
         ) + 0.5 * ((u**2).sum() + (v**2).sum())
         assert completion_objective(obs, u, v, 0.5) == pytest.approx(total, rel=1e-12)

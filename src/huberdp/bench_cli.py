@@ -194,7 +194,14 @@ class ExperimentPlan:
         als). A variance that no Huber alpha reaches raises CalibrationError."""
         mech = MechanismConfig.from_variance(mech_kind, variance)
         config = replace(self.solver_config(), mechanism=mech)
-        return config, lrmc.resolve_loss_alpha(config) if solver == "irls" else None
+        if solver != "irls":
+            return config, None
+        if config.huber_loss_alpha is None and variance is not None:
+            # from the plan's variance, which mech.variance() gives back a few
+            # ulps off, so every irls cell at one variance shares one alpha
+            alpha = mechanisms.huber_alpha_for_variance(variance)
+            config = replace(config, huber_loss_alpha=alpha)
+        return config, lrmc.resolve_loss_alpha(config)
 
     def _check_data(self, m: int, n: int, observed: int | None = None, split=False) -> None:
         """Reject a rank or fraction that no trial on m x n data can run. A file

@@ -19,7 +19,12 @@ N(0, I) first, then the (n, K, r) mechanism noise (K = 1 for ALS). Column j
 reads slice j of each block, so results are independent of the order in
 which columns are processed. A solver call runs its larger half-sweeps on a
 thread per usable CPU and joins them before it returns; the factors are the
-same bit for bit on any number of CPUs.
+same bit for bit on any number of CPUs. When the column half-sweep runs on
+threads, the solver's pool also makes the draws of sweep s + 1 while the
+column half-sweep of sweep s runs, and the solver joins that draw as the
+half returns; sweep 0 draws on the calling thread. A sweep's stream depends
+only on (solver entropy, s), so the blocks are the same on any thread, and
+every draw still ends inside a column half-sweep.
 """
 
 from __future__ import annotations
@@ -242,7 +247,10 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # _PARALLEL_WORK runs on every usable CPU: the groups are dealt round-robin
 # into one part per CPU; the calling thread runs one part and the solver's
 # own pool of one thread per further CPU runs the rest (a thread fewer also
-# means a malloc arena fewer in the peak RSS).
+# means a malloc arena fewer in the peak RSS). While a column half runs on
+# the pool, the pool also draws the next sweep's column blocks (_alternate):
+# round-robin dealing leaves a pool thread idle for part of the half, and
+# numpy's bulk fills release the GIL.
 # Each group's arithmetic does not depend on the thread that runs it, so the
 # factors equal the serial ones bit for bit whatever the CPU count.
 
@@ -289,6 +297,25 @@ def _target_groups(target_idx, other_idx, values, num_targets, rank):
         )
         groups.append((ids, other_sorted[entry], values_sorted[entry]))
     return groups
+
+
+def _on_pool(groups, r, iterations, pool, workers):
+    """Whether a half-sweep over these groups runs on the pool: there is one,
+    and the half's Gram work exceeds _PARALLEL_WORK."""
+    slots = sum(vals.size for _, _, vals in groups)
+    return pool is not None and workers > 1 and slots * r * r * iterations > _PARALLEL_WORK
+
+
+def _submit(pool, fn, *args):
+    """fn(*args) on the pool under the caller's numpy error state, which
+    numpy keeps per thread."""
+    err = np.geterr()
+
+    def run():
+        with np.errstate(**err):
+            return fn(*args)
+
+    return pool.submit(run)
 
 
 def _half_sweep(
@@ -347,17 +374,10 @@ def _half_sweep(
                 theta = np.linalg.solve(awt @ ag + lam_eye, rhs)[..., 0]
             out[ids] = theta
 
-    slots = sum(vals.size for _, _, vals in groups)
-    if pool is None or workers < 2 or slots * r * r * iterations <= _PARALLEL_WORK:
+    if not _on_pool(groups, r, iterations, pool, workers):
         solve_groups(groups)
         return out
-    err = np.geterr()  # numpy's error state is per thread; workers take the caller's
-
-    def solve_part(part):
-        with np.errstate(**err):
-            solve_groups(part)
-
-    futures = [pool.submit(solve_part, groups[i::workers]) for i in range(1, workers)]
+    futures = [_submit(pool, solve_groups, groups[i::workers]) for i in range(1, workers)]
     # every part finishes before any error propagates, so no thread still
     # writes to out once the caller sees the exception
     try:
@@ -404,10 +424,19 @@ def _alternate(solver, obs, config, rng, init, history, alpha, iterations):
     row_groups = _target_groups(obs.rows, obs.cols, obs.values, obs.m, r)
     col_groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, r)
     lam = config.lam
+    sweeps = config.outer_iterations
     workers = _usable_cpus()
     drawn = 0
+
+    def draw(sweep):
+        return _column_draws(
+            config.mechanism, e0, e1, sweep, obs.n, iterations, r, math.isfinite(alpha)
+        )
+
     with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
-        for sweep in range(config.outer_iterations):
+        prefetch = _on_pool(col_groups, r, iterations, pool, workers)
+        draws = None
+        for sweep in range(sweeps):
             u = _half_sweep(
                 row_groups, v, lam, math.inf, 1, None, None, obs.m, pool, workers
             )
@@ -415,13 +444,17 @@ def _alternate(solver, obs, config, rng, init, history, alpha, iterations):
                 raise SolverDivergence(solver, sweep, "u")
             if history is not None:
                 history.append(completion_objective(obs, u, v, lam))
-            starts, noise = _column_draws(
-                config.mechanism, e0, e1, sweep, obs.n, iterations, r, math.isfinite(alpha)
-            )
+            starts, noise = draws if draws is not None else draw(sweep)
             drawn += 0 if noise is None else noise.size
-            v = _half_sweep(
-                col_groups, u, lam, alpha, iterations, starts, noise, obs.n, pool, workers
-            )
+            ahead = _submit(pool, draw, sweep + 1) if prefetch and sweep + 1 < sweeps else None
+            try:
+                v = _half_sweep(
+                    col_groups, u, lam, alpha, iterations, starts, noise, obs.n, pool, workers
+                )
+            finally:
+                if ahead is not None:
+                    wait([ahead])  # the draw ends in this V half; a V-half error stays unmasked
+            draws = None if ahead is None else ahead.result()
             if not np.isfinite(v).all():
                 raise SolverDivergence(solver, sweep, "v")
             if history is not None:

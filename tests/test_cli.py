@@ -516,6 +516,20 @@ class TestRunPlanApi:
         plan = ExperimentPlan(solvers=["als"], mechanisms=["none"], variances=[])
         assert plan.cells() == [("als", "none", None, 0.05)]
 
+    def test_irls_cells_at_one_variance_share_one_loss_alpha(self):
+        # the loss alpha comes from the plan's variance: the laplace scale
+        # gives 3 back as 2.9999999999999996, which calibrates a few ulps off
+        assert MechanismConfig.from_variance("laplace", 3.0).variance() != 3.0
+        plan = ExperimentPlan(
+            m=12, n=10, data_rank=2, rank=2, solvers=["irls"],
+            mechanisms=["gaussian", "laplace", "huber"], variances=[3.0], fractions=[0.5],
+            trials=1, outer_iterations=1, irls_iterations=2,
+        )
+        records, failures = run_plan(plan)
+        assert not failures and len(records) == 3
+        alphas = {rec.config["huber_loss_alpha"] for rec in records}
+        assert alphas == {mechanisms.calibrate_alpha(3.0)}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentPlan(solvers=["bogus"])

@@ -433,10 +433,12 @@ def test_noisy_solve_samples_one_block_per_sweep(monkeypatch, solve, iterations)
 
 
 def _draw_audit(monkeypatch, solve, obs, cfg):
-    """Values drawn through lrmc.sample in each sweep's U and V half, and the
-    solve's factors, which count its noise draws. A draw belongs to the half in progress: the history
-    list gets one append per finished half, U first, so an even length means
-    a U half is running."""
+    """Values drawn through lrmc.sample from each sweep's stream, by the half
+    in progress when the draw ends, and the solve's factors, which count its
+    noise draws. Sweep s's stream is seeded with the entropy (e0, e1, s), so a
+    block drawn ahead on a pool thread counts for the sweep that reads it. The
+    history list gets one append per finished half, U first, so an even
+    length means a U half is running."""
     sweeps = cfg.outer_iterations
     drawn = {"u": [0] * sweeps, "v": [0] * sweeps}
     history = []
@@ -444,12 +446,19 @@ def _draw_audit(monkeypatch, solve, obs, cfg):
 
     def audited_sample(mech, k, rng):
         draw = sample_values(mech, k, rng)
-        sweep, in_v_half = divmod(len(history), 2)
-        drawn["v" if in_v_half else "u"][sweep] += draw.values.size
+        sweep = rng.bit_generator.seed_seq.entropy[-1]
+        drawn["v" if len(history) % 2 else "u"][sweep] += draw.values.size
         return draw
 
     monkeypatch.setattr(lrmc, "sample", audited_sample)
     return drawn, solve(obs, cfg, 3, history=history)
+
+
+def _force_threads(monkeypatch, workers=2):
+    """Every half-sweep of a solve on `workers` threads, so the column draws
+    of sweeps 1 on are made ahead on the solver's pool."""
+    monkeypatch.setattr(lrmc, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(lrmc, "_PARALLEL_WORK", 0)
 
 
 _AUDIT_CONFIG = SolverConfig(
@@ -458,8 +467,20 @@ _AUDIT_CONFIG = SolverConfig(
 )
 
 
-@pytest.mark.parametrize("solve,iterations", [(noisy_als, 1), (irls_huber, 4)])
-def test_u_half_draws_nothing(monkeypatch, solve, iterations):
+@pytest.mark.parametrize(
+    "solve,iterations,threaded",
+    [
+        pytest.param(noisy_als, 1, False, id="noisy_als-1"),
+        pytest.param(irls_huber, 4, False, id="irls_huber-4"),
+        pytest.param(noisy_als, 1, True, id="noisy_als-1-threaded"),
+        pytest.param(irls_huber, 4, True, id="irls_huber-4-threaded"),
+    ],
+)
+def test_u_half_draws_nothing(monkeypatch, solve, iterations, threaded):
+    # one n x K x r block from each sweep's stream, none ending in a U half,
+    # also when the blocks of sweeps 1 on are drawn ahead on a pool thread
+    if threaded:
+        _force_threads(monkeypatch)
     _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
     drawn, factors = _draw_audit(monkeypatch, solve, obs, _AUDIT_CONFIG)
     assert drawn["u"] == [0, 0, 0]
@@ -474,7 +495,8 @@ def test_draw_audit_reports_a_u_half_draw(monkeypatch):
 
     def leaky_half_sweep(*args):
         if len(halves) % 2 == 0:  # the halves alternate, U first
-            lrmc.sample(MechanismConfig.laplace(1.0), 7, np.random.default_rng(0))
+            stream = np.random.default_rng(np.random.SeedSequence((0, 0, len(halves) // 2)))
+            lrmc.sample(MechanismConfig.laplace(1.0), 7, stream)
         halves.append(None)
         return half_sweep(*args)
 
@@ -483,6 +505,63 @@ def test_draw_audit_reports_a_u_half_draw(monkeypatch):
     drawn, factors = _draw_audit(monkeypatch, noisy_als, obs, _AUDIT_CONFIG)
     assert drawn["u"] == [7, 7, 7]
     assert factors.noise_draws == sum(drawn["v"])
+
+
+def _record_draw_threads(monkeypatch):
+    """(sweep, thread name) of each lrmc.sample call from now on."""
+    calls = []
+    sample_values = lrmc.sample
+
+    def recording_sample(mech, k, rng):
+        calls.append((rng.bit_generator.seed_seq.entropy[-1], threading.current_thread().name))
+        return sample_values(mech, k, rng)
+
+    monkeypatch.setattr(lrmc, "sample", recording_sample)
+    return calls
+
+
+@pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+def test_later_sweeps_draw_on_the_pool(monkeypatch, solve):
+    _force_threads(monkeypatch)
+    calls = _record_draw_threads(monkeypatch)
+    _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    solve(obs, _AUDIT_CONFIG, 3)
+    caller = threading.current_thread().name
+    assert [sweep for sweep, _ in calls] == [0, 1, 2]
+    assert calls[0][1] == caller
+    assert all(name != caller for _, name in calls[1:])
+
+
+@pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+def test_serial_halves_draw_on_the_caller(monkeypatch, solve):
+    # two CPUs, but the 20 x 15 halves stay under _PARALLEL_WORK
+    monkeypatch.setattr(lrmc, "_usable_cpus", lambda: 2)
+    calls = _record_draw_threads(monkeypatch)
+    _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    solve(obs, _AUDIT_CONFIG, 3)
+    assert calls == [(s, threading.current_thread().name) for s in range(3)]
+
+
+@pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+def test_failed_draw_ahead_is_the_solve_error(monkeypatch, solve):
+    # sweep 1's block, drawn on the pool during sweep 0's V half, raises: the
+    # solve raises it and leaves no thread behind
+    _force_threads(monkeypatch)
+    sample_values = lrmc.sample
+
+    def failing_sample(mech, k, rng):
+        if rng.bit_generator.seed_seq.entropy[-1] == 1:
+            raise RuntimeError("sampler failed at sweep 1")
+        return sample_values(mech, k, rng)
+
+    monkeypatch.setattr(lrmc, "sample", failing_sample)
+    _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    history = []
+    alive = threading.active_count()
+    with pytest.raises(RuntimeError, match="sampler failed at sweep 1"):
+        solve(obs, _AUDIT_CONFIG, 3, history=history)
+    assert threading.active_count() == alive
+    assert len(history) == 1  # raised as sweep 0's V half returned
 
 
 @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
@@ -718,8 +797,7 @@ class TestThreadedHalves:
         serial = solve(obs, cfg, 17)
 
         threads = self._record_solve_threads(monkeypatch)
-        monkeypatch.setattr(lrmc, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(lrmc, "_PARALLEL_WORK", 0)
+        _force_threads(monkeypatch, workers)
         alive = threading.active_count()
         threaded = solve(obs, cfg, 17)
         assert threading.active_count() == alive  # the solve joined its threads
@@ -770,15 +848,19 @@ class TestThreadedHalves:
 
     def test_divergence_is_reported_from_threads(self, monkeypatch):
         # the caller's np.errstate reaches the workers: the overflow stays
-        # silent there and the solver names the diverged half
-        monkeypatch.setattr(lrmc, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(lrmc, "_PARALLEL_WORK", 0)
+        # silent there and the solver names the diverged half, also while the
+        # pool draws the next sweep's noise
+        _force_threads(monkeypatch)
         obs = self._observed()
         huge = ObservedMatrix(obs.m, obs.n, obs.rows, obs.cols, obs.values * 1e200)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SolverDivergence) as info:
-                noisy_als(huge, SolverConfig(rank=self.RANK, outer_iterations=3), 1)
-        assert (info.value.sweep, info.value.half) == (0, "v")
+        for mech in (MechanismConfig.none(), MechanismConfig.huber(1.3)):
+            cfg = SolverConfig(rank=self.RANK, outer_iterations=3, mechanism=mech)
+            alive = threading.active_count()
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(SolverDivergence) as info:
+                    noisy_als(huge, cfg, 1)
+            assert (info.value.sweep, info.value.half) == (0, "v")
+            assert threading.active_count() == alive
 
     def test_error_in_a_later_part_waits_for_every_part(self, monkeypatch):
         # four groups of 1, 1, 2 and 3 targets dealt to 3 parts: part 1 holds

@@ -17,14 +17,15 @@ Sweep s draws from one stream, split from (solver entropy, s) by a
 SeedSequence, in at most two block calls: the (n, r) IRLS starting points
 N(0, I) first, then the (n, K, r) mechanism noise (K = 1 for ALS). Column j
 reads slice j of each block, so results are independent of the order in
-which columns are processed. A solver call runs its larger half-sweeps on a
-thread per usable CPU and joins them before it returns; the factors are the
-same bit for bit on any number of CPUs. When the column half-sweep runs on
-threads, the solver's pool also makes the draws of sweep s + 1 while the
-column half-sweep of sweep s runs, and the solver joins that draw as the
-half returns; sweep 0 draws on the calling thread. A sweep's stream depends
-only on (solver entropy, s), so the blocks are the same on any thread, and
-every draw still ends inside a column half-sweep.
+which columns are processed. A solver call deals each half-sweep once
+(_deal): a larger one is split into parts for a thread per usable CPU, and
+one join (_join) runs the parts and waits for all of them before the half
+returns; the factors are the same bit for bit on any number of CPUs. When
+the column half-sweep runs on threads, the same join also makes the draws of
+sweep s + 1 on the solver's pool while the column half-sweep of sweep s
+runs; sweep 0 draws on the calling thread. A sweep's stream depends only on
+(solver entropy, s), so the blocks are the same on any thread, and every
+draw still ends inside a column half-sweep.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .mechanisms import MechanismConfig, huber_alpha_for_variance, sample
-from .robust_solvers import _huber_weights
+from .robust_solvers import _count, _huber_weights
 
 __all__ = [
     "ObservedMatrix",
@@ -183,6 +185,8 @@ class SolverConfig:
     mechanism: MechanismConfig = MechanismConfig.none()
 
     def __post_init__(self):
+        for name in ("rank", "outer_iterations", "inner_iterations"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if not math.isfinite(self.lam) or self.lam <= 0:
@@ -243,14 +247,15 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # block, so they run on BLAS. Per-target results match solving each system on
 # its own up to rounding.
 #
-# A half whose Gram work (padded slots x r^2 x iterations) exceeds
-# _PARALLEL_WORK runs on every usable CPU: the groups are dealt round-robin
-# into one part per CPU; the calling thread runs one part and the solver's
-# own pool of one thread per further CPU runs the rest (a thread fewer also
-# means a malloc arena fewer in the peak RSS). While a column half runs on
-# the pool, the pool also draws the next sweep's column blocks (_alternate):
-# round-robin dealing leaves a pool thread idle for part of the half, and
-# numpy's bulk fills release the GIL.
+# A solve deals each half once (_deal): when the half's Gram work (padded
+# slots x r^2 x iterations) exceeds _PARALLEL_WORK, its groups are dealt
+# round-robin into one part per usable CPU, otherwise they form one part.
+# _join is the only code that runs work on the solver's pool of one thread
+# per further CPU (a thread fewer also means a malloc arena fewer in the peak
+# RSS): the calling thread runs the first call, the pool the rest. A column
+# half with several parts also hands the pool the next sweep's column draws
+# (_alternate), ahead of its own parts: round-robin dealing leaves a pool
+# thread idle for part of the half, and numpy's bulk fills release the GIL.
 # Each group's arithmetic does not depend on the thread that runs it, so the
 # factors equal the serial ones bit for bit whatever the CPU count.
 
@@ -299,28 +304,32 @@ def _target_groups(target_idx, other_idx, values, num_targets, rank):
     return groups
 
 
-def _on_pool(groups, r, iterations, pool, workers):
-    """Whether a half-sweep over these groups runs on the pool: there is one,
-    and the half's Gram work exceeds _PARALLEL_WORK."""
+def _deal(groups, r, iterations, workers):
+    """The parts a half-sweep over these groups runs as: the groups dealt
+    round-robin into one part per worker when the half's Gram work exceeds
+    _PARALLEL_WORK, otherwise one part."""
     slots = sum(vals.size for _, _, vals in groups)
-    return pool is not None and workers > 1 and slots * r * r * iterations > _PARALLEL_WORK
+    if workers > 1 and slots * r * r * iterations > _PARALLEL_WORK:
+        return [groups[i::workers] for i in range(workers)]
+    return [groups]
 
 
-def _submit(pool, fn, *args):
-    """fn(*args) on the pool under the caller's numpy error state, which
-    numpy keeps per thread."""
+def _join(pool, first, *rest):
+    """[first(), *rest()]: first on the calling thread, rest on the pool in
+    submission order under the caller's numpy error state, which numpy keeps
+    per thread. Every call finishes before any error propagates, so no
+    thread still works for the caller once it sees one; the caller's own
+    error comes first."""
     err = np.geterr()
+    futures = [pool.submit(np.errstate(**err)(fn)) for fn in rest]
+    try:
+        results = [first()]
+    finally:
+        wait(futures)
+    return results + [future.result() for future in futures]
 
-    def run():
-        with np.errstate(**err):
-            return fn(*args)
 
-    return pool.submit(run)
-
-
-def _half_sweep(
-    groups, other, lam, alpha, iterations, init, noise, num_targets, pool=None, workers=1
-):
+def _half_sweep(parts, other, lam, alpha, iterations, init, noise, num_targets, pool=None):
     """Regularized Huber IRLS for every target against the fixed factor.
 
     Iteration k solves (A^T W A + lam I) theta = A^T W y + noise[:, k] with
@@ -328,9 +337,10 @@ def _half_sweep(
     k = 0). With alpha infinite every weight is 1, so the weight step is
     skipped and one iteration is exactly the ridge update. A target with no
     observations solves lam I theta = noise, i.e. theta = noise / lam or 0.
-    groups come from _target_groups: their padded slots index the zero row
-    appended here as row -1 with value 0, so a padded slot's residual is 0,
-    its weight 1, and its Gram and right-hand-side terms vanish.
+    parts come from _deal over _target_groups, whose padded slots index the
+    zero row appended here as row -1 with value 0, so a padded slot's
+    residual is 0, its weight 1, and its Gram and right-hand-side terms
+    vanish.
 
     Without noise the iteration is a fixed-point map on the weights: the Gram
     and right-hand side depend only on W, so once a group's weights equal
@@ -339,11 +349,9 @@ def _half_sweep(
     result equals running all the iterations. With noise, every iteration
     runs.
 
-    With a pool of workers - 1 threads, a half above _PARALLEL_WORK deals
-    its groups round-robin into `workers` parts: the calling thread runs the
-    first, the pool the others, each part writing only its own targets'
-    rows. An error in any part is raised once every part has finished.
-    Otherwise every group runs in the calling thread.
+    The calling thread runs the first part and the pool the others (_join),
+    each part writing only its own targets' rows. An error in any part is
+    raised once every part has finished.
     """
     r = other.shape[1]
     other = np.concatenate((other, np.zeros((1, r))))
@@ -374,18 +382,7 @@ def _half_sweep(
                 theta = np.linalg.solve(awt @ ag + lam_eye, rhs)[..., 0]
             out[ids] = theta
 
-    if not _on_pool(groups, r, iterations, pool, workers):
-        solve_groups(groups)
-        return out
-    futures = [_submit(pool, solve_groups, groups[i::workers]) for i in range(1, workers)]
-    # every part finishes before any error propagates, so no thread still
-    # writes to out once the caller sees the exception
-    try:
-        solve_groups(groups[::workers])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+    _join(pool, *(partial(solve_groups, part) for part in parts))
     return out
 
 
@@ -433,28 +430,28 @@ def _alternate(solver, obs, config, rng, init, history, alpha, iterations):
             config.mechanism, e0, e1, sweep, obs.n, iterations, r, math.isfinite(alpha)
         )
 
+    row_parts = _deal(row_groups, r, 1, workers)
+    col_parts = _deal(col_groups, r, iterations, workers)
     with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
-        prefetch = _on_pool(col_groups, r, iterations, pool, workers)
-        draws = None
+        ahead = []
         for sweep in range(sweeps):
-            u = _half_sweep(
-                row_groups, v, lam, math.inf, 1, None, None, obs.m, pool, workers
-            )
+            u = _half_sweep(row_parts, v, lam, math.inf, 1, None, None, obs.m, pool)
             if not np.isfinite(u).all():
                 raise SolverDivergence(solver, sweep, "u")
             if history is not None:
                 history.append(completion_objective(obs, u, v, lam))
-            starts, noise = draws if draws is not None else draw(sweep)
+            starts, noise = ahead[0] if ahead else draw(sweep)
             drawn += 0 if noise is None else noise.size
-            ahead = _submit(pool, draw, sweep + 1) if prefetch and sweep + 1 < sweeps else None
-            try:
-                v = _half_sweep(
-                    col_groups, u, lam, alpha, iterations, starts, noise, obs.n, pool, workers
-                )
-            finally:
-                if ahead is not None:
-                    wait([ahead])  # the draw ends in this V half; a V-half error stays unmasked
-            draws = None if ahead is None else ahead.result()
+            # a threaded V half hands the pool the next sweep's draw ahead of
+            # its own parts
+            prefetch = len(col_parts) > 1 and sweep + 1 < sweeps
+            v, *ahead = _join(
+                pool,
+                partial(
+                    _half_sweep, col_parts, u, lam, alpha, iterations, starts, noise, obs.n, pool
+                ),
+                *([partial(draw, sweep + 1)] if prefetch else []),
+            )
             if not np.isfinite(v).all():
                 raise SolverDivergence(solver, sweep, "v")
             if history is not None:

@@ -11,6 +11,7 @@ right-hand side of every iteration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,15 @@ __all__ = [
     "r_irls",
     "huber_objective",
 ]
+
+
+def _count(value, name: str) -> int:
+    """value as a Python int, or a ValueError naming the field: a float fails
+    only deep inside a solve, a bool would run as a count of 0 or 1, and a
+    narrow numpy integer would overflow in the solver's size arithmetic."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,7 @@ class IrlsConfig:
             raise ValueError("alpha must be a positive real")
         if not math.isfinite(self.lam) or self.lam <= 0:
             raise ValueError("lam must be a positive real")
+        object.__setattr__(self, "iterations", _count(self.iterations, "iterations"))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 

@@ -27,6 +27,7 @@ from huberdp.lrmc import (
     SolverConfig,
     SolverDivergence,
     _column_draws,
+    _deal,
     _half_sweep,
     _target_groups,
     completion_objective,
@@ -339,7 +340,7 @@ class TestIrlsHuber:
             init[j] = stream.standard_normal(r)
             noise[j] = sample(mech, iterations * r, stream).values.reshape(iterations, r)
         groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, r)
-        got = _half_sweep(groups, u, lam, 1.5, iterations, init, noise, obs.n)
+        got = _half_sweep([groups], u, lam, 1.5, iterations, init, noise, obs.n)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_noise_draw_accounting(self):
@@ -408,8 +409,8 @@ def test_sweep_draws_start_block_then_noise_block(solve):
     noise = sample(mech, obs.n * iterations * 2, stream).values.reshape(obs.n, iterations, 2)
     row_groups = _target_groups(obs.rows, obs.cols, obs.values, obs.m, cfg.rank)
     col_groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, cfg.rank)
-    u1 = _half_sweep(row_groups, v0, cfg.lam, math.inf, 1, None, None, obs.m)
-    v1 = _half_sweep(col_groups, u1, cfg.lam, alpha, iterations, init, noise, obs.n)
+    u1 = _half_sweep([row_groups], v0, cfg.lam, math.inf, 1, None, None, obs.m)
+    v1 = _half_sweep([col_groups], u1, cfg.lam, alpha, iterations, init, noise, obs.n)
     np.testing.assert_array_equal(factors.U, u1)
     np.testing.assert_array_equal(factors.V, v1)
 
@@ -565,6 +566,38 @@ def test_failed_draw_ahead_is_the_solve_error(monkeypatch, solve):
 
 
 @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+def test_v_half_error_masks_a_failed_draw_ahead(monkeypatch, solve):
+    # sweep 0's V half raises while sweep 1's block, drawn on the pool, raises
+    # too: the solve raises the V half's error once the draw has finished
+    _force_threads(monkeypatch)
+    history = []
+    solve_one = np.linalg.solve
+    sample_values = lrmc.sample
+    failed_draws = []
+
+    def failing_solve(a, b):
+        if len(history) == 1:
+            raise RuntimeError("V half failed at sweep 0")
+        return solve_one(a, b)
+
+    def failing_sample(mech, k, rng):
+        if rng.bit_generator.seed_seq.entropy[-1] == 1:
+            failed_draws.append(threading.current_thread().name)
+            raise RuntimeError("sampler failed at sweep 1")
+        return sample_values(mech, k, rng)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    monkeypatch.setattr(lrmc, "sample", failing_sample)
+    _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    alive = threading.active_count()
+    with pytest.raises(RuntimeError, match="V half failed at sweep 0"):
+        solve(obs, _AUDIT_CONFIG, 3, history=history)
+    assert threading.active_count() == alive
+    assert len(history) == 1
+    assert failed_draws and failed_draws[0] != threading.current_thread().name
+
+
+@pytest.mark.parametrize("solve", [noisy_als, irls_huber])
 def test_init_is_the_v_start_a_sweep_reads(solve):
     # a solve started at the replayed V start, its stream advanced past the
     # U and V starts, is the solve that drew them
@@ -643,7 +676,7 @@ class TestEngineAgainstReference:
         other, target_idx, other_idx, values, n = _engine_instance(seed, rank, counts)
         noise = np.random.default_rng(seed + 1).standard_normal((n, 1, rank))
         groups = _target_groups(target_idx, other_idx, values, n, rank)
-        got = _half_sweep(groups, other, lam, math.inf, 1, None, noise, n)
+        got = _half_sweep([groups], other, lam, math.inf, 1, None, noise, n)
         for j in range(n):
             mine = target_idx == j
             if mine.any():
@@ -706,7 +739,7 @@ def _engine_and_r_irls(seed, instance, config):
     if config.noise.kind == "none":
         noise = None
     groups = _target_groups(target_idx, other_idx, values, n, rank)
-    got = _half_sweep(groups, other, config.lam, config.alpha, iterations, init, noise, n)
+    got = _half_sweep([groups], other, config.lam, config.alpha, iterations, init, noise, n)
     return got, expected
 
 
@@ -726,10 +759,10 @@ class TestNoiselessFixedPoint:
 
     def test_stopping_at_repeated_weights_equals_all_iterations(self):
         groups, other, init, n = self._instance()
-        got = _half_sweep(groups, other, self.LAM, self.ALPHA, self.K, init, None, n)
+        got = _half_sweep([groups], other, self.LAM, self.ALPHA, self.K, init, None, n)
         # zero noise takes the noisy path, which runs all K iterations
         zeros = np.zeros((n, self.K, self.RANK))
-        full = _half_sweep(groups, other, self.LAM, self.ALPHA, self.K, init, zeros, n)
+        full = _half_sweep([groups], other, self.LAM, self.ALPHA, self.K, init, zeros, n)
         np.testing.assert_array_equal(got, full)
 
     def test_repeated_weights_skip_the_remaining_solves(self, monkeypatch):
@@ -743,7 +776,7 @@ class TestNoiselessFixedPoint:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        _half_sweep(groups, other, self.LAM, self.ALPHA, self.K, init, None, n)
+        _half_sweep([groups], other, self.LAM, self.ALPHA, self.K, init, None, n)
         assert len(calls) < len(groups) * self.K
 
 
@@ -806,6 +839,54 @@ class TestThreadedHalves:
         np.testing.assert_array_equal(threaded.U, serial.U)
         np.testing.assert_array_equal(threaded.V, serial.V)
 
+    @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+    def test_the_pool_draws_ahead_before_its_part_of_the_v_half(self, monkeypatch, solve):
+        # on 2 workers the one pool thread takes the next sweep's draw before
+        # the V half's second part, so the draw overlaps the half; events are
+        # keyed by the half in progress, as in _draw_audit
+        _force_threads(monkeypatch)
+        history = []
+        first_on_pool = {}
+        caller = threading.current_thread().name
+
+        def recording(kind, fn):
+            def call(*args):
+                if threading.current_thread().name != caller:
+                    first_on_pool.setdefault(len(history), kind)
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(lrmc, "sample", recording("draw", lrmc.sample))
+        monkeypatch.setattr(np.linalg, "solve", recording("solve", np.linalg.solve))
+        cfg = SolverConfig(
+            rank=self.RANK, outer_iterations=3, inner_iterations=2,
+            mechanism=MechanismConfig.huber(1.3),
+        )
+        solve(self._observed(), cfg, 5, history=history)
+        # V halves 0 and 1 draw ahead; the last sweep's V half draws nothing
+        assert [first_on_pool[2 * s + 1] for s in range(3)] == ["draw", "draw", "solve"]
+        assert [first_on_pool[2 * s] for s in range(3)] == ["solve"] * 3
+
+    def test_deal_splits_only_above_the_work_floor(self):
+        # Gram work is padded slots x r^2 x iterations: at r = 1 and one
+        # iteration a slot is one multiply-add
+        def groups(slots):
+            sizes = [slots // 5] * 4 + [slots - 4 * (slots // 5)]
+            return [(np.array([i]), None, np.broadcast_to(0.0, (size,)))
+                    for i, size in enumerate(sizes)]
+
+        def dealt(slots, r, iterations, workers):
+            parts = _deal(groups(slots), r, iterations, workers)
+            return [[int(ids[0]) for ids, _, _ in part] for part in parts]
+
+        floor = lrmc._PARALLEL_WORK
+        assert dealt(floor, 1, 1, 3) == [[0, 1, 2, 3, 4]]
+        assert dealt(floor + 1, 1, 1, 3) == [[0, 3], [1, 4], [2]]
+        assert dealt(floor // 16, 2, 4, 2) == [[0, 1, 2, 3, 4]]
+        assert dealt(floor // 16 + 1, 2, 4, 2) == [[0, 2, 4], [1, 3]]
+        assert dealt(floor + 1, 1, 1, 1) == [[0, 1, 2, 3, 4]]
+
     def test_more_workers_than_cores_under_rapid_switching(self, monkeypatch):
         # 8 workers on 13 count groups, the interpreter switching threads
         # every 10 us: a lost or misplaced row write would change the result
@@ -815,17 +896,16 @@ class TestThreadedHalves:
         groups = _target_groups(target_idx, other_idx, values, n, 32)
         assert len(groups) == 13
         noise = np.random.default_rng(5).standard_normal((n, 1, 32))
-        serial = _half_sweep(groups, other, 0.5, math.inf, 1, None, noise, n)
+        serial = _half_sweep([groups], other, 0.5, math.inf, 1, None, noise, n)
         monkeypatch.setattr(lrmc, "_PARALLEL_WORK", 0)
+        parts = _deal(groups, 32, 1, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(7) as pool:
                 deadline = time.monotonic() + 5.0
                 for _ in range(10):
-                    threaded = _half_sweep(
-                        groups, other, 0.5, math.inf, 1, None, noise, n, pool, 8
-                    )
+                    threaded = _half_sweep(parts, other, 0.5, math.inf, 1, None, noise, n, pool)
                     np.testing.assert_array_equal(threaded, serial)
                     if time.monotonic() > deadline:
                         break
@@ -885,9 +965,10 @@ class TestThreadedHalves:
 
         monkeypatch.setattr(np.linalg, "solve", slow_solve)
         monkeypatch.setattr(lrmc, "_PARALLEL_WORK", 0)
+        parts = _deal(groups, 32, 1, 3)
         with ThreadPoolExecutor(2) as pool:
             with pytest.raises(IndexError):
-                _half_sweep(groups, other, 0.5, math.inf, 1, None, None, n, pool, 3)
+                _half_sweep(parts, other, 0.5, math.inf, 1, None, None, n, pool)
             assert sorted(finished) == [1, 1, 2, 3]
 
 
@@ -995,6 +1076,31 @@ class TestSolverConfig:
             solve(obs, SolverConfig(rank=1))
         with pytest.raises(TypeError, match="seed"):
             SolverConfig(rank=1, seed=0)
+
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("rank", 2.0), ("rank", True), ("outer_iterations", True),
+         ("outer_iterations", 3.0), ("inner_iterations", 2.5), ("inner_iterations", np.True_)],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # a float count used to fail inside the solve, and
+        # outer_iterations=True ran one sweep
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+            SolverConfig(**{"rank": 2, field: value})
+
+    def test_numpy_integer_counts_run_as_ints(self):
+        # narrow numpy integers used to overflow in the solver's size arithmetic
+        _, obs = generate_synthetic(SyntheticSpec(60, 50, 2, 0.5, seed=16))
+        mech = MechanismConfig.huber(1.0)
+        cfg = SolverConfig(
+            rank=np.int8(2), outer_iterations=np.int16(2), inner_iterations=np.uint8(3),
+            mechanism=mech,
+        )
+        counts = (cfg.rank, cfg.outer_iterations, cfg.inner_iterations)
+        assert counts == (2, 2, 3) and all(type(c) is int for c in counts)
+        plain = SolverConfig(rank=2, outer_iterations=2, inner_iterations=3, mechanism=mech)
+        np.testing.assert_array_equal(irls_huber(obs, cfg, 1).V, irls_huber(obs, plain, 1).V)
 
 
 class TestLossAlphaResolution:

@@ -341,3 +341,20 @@ class TestRIrls:
             IrlsConfig(alpha=1.0, lam=-1.0)
         with pytest.raises(ValueError):
             IrlsConfig(alpha=1.0, lam=1.0, iterations=0)
+
+    @pytest.mark.parametrize("iterations", [2.5, 3.0, np.float64(2.0), True, np.True_])
+    def test_iterations_must_be_an_integer(self, iterations):
+        # 2.5 used to fail inside r_irls's sample call, naming k = 5.0
+        with pytest.raises(ValueError, match="^iterations must be an integer, got"):
+            IrlsConfig(alpha=1.0, lam=0.5, iterations=iterations)
+
+    def test_numpy_integer_iterations_run_as_an_int(self):
+        a, y = random_instance(np.random.default_rng(22))
+        noise = MechanismConfig.huber(1.0)
+        cfg = IrlsConfig(alpha=1.0, lam=0.5, iterations=np.uint8(3), noise=noise)
+        assert type(cfg.iterations) is int
+        plain = IrlsConfig(alpha=1.0, lam=0.5, iterations=3, noise=noise)
+        np.testing.assert_array_equal(
+            r_irls(y, a, cfg, np.random.default_rng(0)),
+            r_irls(y, a, plain, np.random.default_rng(0)),
+        )

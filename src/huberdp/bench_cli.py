@@ -35,7 +35,7 @@ import numpy as np
 from . import data_io, lrmc, mechanisms
 from .data_io import RunRecord, SyntheticSpec
 from .lrmc import ObservedMatrix, SolverConfig
-from .mechanisms import MechanismConfig, Sensitivity
+from .mechanisms import MechanismConfig, Sensitivity, _positive_real
 
 __all__ = ["ExperimentPlan", "main", "run_plan"]
 
@@ -62,9 +62,7 @@ def _str_list(text: str) -> list[str]:
 def _sensitivity(delta_f: float) -> Sensitivity:
     """The query sensitivity a --delta-f gives. Only a positive real is taken:
     a sensitivity of 0 would budget epsilon 0, a claim of perfect privacy."""
-    if not (math.isfinite(delta_f) and delta_f > 0):
-        raise ValueError(f"delta_f {delta_f!r} must be a positive real")
-    return Sensitivity.scalar(delta_f)
+    return Sensitivity.scalar(_positive_real(delta_f, "delta_f"))
 
 
 def _cell_name(solver: str, mech: str, variance: float | None, fraction: float) -> str:
@@ -151,8 +149,7 @@ class ExperimentPlan:
         if self.huber_loss_alpha is not None and "irls" not in self.solvers:
             raise ValueError("huber_loss_alpha applies to the irls solver only")
         for v in self.variances:
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"variance {v!r} must be a positive real")
+            _positive_real(v, "variance")
         for f in self.fractions:
             if not 0 < f <= 1:
                 raise ValueError(f"fraction {f!r} must lie in (0, 1]")
@@ -262,20 +259,12 @@ def _load_file_dataset(kind: str, path: str) -> tuple[np.ndarray | None, Observe
         missing = [k for k in ("m", "n", "rows", "cols", "values") if k not in npz.files]
         if missing:
             raise ValueError(f"{path} lacks npz key(s) {', '.join(missing)}")
-        m, n = _whole_number(npz, "m"), _whole_number(npz, "n")
-        obs = ObservedMatrix(m, n, npz["rows"], npz["cols"], npz["values"])
+        obs = ObservedMatrix(npz["m"].item(), npz["n"].item(), npz["rows"], npz["cols"],
+                             npz["values"])
         truth = npz["x"] if "x" in npz.files else None
     if truth is not None and truth.shape != (obs.m, obs.n):
         raise ValueError(f"x has shape {truth.shape}, not (m, n) = {(obs.m, obs.n)}")
     return truth, obs
-
-
-def _whole_number(npz, name: str) -> int:
-    """An npz shape field, which int() would truncate or fail on unnamed."""
-    value = float(npz[name])
-    if not (math.isfinite(value) and value == math.floor(value)):
-        raise ValueError(f"{name} must be a whole number, got {value:g}")
-    return int(value)
 
 
 def _trial_data(

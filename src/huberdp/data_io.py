@@ -22,6 +22,7 @@ from typing import NoReturn
 import numpy as np
 
 from .lrmc import ObservedMatrix, _flat_keys
+from .mechanisms import _count
 
 __all__ = [
     "SyntheticSpec",
@@ -85,17 +86,27 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("m", "n", "rank", "seed"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.m < 1 or self.n < 1:
             raise ValueError(f"synthetic dimensions {self.m}x{self.n} must be >= 1")
         if not 1 <= self.rank <= min(self.m, self.n):
             raise ValueError(f"synthetic rank {self.rank} must lie in [1, {min(self.m, self.n)}]")
-        if not 0.0 < self.observed_fraction <= 1.0:
-            raise ValueError("observed_fraction must lie in (0, 1]")
-        if int(self.observed_fraction * self.m * self.n) == 0:
-            raise ValueError(f"fraction {self.observed_fraction!r} observes no entry "
-                             f"of a {self.m}x{self.n} matrix")
+        _observed_count(self.observed_fraction, self.m, self.n)
         if self.seed < 0:
             raise ValueError(f"synthetic seed {self.seed} must be >= 0")
+
+
+def _observed_count(fraction: float, m: int, n: int) -> int:
+    """int(fraction * m * n), the entries that a fraction of an m x n matrix
+    observes, or a ValueError naming a fraction outside (0, 1] or one that
+    observes no entry."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction {fraction!r} must lie in (0, 1]")
+    k = int(fraction * m * n)
+    if k == 0:
+        raise ValueError(f"fraction {fraction!r} observes no entry of a {m}x{n} matrix")
+    return k
 
 
 @dataclass
@@ -134,12 +145,11 @@ def generate_synthetic(
 
 
 def mask_entries(x: np.ndarray, fraction: float, rng: np.random.Generator) -> ObservedMatrix:
-    """Observe a uniform random subset of floor(fraction * m * n) cells."""
+    """Observe a uniform random subset of floor(fraction * m * n) cells; the
+    fraction must lie in (0, 1] and observe at least one."""
     x = np.asarray(x, dtype=float)
     m, n = x.shape
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must lie in (0, 1]")
-    k = int(fraction * m * n)
+    k = _observed_count(fraction, m, n)
     flat = rng.choice(m * n, size=k, replace=False)
     flat.sort()
     rows, cols = np.divmod(flat, n)
@@ -299,9 +309,10 @@ def subsample(
 ) -> ObservedMatrix:
     """Uniform random subset of entries hitting floor(target_fraction * m * n).
 
-    The target must not exceed the current observed fraction.
+    The target must lie in (0, 1], observe at least one entry, and not exceed
+    the current observed fraction.
     """
-    k = int(target_fraction * obs.m * obs.n)
+    k = _observed_count(target_fraction, obs.m, obs.n)
     if k > obs.n_observed:
         raise ValueError(
             f"target fraction {target_fraction} needs {k} entries but only "

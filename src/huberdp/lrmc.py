@@ -39,8 +39,8 @@ from functools import partial
 
 import numpy as np
 
-from .mechanisms import MechanismConfig, huber_alpha_for_variance, sample
-from .robust_solvers import _count, _huber_weights
+from .mechanisms import MechanismConfig, _count, _positive_real, huber_alpha_for_variance, sample
+from .robust_solvers import _huber_weights
 
 __all__ = [
     "ObservedMatrix",
@@ -92,6 +92,8 @@ class ObservedMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        for name in ("m", "n"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.m < 1 or self.n < 1:
             raise ValueError("matrix dimensions must be >= 1")
         rows = _coordinates(self.rows, "rows")
@@ -189,13 +191,12 @@ class SolverConfig:
             object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        if not math.isfinite(self.lam) or self.lam <= 0:
-            raise ValueError("lam must be > 0")
+        object.__setattr__(self, "lam", _positive_real(self.lam, "lam"))
         if self.outer_iterations < 1 or self.inner_iterations < 1:
             raise ValueError("iteration counts must be >= 1")
-        alpha = self.huber_loss_alpha
-        if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
-            raise ValueError("huber_loss_alpha must be a positive real")
+        if self.huber_loss_alpha is not None:
+            object.__setattr__(self, "huber_loss_alpha",
+                               _positive_real(self.huber_loss_alpha, "huber_loss_alpha"))
 
 
 class SolverDivergence(ArithmeticError):

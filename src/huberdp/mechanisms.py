@@ -19,7 +19,9 @@ and math.erfc.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -67,11 +69,24 @@ class ConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagree."""
 
 
-def _check_alpha(alpha) -> float:
-    a = float(alpha)
-    if not math.isfinite(a) or a <= 0.0:
-        raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
-    return a
+def _count(value, name: str) -> int:
+    """value as a Python int, or a ValueError naming the field: a float fails
+    only deep inside a solve, a bool would run as a count of 0 or 1, and a
+    narrow numpy integer would overflow in size arithmetic."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _positive_real(value, name: str) -> float:
+    """value as a Python float, or a ValueError naming the field for a bool, a
+    non-number, or a value outside (0, largest float]: nan, inf, or an int
+    that float() would raise OverflowError on. float and int are tried before
+    the numbers.Real ABC, whose isinstance costs several times more."""
+    if (isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real))
+            or not 0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be a positive real, got {value!r}")
+    return float(value)
 
 
 def _as_finite_array(t) -> np.ndarray:
@@ -157,20 +172,19 @@ class MechanismConfig:
             if self.scale is not None:
                 raise ValueError("kind 'none' takes no scale parameter")
         else:
-            if self.scale is None or not math.isfinite(self.scale) or self.scale <= 0:
-                raise ValueError(f"{self.kind} scale must be a positive real")
+            object.__setattr__(self, "scale", _positive_real(self.scale, f"{self.kind} scale"))
 
     @classmethod
     def huber(cls, alpha: float) -> "MechanismConfig":
-        return cls("huber", float(alpha))
+        return cls("huber", alpha)
 
     @classmethod
     def laplace(cls, beta: float) -> "MechanismConfig":
-        return cls("laplace", float(beta))
+        return cls("laplace", beta)
 
     @classmethod
     def gaussian(cls, sigma: float) -> "MechanismConfig":
-        return cls("gaussian", float(sigma))
+        return cls("gaussian", sigma)
 
     @classmethod
     def none(cls) -> "MechanismConfig":
@@ -185,8 +199,7 @@ class MechanismConfig:
         """
         if kind == "none":
             return cls.none()
-        if variance <= 0 or not math.isfinite(variance):
-            raise ValueError("variance must be a positive real")
+        variance = _positive_real(variance, "variance")
         if kind == "gaussian":
             return cls.gaussian(math.sqrt(variance))
         if kind == "laplace":
@@ -224,7 +237,7 @@ def huber_loss(t, alpha: float):
     Continuous and continuously differentiable at |t| = alpha. Accepts scalars
     or arrays.
     """
-    a = _check_alpha(alpha)
+    a = _positive_real(alpha, "alpha")
     x = _as_finite_array(t)
     ax = np.abs(x)
     out = np.where(ax <= a, 0.5 * x * x, a * (ax - 0.5 * a))
@@ -233,7 +246,7 @@ def huber_loss(t, alpha: float):
 
 def huber_influence(t, alpha: float):
     """Derivative of the Huber loss: sign(t) * min(|t|, alpha)."""
-    a = _check_alpha(alpha)
+    a = _positive_real(alpha, "alpha")
     x = _as_finite_array(t)
     out = np.sign(x) * np.minimum(np.abs(x), a)
     return _scalar_or_array(out, t)
@@ -246,7 +259,7 @@ def huber_normalizer(alpha: float) -> float:
     2 Phi(alpha) - 1 is evaluated as erf(alpha/sqrt(2)), which is free of
     cancellation for small alpha.
     """
-    a = _check_alpha(alpha)
+    a = _positive_real(alpha, "alpha")
     return 1.0 / ((2.0 / a) * math.exp(-0.5 * a * a) + SQRT_2PI * math.erf(a * _INV_SQRT2))
 
 
@@ -255,7 +268,7 @@ def huber_pdf(t, alpha: float):
 
     Gaussian-shaped on [-alpha, alpha] with exponential tails; symmetric in t.
     """
-    a = _check_alpha(alpha)
+    a = _positive_real(alpha, "alpha")
     k = huber_normalizer(a)
     out = k * np.exp(-np.asarray(huber_loss(t, a), dtype=float))
     return _scalar_or_array(out, t)
@@ -268,7 +281,7 @@ def huber_cdf(t, alpha: float):
     (-alpha, alpha) the Gaussian segment; for t >= alpha the symmetric
     complement. Continuous, nondecreasing, F(0) = 1/2.
     """
-    a = _check_alpha(alpha)
+    a = _positive_real(alpha, "alpha")
     x = _as_finite_array(t)
     k = huber_normalizer(a)
     scalar_in = x.ndim == 0
@@ -294,7 +307,7 @@ def huber_variance(alpha: float) -> float:
     2/alpha^3) ]. Strictly decreasing in alpha with limit 1 as alpha -> inf
     (the test suite validates both claims against adaptive quadrature).
     """
-    a = _check_alpha(alpha)
+    a = _positive_real(alpha, "alpha")
     k = huber_normalizer(a)
     central = SQRT_2PI * math.erf(a * _INV_SQRT2)
     tails = 2.0 * math.exp(-0.5 * a * a) * (2.0 / a + 2.0 / a**3)
@@ -303,7 +316,7 @@ def huber_variance(alpha: float) -> float:
 
 def huber_central_mass(alpha: float) -> float:
     """Probability mass of the Gaussian segment [-alpha, alpha]."""
-    a = _check_alpha(alpha)
+    a = _positive_real(alpha, "alpha")
     return huber_normalizer(a) * SQRT_2PI * math.erf(a * _INV_SQRT2)
 
 
@@ -328,9 +341,7 @@ def calibrate_alpha(target_variance: float) -> float:
     until lo and hi are adjacent doubles, then returns whichever of the two
     has the smaller residual: the closest double to the closed form's root.
     """
-    v = float(target_variance)
-    if not math.isfinite(v) or v <= 0:
-        raise ValueError("target variance must be a positive real")
+    v = _positive_real(target_variance, "target_variance")
     if v <= 1.0:
         raise CalibrationError(
             f"Huber variance exceeds 1 for every finite alpha; target {v} is "
@@ -409,8 +420,7 @@ def sample(config: MechanismConfig, k: int, rng: np.random.Generator) -> NoiseDr
     return NoiseDraw(_sample_huber(config.scale, k, rng))
 
 
-def _sample_huber(alpha: float, k: int, rng: np.random.Generator) -> np.ndarray:
-    a = _check_alpha(alpha)
+def _sample_huber(a: float, k: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal(k)
     u = rng.random(k)
     tail = np.flatnonzero((np.abs(z) > a) | (u >= huber_normalizer(a) * SQRT_2PI))
@@ -484,7 +494,7 @@ def budget_table(
     and mechanism_budget accounts them.
     """
     rows = []
-    for v in map(float, variances):
+    for v in (_positive_real(v, "variance") for v in variances):
         gaussian, laplace, huber = (
             MechanismConfig.from_variance(kind, v) for kind in ("gaussian", "laplace", "huber")
         )
@@ -521,10 +531,8 @@ def _gap_check(alpha: float, delta_f: float) -> tuple[float, float, bool]:
     The grid spans every breakpoint (-df - alpha, -alpha, alpha - df, alpha),
     which are added to it exactly, and reaches into both constant plateaus.
     """
-    a = _check_alpha(alpha)
-    df = float(delta_f)
-    if not math.isfinite(df) or df <= 0:
-        raise ValueError("delta_f must be a positive real")
+    a = _positive_real(alpha, "alpha")
+    df = _positive_real(delta_f, "delta_f")
     grid = np.linspace(-df - 2.0 * a - 1.0, 2.0 * a + df + 1.0, _GAP_GRID_POINTS)
     breakpoints = np.array([-df - a, -a, a - df, a])
     ts = np.concatenate([grid, breakpoints])

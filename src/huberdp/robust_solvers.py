@@ -11,12 +11,11 @@ right-hand side of every iteration.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import MechanismConfig, NoiseDraw, huber_loss, sample
+from .mechanisms import MechanismConfig, NoiseDraw, _count, _positive_real, huber_loss, sample
 
 __all__ = [
     "RidgeProblem",
@@ -26,15 +25,6 @@ __all__ = [
     "r_irls",
     "huber_objective",
 ]
-
-
-def _count(value, name: str) -> int:
-    """value as a Python int, or a ValueError naming the field: a float fails
-    only deep inside a solve, a bool would run as a count of 0 or 1, and a
-    narrow numpy integer would overflow in the solver's size arithmetic."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -81,10 +71,8 @@ class IrlsConfig:
     noise: MechanismConfig = MechanismConfig.none()
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha) or self.alpha <= 0:
-            raise ValueError("alpha must be a positive real")
-        if not math.isfinite(self.lam) or self.lam <= 0:
-            raise ValueError("lam must be a positive real")
+        for name in ("alpha", "lam"):
+            object.__setattr__(self, name, _positive_real(getattr(self, name), name))
         object.__setattr__(self, "iterations", _count(self.iterations, "iterations"))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -129,8 +117,7 @@ def irls_weights(residuals, alpha: float) -> np.ndarray:
     Raises ValueError for a non-finite residual, and for a weight that
     underflows to 0 (alpha tiny against |r|), which would drop its row.
     """
-    if not math.isfinite(alpha) or alpha <= 0:
-        raise ValueError("alpha must be a positive real")
+    alpha = _positive_real(alpha, "alpha")
     r = np.abs(np.asarray(residuals, dtype=float))
     if not np.isfinite(r).all():
         raise ValueError("residuals must be finite")

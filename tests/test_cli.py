@@ -227,8 +227,8 @@ class TestRunCommand:
              "plan field trials must be int, got '3'"),
             (["run", "--plan", "{tmp}/plan.json"], {"rank": 2.5},
              "plan field rank must be int, got 2.5"),
-            (["run", "--variance", "-1"], None, "variance -1.0 must be a positive real"),
-            (["run", "--variance", "2,nan"], None, "variance nan must be a positive real"),
+            (["run", "--variance", "-1"], None, "variance must be a positive real, got -1.0"),
+            (["run", "--variance", "2,nan"], None, "variance must be a positive real, got nan"),
             (["run", "--fraction", "0"], None, "fraction 0.0 must lie in (0, 1]"),
             (["run", "--fraction", "0.1,1.5"], None, "fraction 1.5 must lie in (0, 1]"),
             (["run", "--fraction", ""], None, "at least one fraction is required"),
@@ -237,7 +237,7 @@ class TestRunCommand:
              "fraction 0.001 observes no entry of a 20x20 matrix"),
             (SMALL + ["--rank", "0"], None, "rank must be >= 1"),
             (SMALL + ["--rank", "21"], None, "rank 21 exceeds min(m, n) = 20"),
-            (SMALL + ["--lambda", "-1"], None, "lam must be > 0"),
+            (SMALL + ["--lambda", "-1"], None, "lam must be a positive real, got -1.0"),
             (SMALL + ["--outer-t", "0"], None, "iteration counts must be >= 1"),
             (SMALL + ["--irls-k", "0"], None, "iteration counts must be >= 1"),
             (SMALL + ["--huber-loss-alpha", "-1"], None,
@@ -264,10 +264,10 @@ class TestRunCommand:
              None, "fraction 0.8 needs 7 entries of a 3x3 matrix but only 6 are observed"),
             (["run", "--dataset", "movielens:{tmp}/u.data", "--rank", "1", "--holdout", "0.5",
               "--mechanism", "huber,laplace", "--variance", "2", "--delta-f", "0"],
-             None, "delta_f 0.0 must be a positive real"),
+             None, "delta_f must be a positive real, got 0.0"),
             # rejected before the (missing) file is read
             (["run", "--dataset", "movielens:{tmp}/missing", "--delta-f", "nan"], None,
-             "delta_f nan must be a positive real"),
+             "delta_f must be a positive real, got nan"),
             (["run", "--dataset", "movielens:{tmp}/u.data", "--rank", "1",
               "--trial-mode", "fresh_matrix"],
              None, "trial_mode 'fresh_matrix' applies to synthetic data only"),
@@ -282,9 +282,9 @@ class TestRunCommand:
              "rows must be integer coordinates, got 0.5"),
             # int() would truncate m = 3.7 to 3, and fail on nan without naming n
             (["run", "--dataset", "file:{tmp}/fractional_m.npz", "--rank", "1", "--fraction", "1",
-              "--trials", "1"], None, "m must be a whole number, got 3.7"),
+              "--trials", "1"], None, "m must be an integer, got 3.7"),
             (["run", "--dataset", "file:{tmp}/nan_n.npz", "--rank", "1", "--fraction", "1",
-              "--trials", "1"], None, "n must be a whole number, got nan"),
+              "--trials", "1"], None, "n must be an integer, got nan"),
             (["run", "--dataset", "file:{tmp}/wide_x.npz", "--rank", "1", "--fraction", "1",
               "--trials", "1"], None, "x has shape (5, 6), not (m, n) = (3, 4)"),
             (["run", "--dataset", "file:{tmp}/no_rows.npz", "--rank", "1", "--fraction", "1",
@@ -299,13 +299,13 @@ class TestRunCommand:
              None, "fraction 0.001 observes no entry of a 20x20 matrix"),
             # a sensitivity of 0 would print epsilon 0, a claim of perfect privacy
             (["budget", "--variances", "2", "--delta-f", "0"], None,
-             "delta_f 0.0 must be a positive real"),
+             "delta_f must be a positive real, got 0.0"),
             (["budget", "--variances", "2", "--delta-f", "-1"], None,
-             "delta_f -1.0 must be a positive real"),
+             "delta_f must be a positive real, got -1.0"),
             (["calibrate", "--targets", "2", "--delta-f", "0"], None,
-             "delta_f 0.0 must be a positive real"),
+             "delta_f must be a positive real, got 0.0"),
             (["calibrate", "--targets", "2", "--delta-f", "nan"], None,
-             "delta_f nan must be a positive real"),
+             "delta_f must be a positive real, got nan"),
             # int64 keys of (0, 0) and (4294967296, 0) in this shape would collide
             (["run", "--dataset", "movielens:{tmp}/wrap.data"], None,
              "wrap.data: a 4294967297x4294967296 matrix has 2**63 or more entries"),

@@ -79,6 +79,14 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             mask_entries(x, 0.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("fraction,message", [
+        (0.001, "^fraction 0.001 observes no entry of a 3x4 matrix$"),
+        (math.nan, r"^fraction nan must lie in \(0, 1\]$"),
+    ])
+    def test_mask_entries_refuses_an_empty_mask(self, fraction, message):
+        with pytest.raises(ValueError, match=message):
+            mask_entries(np.ones((3, 4)), fraction, np.random.default_rng(0))
+
 
 MOVIELENS_FIXTURE = "196\t242\t3\t881250949\n186\t302\t3\t891717742\n"
 
@@ -415,6 +423,17 @@ class TestSubsample:
     def test_infeasible_target(self):
         with pytest.raises(ValueError):
             subsample(self.obs, 0.9, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("fraction,message", [
+        (0.0, r"^fraction 0.0 must lie in \(0, 1\]$"),
+        (-0.5, r"^fraction -0.5 must lie in \(0, 1\]$"),
+        (math.nan, r"^fraction nan must lie in \(0, 1\]$"),
+        (1.5, r"^fraction 1.5 must lie in \(0, 1\]$"),
+        (0.001, "^fraction 0.001 observes no entry of a 20x20 matrix$"),
+    ])
+    def test_empty_or_out_of_range_target_is_refused(self, fraction, message):
+        with pytest.raises(ValueError, match=message):
+            subsample(self.obs, fraction, np.random.default_rng(5))
 
 
 class TestHoldoutSplit:

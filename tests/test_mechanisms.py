@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 from scipy.optimize import brentq
 
-from huberdp import mechanisms
+from huberdp import bench_cli, mechanisms
+from huberdp.data_io import SyntheticSpec
+from huberdp.lrmc import ObservedMatrix, SolverConfig
 from huberdp.mechanisms import (
     CalibrationError,
     ConsistencyError,
@@ -36,6 +38,7 @@ from huberdp.mechanisms import (
     privacy_gap,
     sample,
 )
+from huberdp.robust_solvers import IrlsConfig, irls_weights
 
 ALPHA_GRID = [0.25, 0.5, 1.0, 2.0, 3.0, 8.0]
 
@@ -702,3 +705,113 @@ class TestMechanismConfig:
         assert MechanismConfig.gaussian(2.0).variance() == 4.0
         assert MechanismConfig.laplace(1.0).variance() == 2.0
         assert MechanismConfig.huber(3.0).variance() == pytest.approx(1.0036, abs=1e-4)
+
+
+# Every public entry point that takes a positive real or a count, as
+# (field name, call passing the value in that field, the stored field of the
+# call's result or None for a function that stores nothing). One rule checks
+# them all: mechanisms._positive_real and mechanisms._count.
+REAL_FIELDS = [
+    ("alpha", lambda v: huber_loss(1.0, v), None),
+    ("alpha", lambda v: huber_influence(1.0, v), None),
+    ("alpha", huber_normalizer, None),
+    ("alpha", lambda v: huber_pdf(0.5, v), None),
+    ("alpha", lambda v: huber_cdf(0.5, v), None),
+    ("alpha", huber_variance, None),
+    ("alpha", huber_central_mass, None),
+    ("alpha", lambda v: privacy_gap(v, 1.0), None),
+    ("delta_f", lambda v: privacy_gap(2.0, v), None),
+    ("huber scale", lambda v: MechanismConfig("huber", v), lambda c: c.scale),
+    ("huber scale", MechanismConfig.huber, lambda c: c.scale),
+    ("laplace scale", MechanismConfig.laplace, lambda c: c.scale),
+    ("gaussian scale", MechanismConfig.gaussian, lambda c: c.scale),
+    ("variance", lambda v: MechanismConfig.from_variance("laplace", v), None),
+    ("target_variance", calibrate_alpha, None),
+    ("variance", lambda v: budget_table([v], Sensitivity.scalar(1.0), 1e-5),
+     lambda rows: rows[0].variance),
+    ("alpha", lambda v: IrlsConfig(alpha=v, lam=1.0), lambda c: c.alpha),
+    ("lam", lambda v: IrlsConfig(alpha=1.0, lam=v), lambda c: c.lam),
+    ("alpha", lambda v: irls_weights([0.5, -4.0], v), None),
+    ("lam", lambda v: SolverConfig(rank=1, lam=v), lambda c: c.lam),
+    ("huber_loss_alpha", lambda v: SolverConfig(rank=1, huber_loss_alpha=v),
+     lambda c: c.huber_loss_alpha),
+    ("delta_f", bench_cli._sensitivity, None),
+]
+
+# a plan's fields pass the JSON type check first, which refuses a bool or a
+# string as "plan field ..."
+PLAN_REAL_FIELDS = [
+    ("delta_f", lambda v: bench_cli.ExperimentPlan(delta_f=v), None),
+    ("variance", lambda v: bench_cli.ExperimentPlan(variances=[v]), None),
+]
+
+COUNT_FIELDS = [
+    ("m", lambda v: ObservedMatrix(v, 3, [0], [0], [1.0]), lambda o: o.m),
+    ("n", lambda v: ObservedMatrix(3, v, [0], [0], [1.0]), lambda o: o.n),
+    ("m", lambda v: SyntheticSpec(v, 3, 1, 1.0), lambda s: s.m),
+    ("n", lambda v: SyntheticSpec(3, v, 1, 1.0), lambda s: s.n),
+    ("rank", lambda v: SyntheticSpec(3, 3, v, 1.0), lambda s: s.rank),
+    ("seed", lambda v: SyntheticSpec(3, 3, 1, 1.0, seed=v), lambda s: s.seed),
+    ("rank", lambda v: SolverConfig(rank=v), lambda c: c.rank),
+    ("outer_iterations", lambda v: SolverConfig(rank=1, outer_iterations=v),
+     lambda c: c.outer_iterations),
+    ("inner_iterations", lambda v: SolverConfig(rank=1, inner_iterations=v),
+     lambda c: c.inner_iterations),
+    ("iterations", lambda v: IrlsConfig(alpha=1.0, lam=1.0, iterations=v), lambda c: c.iterations),
+]
+
+NOT_A_NUMBER = [True, np.True_, "2"]
+# 10**400 is finite as an int but overflows every float
+NOT_POSITIVE = [math.nan, math.inf, 0.0, -1.0, 10**400]
+
+
+def _rows(entries, values):
+    return [pytest.param(name, call, value, id=f"{i}-{name}-{value!r:.12}")
+            for i, (name, call, _) in enumerate(entries) for value in values]
+
+
+class TestScalarParameterRule:
+    @pytest.mark.parametrize("name,call,value", _rows(REAL_FIELDS, NOT_A_NUMBER + NOT_POSITIVE)
+                             + _rows(PLAN_REAL_FIELDS, NOT_POSITIVE))
+    def test_reals_refuse_a_bool_a_string_and_a_non_positive_value(self, name, call, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive real, got "):
+            call(value)
+
+    def test_a_plan_refuses_a_bool_or_string_real_by_its_json_type(self):
+        for value in NOT_A_NUMBER:
+            with pytest.raises(ValueError, match="^plan field variances must be"):
+                bench_cli.ExperimentPlan(variances=[value])
+            with pytest.raises(ValueError, match="^plan field delta_f must be"):
+                bench_cli.ExperimentPlan(delta_f=value)
+
+    @pytest.mark.parametrize("name,call,value", _rows(
+        COUNT_FIELDS, NOT_A_NUMBER + [math.nan, math.inf, 2.5, 3.0]))
+    def test_counts_refuse_a_bool_a_string_and_a_non_integer(self, name, call, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(value)
+
+    @pytest.mark.parametrize("name,call,value", _rows(COUNT_FIELDS, [0, -1]))
+    def test_counts_keep_their_range_rules(self, name, call, value):
+        if name == "seed" and value == 0:
+            assert call(value).seed == 0
+            return
+        with pytest.raises(ValueError):
+            call(value)
+
+    # the plan's JSON type check takes a float subclass but no numpy integer
+    @pytest.mark.parametrize("name,call,read,value", [
+        (*entry, value) for entry in REAL_FIELDS for value in (np.float64(2.0), np.int64(3))
+    ] + [(*entry, np.float64(2.0)) for entry in PLAN_REAL_FIELDS])
+    def test_reals_take_numpy_scalars_and_store_python_floats(self, name, call, read, value):
+        out = call(value)
+        if read is not None:
+            assert type(read(out)) is float and read(out) == value
+
+    @pytest.mark.parametrize("name,call,read", COUNT_FIELDS)
+    def test_counts_take_numpy_integers_and_store_python_ints(self, name, call, read):
+        stored = read(call(np.int64(3)))
+        assert type(stored) is int and stored == 3
+
+    def test_narrow_numpy_shape_does_not_overflow(self):
+        obs = ObservedMatrix(np.int8(100), np.int8(100), [0], [0], [1.0])
+        assert obs.observed_fraction == 1e-4

@@ -208,9 +208,7 @@ class ExperimentPlan:
         if self.rank > min(m, n):
             raise ValueError(f"rank {self.rank} exceeds min(m, n) = {min(m, n)} of the data")
         for f in self.fractions:
-            k = observed if f == 1.0 and observed is not None else int(f * m * n)
-            if k == 0:
-                raise ValueError(f"fraction {f!r} observes no entry of a {m}x{n} matrix")
+            k = observed if f == 1.0 and observed is not None else data_io._observed_count(f, m, n)
             if observed is not None and k > observed:
                 raise ValueError(f"fraction {f!r} needs {k} entries of a {m}x{n} matrix "
                                  f"but only {observed} are observed")
@@ -262,6 +260,8 @@ def _load_file_dataset(kind: str, path: str) -> tuple[np.ndarray | None, Observe
         obs = ObservedMatrix(npz["m"].item(), npz["n"].item(), npz["rows"], npz["cols"],
                              npz["values"])
         truth = npz["x"] if "x" in npz.files else None
+    if not obs.n_observed:
+        raise ValueError(f"{path} holds no observed entry")
     if truth is not None and truth.shape != (obs.m, obs.n):
         raise ValueError(f"x has shape {truth.shape}, not (m, n) = {(obs.m, obs.n)}")
     return truth, obs

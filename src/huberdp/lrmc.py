@@ -1,7 +1,8 @@
 """Differentially private low-rank matrix completion.
 
 Two alternating solvers estimate factors U (m x r) and V (n x r) of a
-partially observed matrix X, and both run one engine. Every sweep updates
+partially observed matrix X, and both run one engine on the IRLS step of
+robust_solvers (_irls), as r_irls and ridge_solve do. Every sweep updates
 each row of U by a noiseless ridge solve against the fixed V, then each
 column of V by K iterations of regularized IRLS under the Huber loss with
 transition alpha against the fixed U, adding a fresh mechanism noise vector
@@ -40,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .mechanisms import MechanismConfig, _count, _positive_real, huber_alpha_for_variance, sample
-from .robust_solvers import _huber_weights
+from .robust_solvers import _irls
 
 __all__ = [
     "ObservedMatrix",
@@ -243,10 +244,10 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # residual. Each group's block of fixed-factor rows is one np.take along
 # axis 0, as are the noise and IRLS-start slices: it copies the same rows as
 # the advanced index other[oidx], which sends every short r-float row through
-# numpy's generic index loop, in about a quarter of the time at rank 5. The
-# residual, Gram and right-hand-side contractions are stacked matmuls on that
-# block, so they run on BLAS. Per-target results match solving each system on
-# its own up to rounding.
+# numpy's generic index loop, in about a quarter of the time at rank 5. Each
+# group then runs _irls once, whose residual, Gram and right-hand-side
+# contractions are stacked matmuls on that block, so they run on BLAS.
+# Per-target results match solving each system on its own up to rounding.
 #
 # A solve deals each half once (_deal): when the half's Gram work (padded
 # slots x r^2 x iterations) exceeds _PARALLEL_WORK, its groups are dealt
@@ -331,24 +332,14 @@ def _join(pool, first, *rest):
 
 
 def _half_sweep(parts, other, lam, alpha, iterations, init, noise, num_targets, pool=None):
-    """Regularized Huber IRLS for every target against the fixed factor.
-
-    Iteration k solves (A^T W A + lam I) theta = A^T W y + noise[:, k] with
-    W = diag(min(1, alpha/|y - A theta|)) from the previous iterate (init at
-    k = 0). With alpha infinite every weight is 1, so the weight step is
-    skipped and one iteration is exactly the ridge update. A target with no
+    """Regularized Huber IRLS for every target against the fixed factor: one
+    _irls call per count group, from the group's rows of init (None when
+    alpha is infinite) and noise (target, iteration, r). A target with no
     observations solves lam I theta = noise, i.e. theta = noise / lam or 0.
     parts come from _deal over _target_groups, whose padded slots index the
     zero row appended here as row -1 with value 0, so a padded slot's
     residual is 0, its weight 1, and its Gram and right-hand-side terms
     vanish.
-
-    Without noise the iteration is a fixed-point map on the weights: the Gram
-    and right-hand side depend only on W, so once a group's weights equal
-    the previous iteration's, every later iteration recomputes the same
-    theta bit for bit. The group then stops early and keeps its theta; the
-    result equals running all the iterations. With noise, every iteration
-    runs.
 
     The calling thread runs the first part and the pool the others (_join),
     each part writing only its own targets' rows. An error in any part is
@@ -358,30 +349,13 @@ def _half_sweep(parts, other, lam, alpha, iterations, init, noise, num_targets, 
     other = np.concatenate((other, np.zeros((1, r))))
     out = np.empty((num_targets, r))
     lam_eye = lam * np.eye(r)
-    reweight = math.isfinite(alpha)
 
     def solve_groups(part):
         for ids, oidx, vals in part:
-            ag = np.take(other, oidx, axis=0)
-            agt = ag.transpose(0, 2, 1)
-            vcol = vals[..., None]
+            theta = None if init is None else np.take(init, ids, axis=0)
             gnoise = None if noise is None else np.take(noise, ids, axis=0)
-            theta = np.take(init, ids, axis=0) if reweight else None
-            prev_w = None
-            for k in range(iterations):
-                awt = agt
-                if reweight:
-                    w = _huber_weights(np.abs(vals - (ag @ theta[..., None])[..., 0]), alpha)
-                    if gnoise is None:
-                        if prev_w is not None and np.array_equal(w, prev_w):
-                            break
-                        prev_w = w
-                    awt = agt * w[:, None, :]
-                rhs = awt @ vcol
-                if gnoise is not None:
-                    rhs = rhs + gnoise[:, k, :, None]
-                theta = np.linalg.solve(awt @ ag + lam_eye, rhs)[..., 0]
-            out[ids] = theta
+            ag = np.take(other, oidx, axis=0)
+            out[ids] = _irls(ag, vals, theta, gnoise, lam_eye, alpha, iterations)
 
     _join(pool, *(partial(solve_groups, part) for part in parts))
     return out

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -78,6 +77,13 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """value as a Python float; a bool or a non-number is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError(f"{name} must be a real, got {value!r}")
+    return float(value)
+
+
 def _positive_real(value, name: str) -> float:
     """value as a Python float, or a ValueError naming the field for a bool, a
     non-number, or a value outside (0, largest float]: nan, inf, or an int
@@ -125,6 +131,8 @@ class Sensitivity:
     l2: float
 
     def __post_init__(self):
+        for name in ("l1", "l2"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (math.isfinite(self.l1) and math.isfinite(self.l2)):
             raise ValueError("sensitivities must be finite")
         if self.l1 < 0 or self.l2 < 0:
@@ -147,6 +155,8 @@ class PrivacyBudget:
     delta: float = 0.0
 
     def __post_init__(self):
+        for name in ("epsilon", "delta"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if math.isnan(self.epsilon) or self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if not 0.0 <= self.delta < 1.0:
@@ -404,10 +414,7 @@ def sample(config: MechanismConfig, k: int, rng: np.random.Generator) -> NoiseDr
     block. Deterministic given the generator state; kind "none" returns zeros
     without consuming the stream.
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise TypeError(f"k must be an integer count, got {k!r}") from None
+    k = _count(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     kind = config.kind

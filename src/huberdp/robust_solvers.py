@@ -1,11 +1,11 @@
 """Ridge regression and regularized IRLS for the Huber loss.
 
-These are the inner solvers of the matrix-completion algorithms: a plain
-ridge step (AtA + lambda I)^-1 (At y + t) and the regularized iteratively
-re-weighted least squares loop that minimizes
-sum_i rho_alpha(y_i - a_i theta) + (lambda/2) ||theta||^2 by repeated
-weighted ridge solves, optionally with a noise vector added to the
-right-hand side of every iteration.
+_irls is the one implementation of both, run by lrmc's half-sweeps once per
+count group and by r_irls and ridge_solve on one system: the regularized
+iteratively re-weighted least squares loop that minimizes
+sum_i rho_alpha(y_i - a_i theta) + (lambda/2) ||theta||^2 by repeated weighted
+ridge solves, optionally adding noise to every right-hand side. Ridge is the
+case alpha = infinity with one iteration.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class IrlsConfig:
 
 
 def ridge_solve(problem: RidgeProblem, noise: NoiseDraw | None = None) -> np.ndarray:
-    """Solve (AtA + lam I) theta = At y + t with numpy's LAPACK solve.
+    """Solve (AtA + lam I) theta = At y + t: the engine's group step (_irls)
+    at alpha = infinity, K = 1, on a batch of one.
 
     t is the zero vector when noise is absent. With lam = 0 the design must
     have full column rank; a rank-deficient one raises numpy's LinAlgError
@@ -94,14 +95,10 @@ def ridge_solve(problem: RidgeProblem, noise: NoiseDraw | None = None) -> np.nda
             raise np.linalg.LinAlgError(
                 f"design has rank {rank} < {q} columns; lam = 0 needs full column rank"
             )
-    gram = a.T @ a + lam * np.eye(q)
-    rhs = a.T @ y
-    if noise is not None:
-        t = np.asarray(noise.values, dtype=float)
-        if t.shape != (q,):
-            raise ValueError(f"noise must have length {q}, got shape {t.shape}")
-        rhs = rhs + t
-    return np.linalg.solve(gram, rhs)
+    t = np.zeros(q) if noise is None else np.asarray(noise.values, dtype=float)
+    if t.shape != (q,):
+        raise ValueError(f"noise must have length {q}, got shape {t.shape}")
+    return _irls(a[None], y[None], None, t.reshape(1, 1, q), lam * np.eye(q), math.inf, 1)[0]
 
 
 def _huber_weights(abs_residuals, alpha):
@@ -109,6 +106,36 @@ def _huber_weights(abs_residuals, alpha):
     exactly 1 for |r| <= alpha, and alpha > 0 never divides by zero."""
     np.maximum(abs_residuals, alpha, out=abs_residuals)
     return np.divide(alpha, abs_residuals, out=abs_residuals)
+
+
+def _irls(ag, vals, theta, noise, lam_eye, alpha, iterations):
+    """Regularized Huber IRLS on a stack of g same-shape systems: designs ag
+    (g, p, q), targets vals (g, p), starts theta (g, q), noise (g, K, q) or
+    None. Iteration k solves (A^T W A + lam I) theta = A^T W y + noise[:, k],
+    W = diag(min(1, alpha/|y - A theta|)) from the previous iterate, in one
+    np.linalg.solve. An infinite alpha skips the weights (theta is unread),
+    so one iteration is the ridge update. Without noise the weights fix the
+    next theta, so once they repeat exactly the loop stops: every later
+    iteration would recompute the same theta bit for bit.
+    """
+    agt = ag.transpose(0, 2, 1)
+    vcol = vals[..., None]
+    reweight = math.isfinite(alpha)
+    prev_w = None
+    for k in range(iterations):
+        awt = agt
+        if reweight:
+            w = _huber_weights(np.abs(vals - (ag @ theta[..., None])[..., 0]), alpha)
+            if noise is None:
+                if prev_w is not None and np.array_equal(w, prev_w):
+                    break
+                prev_w = w
+            awt = agt * w[:, None, :]
+        rhs = awt @ vcol
+        if noise is not None:
+            rhs = rhs + noise[:, k, :, None]
+        theta = np.linalg.solve(awt @ ag + lam_eye, rhs)[..., 0]
+    return theta
 
 
 def irls_weights(residuals, alpha: float) -> np.ndarray:
@@ -132,9 +159,9 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:
 
     Draws from rng the start theta ~ N(0, I), then the noise of all K =
     config.iterations rounds in one sample call (row k is round k's t), and
-    runs K rounds of: residual weights, then the weighted ridge update
-    theta <- (At W A + lam I)^-1 (At W y + t). This is the layout of one
-    target in an lrmc column half-sweep: start block, then noise block. With
+    runs the engine's group step, _irls, on this one system: K rounds of
+    residual weights, then theta <- (At W A + lam I)^-1 (At W y + t). This is
+    the layout of one target in an lrmc column half-sweep. With
     noise kind "none" the iteration is the classical majorize-minimize scheme
     for the regularized Huber objective and never increases it. Raises
     ValueError when y or a has a non-finite entry, and FloatingPointError
@@ -146,17 +173,13 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("a must be a p x q matrix")
     if y.shape != (a.shape[0],):
         raise ValueError("y must be a vector of length p")
-    if not np.isfinite(y).all():
-        raise ValueError("y must be finite")
-    if not np.isfinite(a).all():
-        raise ValueError("a must be finite")
-    q = a.shape[1]
-    eye = config.lam * np.eye(q)
-    theta = rng.standard_normal(q)
-    noise = sample(config.noise, config.iterations * q, rng).values
-    for t in noise.reshape(config.iterations, q):
-        awt = a.T * _huber_weights(np.abs(y - a @ theta), config.alpha)
-        theta = np.linalg.solve(awt @ a + eye, awt @ y + t)
+    for name, x in (("y", y), ("a", a)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite")
+    q, k = a.shape[1], config.iterations
+    start = rng.standard_normal((1, q))
+    noise = sample(config.noise, k * q, rng).values.reshape(1, k, q)
+    theta = _irls(a[None], y[None], start, noise, config.lam * np.eye(q), config.alpha, k)[0]
     if not np.isfinite(theta).all():
         raise FloatingPointError("r_irls diverged: non-finite theta")
     return theta

@@ -289,6 +289,9 @@ class TestRunCommand:
               "--trials", "1"], None, "x has shape (5, 6), not (m, n) = (3, 4)"),
             (["run", "--dataset", "file:{tmp}/no_rows.npz", "--rank", "1", "--fraction", "1",
               "--trials", "1"], None, "no_rows.npz lacks npz key(s) rows"),
+            # fraction 1 runs a file as it is, so its own count must not be 0
+            (["run", "--dataset", "file:{tmp}/empty.npz", "--rank", "1", "--fraction", "1",
+              "--trials", "1"], None, "empty.npz holds no observed entry"),
             (["run", "--dataset", "file:{tmp}/values.npy", "--rank", "1", "--fraction", "1",
               "--trials", "1"], None, "values.npy is not an npz archive"),
             (["run", "--dataset", "file:{tmp}/u.data", "--rank", "1", "--fraction", "1",
@@ -324,7 +327,7 @@ class TestRunCommand:
              "file-holdout-leaves-test-empty", "file-fraction-above-observed",
              "delta-f-zero", "delta-f-nan", "file-fresh-matrix", "als-loss-alpha",
              "plan-list", "plan-int", "plan-null", "file-float-rows", "file-fractional-m",
-             "file-nan-n", "file-x-shape", "file-missing-rows", "file-npy",
+             "file-nan-n", "file-x-shape", "file-missing-rows", "file-empty", "file-npy",
              "file-text", "gen-negative-seed", "gen-fraction-observes-nothing",
              "budget-delta-f-zero", "budget-delta-f-negative", "calibrate-delta-f-zero",
              "calibrate-delta-f-nan", "ratings-keys-wrap"],
@@ -346,6 +349,7 @@ class TestRunCommand:
         np.savez(tmp_path / "nan_n.npz", **{**valid, "n": np.nan})
         np.savez(tmp_path / "wide_x.npz", **{**valid, "x": np.ones((5, 6))})
         np.savez(tmp_path / "no_rows.npz", **{k: v for k, v in valid.items() if k != "rows"})
+        np.savez(tmp_path / "empty.npz", **{**valid, "rows": [], "cols": [], "values": []})
         np.save(tmp_path / "values.npy", valid["values"])
         code = run_cli([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()

@@ -1,11 +1,12 @@
 """Tests for the matrix-completion solvers and metrics.
 
-The batched half-sweep engine is cross-checked column by column against the
-reference ridge_solve / r_irls implementations fed with identical starts and
-noise, so the fast path and the literal per-column algorithm stay
-interchangeable. Solver runs are replayed from their seed: the initial
-factors, then one stream per sweep holding the (n, r) IRLS start block and
-the (n, K, r) noise block, in that order.
+The batched half-sweep engine is cross-checked column by column against
+literal single-target ridge and IRLS solves written out below (r_irls and
+ridge_solve run the engine's own group step, so they cannot be its oracle),
+fed with identical starts and noise, so the fast path and the per-column
+algorithm stay interchangeable. Solver runs are replayed from their seed:
+the initial factors, then one stream per sweep holding the (n, r) IRLS
+start block and the (n, K, r) noise block, in that order.
 """
 
 import math
@@ -38,12 +39,30 @@ from huberdp.lrmc import (
 )
 from huberdp.mechanisms import (
     MechanismConfig,
-    NoiseDraw,
     UNIT_VARIANCE_ALPHA,
     huber_variance,
     sample,
 )
-from huberdp.robust_solvers import IrlsConfig, RidgeProblem, r_irls, ridge_solve
+from huberdp.robust_solvers import IrlsConfig, r_irls
+
+
+def _reference_ridge(a, y, lam, t=0.0):
+    """(AtA + lam I)^-1 (At y + t), one system at a time."""
+    return np.linalg.solve(a.T @ a + lam * np.eye(a.shape[1]), a.T @ y + t)
+
+
+def _reference_irls(y, a, config, rng):
+    """r_irls written out one system at a time: the start, then one block of
+    every iteration's noise, then K weighted ridge solves with the Huber
+    weights alpha / max(|r|, alpha)."""
+    q = a.shape[1]
+    eye = config.lam * np.eye(q)
+    theta = rng.standard_normal(q)
+    noise = sample(config.noise, config.iterations * q, rng).values
+    for t in noise.reshape(config.iterations, q):
+        awt = a.T * (config.alpha / np.maximum(np.abs(y - a @ theta), config.alpha))
+        theta = np.linalg.solve(awt @ a + eye, awt @ y + t)
+    return theta
 
 
 def _replay(seed, obs, r, sweep):
@@ -280,12 +299,11 @@ class TestNoisyAls:
         u1 = np.empty((obs.m, 2))
         for i in range(obs.m):
             mine = obs.rows == i
-            u1[i] = ridge_solve(RidgeProblem(v0[obs.cols[mine]], obs.values[mine], cfg.lam))
+            u1[i] = _reference_ridge(v0[obs.cols[mine]], obs.values[mine], cfg.lam)
         v1 = np.empty((obs.n, 2))
         for j in range(obs.n):
             mine = obs.cols == j
-            problem = RidgeProblem(u1[obs.rows[mine]], obs.values[mine], cfg.lam)
-            v1[j] = ridge_solve(problem, NoiseDraw(noise[j, 0]))
+            v1[j] = _reference_ridge(u1[obs.rows[mine]], obs.values[mine], cfg.lam, noise[j, 0])
         np.testing.assert_allclose(factors.U, u1, atol=1e-10)
         np.testing.assert_allclose(factors.V, v1, atol=1e-10)
 
@@ -322,7 +340,7 @@ class TestIrlsHuber:
         np.testing.assert_allclose(a.V, b.V, atol=1e-6)
 
     def test_column_update_matches_r_irls(self):
-        # the batched engine must reproduce literal per-column r_irls calls
+        # the batched engine must reproduce literal per-column IRLS solves
         # when fed the start and noise each call draws from its stream
         x, obs = generate_synthetic(SyntheticSpec(15, 12, 2, 0.5, seed=15))
         mech = MechanismConfig.huber(1.5)
@@ -335,7 +353,7 @@ class TestIrlsHuber:
         for j in range(obs.n):
             mine = obs.cols == j
             a, y = u[obs.rows[mine]], obs.values[mine]
-            expected[j] = r_irls(y, a, irls_config, np.random.default_rng(j))
+            expected[j] = _reference_irls(y, a, irls_config, np.random.default_rng(j))
             stream = np.random.default_rng(j)
             init[j] = stream.standard_normal(r)
             noise[j] = sample(mech, iterations * r, stream).values.reshape(iterations, r)
@@ -680,8 +698,7 @@ class TestEngineAgainstReference:
         for j in range(n):
             mine = target_idx == j
             if mine.any():
-                problem = RidgeProblem(other[other_idx[mine]], values[mine], lam)
-                expected = ridge_solve(problem, NoiseDraw(noise[j, 0]))
+                expected = _reference_ridge(other[other_idx[mine]], values[mine], lam, noise[j, 0])
             else:
                 expected = noise[j, 0] / lam
             np.testing.assert_allclose(got[j], expected, rtol=0, atol=1e-9)
@@ -722,8 +739,9 @@ class TestEngineAgainstReference:
 
 
 def _engine_and_r_irls(seed, instance, config):
-    """_half_sweep against r_irls(default_rng((seed, j))) for every target j,
-    replaying each stream into the engine's start and noise blocks."""
+    """_half_sweep against _reference_irls(..., default_rng((seed, j))) for
+    every target j, replaying each stream into the engine's start and noise
+    blocks."""
     other, target_idx, other_idx, values, n = instance
     rank, iterations = other.shape[1], config.iterations
     expected = np.empty((n, rank))
@@ -732,7 +750,7 @@ def _engine_and_r_irls(seed, instance, config):
     for j in range(n):
         mine = target_idx == j
         a, y = other[other_idx[mine]], values[mine]
-        expected[j] = r_irls(y, a, config, np.random.default_rng((seed, j)))
+        expected[j] = _reference_irls(y, a, config, np.random.default_rng((seed, j)))
         stream = np.random.default_rng((seed, j))
         init[j] = stream.standard_normal(rank)
         noise[j] = sample(config.noise, iterations * rank, stream).values.reshape(iterations, rank)
@@ -741,6 +759,23 @@ def _engine_and_r_irls(seed, instance, config):
     groups = _target_groups(target_idx, other_idx, values, n, rank)
     got = _half_sweep([groups], other, config.lam, config.alpha, iterations, init, noise, n)
     return got, expected
+
+
+@pytest.mark.parametrize("mech", [MechanismConfig.none(), MechanismConfig.huber(1.2)],
+                         ids=["none", "huber"])
+def test_r_irls_is_the_engine_on_one_target(mech):
+    # r_irls runs the engine's group step on a batch of one, so a half-sweep
+    # over one target fed r_irls's start and noise returns its theta exactly
+    rng = np.random.default_rng(41)
+    a, y = rng.standard_normal((30, 4)), 3.0 * rng.standard_normal(30)
+    config = IrlsConfig(1.2, 0.5, 6, mech)
+    expected = r_irls(y, a, config, np.random.default_rng(42))
+    stream = np.random.default_rng(42)
+    init = stream.standard_normal((1, 4))
+    noise = sample(mech, 6 * 4, stream).values.reshape(1, 6, 4) if mech.kind != "none" else None
+    groups = _target_groups(np.zeros(30, dtype=np.int64), np.arange(30), y, 1, 4)
+    got = _half_sweep([groups], a, config.lam, config.alpha, 6, init, noise, 1)
+    np.testing.assert_array_equal(got[0], expected)
 
 
 class TestNoiselessFixedPoint:

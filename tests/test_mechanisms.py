@@ -451,7 +451,7 @@ class TestSampler:
     @pytest.mark.parametrize("bad", [2.7, float("nan"), "3"], ids=["2.7", "nan", "str"])
     def test_non_integral_k_rejected_naming_k(self, kind, bad):
         cfg = MechanismConfig.from_variance(kind, 2.0)
-        with pytest.raises(TypeError, match="k must be an integer"):
+        with pytest.raises(ValueError, match="k must be an integer"):
             sample(cfg, bad, np.random.default_rng(0))
 
     def test_numpy_integer_k_accepted(self):
@@ -745,6 +745,15 @@ PLAN_REAL_FIELDS = [
     ("variance", lambda v: bench_cli.ExperimentPlan(variances=[v]), None),
 ]
 
+# reals whose range rule admits 0 keep that rule in their own class; only
+# the type rule, mechanisms._real, is shared
+NONNEGATIVE_REAL_FIELDS = [
+    ("l1", lambda v: Sensitivity(v, 0.0), lambda s: s.l1),
+    ("l2", lambda v: Sensitivity(5.0, v), lambda s: s.l2),
+    ("epsilon", PrivacyBudget, lambda b: b.epsilon),
+    ("delta", lambda v: PrivacyBudget(1.0, v), lambda b: b.delta),
+]
+
 COUNT_FIELDS = [
     ("m", lambda v: ObservedMatrix(v, 3, [0], [0], [1.0]), lambda o: o.m),
     ("n", lambda v: ObservedMatrix(3, v, [0], [0], [1.0]), lambda o: o.n),
@@ -758,6 +767,8 @@ COUNT_FIELDS = [
     ("inner_iterations", lambda v: SolverConfig(rank=1, inner_iterations=v),
      lambda c: c.inner_iterations),
     ("iterations", lambda v: IrlsConfig(alpha=1.0, lam=1.0, iterations=v), lambda c: c.iterations),
+    ("k", lambda v: sample(MechanismConfig.huber(2.0), v, np.random.default_rng(0)),
+     lambda d: d.values.size),
 ]
 
 NOT_A_NUMBER = [True, np.True_, "2"]
@@ -775,6 +786,11 @@ class TestScalarParameterRule:
                              + _rows(PLAN_REAL_FIELDS, NOT_POSITIVE))
     def test_reals_refuse_a_bool_a_string_and_a_non_positive_value(self, name, call, value):
         with pytest.raises(ValueError, match=f"^{name} must be a positive real, got "):
+            call(value)
+
+    @pytest.mark.parametrize("name,call,value", _rows(NONNEGATIVE_REAL_FIELDS, NOT_A_NUMBER))
+    def test_nonnegative_reals_refuse_a_bool_and_a_string(self, name, call, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real, got "):
             call(value)
 
     def test_a_plan_refuses_a_bool_or_string_real_by_its_json_type(self):
@@ -795,13 +811,17 @@ class TestScalarParameterRule:
         if name == "seed" and value == 0:
             assert call(value).seed == 0
             return
+        if name == "k" and value == 0:
+            assert call(value).values.size == 0
+            return
         with pytest.raises(ValueError):
             call(value)
 
     # the plan's JSON type check takes a float subclass but no numpy integer
     @pytest.mark.parametrize("name,call,read,value", [
         (*entry, value) for entry in REAL_FIELDS for value in (np.float64(2.0), np.int64(3))
-    ] + [(*entry, np.float64(2.0)) for entry in PLAN_REAL_FIELDS])
+    ] + [(*entry, np.float64(2.0)) for entry in PLAN_REAL_FIELDS]
+      + [(*entry, np.float64(0.5)) for entry in NONNEGATIVE_REAL_FIELDS])
     def test_reals_take_numpy_scalars_and_store_python_floats(self, name, call, read, value):
         out = call(value)
         if read is not None:

@@ -35,7 +35,7 @@ import numpy as np
 from . import data_io, lrmc, mechanisms
 from .data_io import RunRecord, SyntheticSpec
 from .lrmc import ObservedMatrix, SolverConfig
-from .mechanisms import MechanismConfig, Sensitivity, _positive_real
+from .mechanisms import MechanismConfig, Sensitivity, _count, _positive_real
 
 __all__ = ["ExperimentPlan", "main", "run_plan"]
 
@@ -138,10 +138,8 @@ class ExperimentPlan:
         for mech in self.mechanisms:
             if mech not in _MECHANISMS:
                 raise ValueError(f"unknown mechanism {mech!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed {self.seed} must be >= 0")
+        _count(self.trials, "trials", 1)
+        _count(self.seed, "seed", 0)
         if self.trial_mode not in ("fresh_mask", "fresh_matrix"):
             raise ValueError("trial_mode must be 'fresh_mask' or 'fresh_matrix'")
         if self.trial_mode == "fresh_matrix" and self.dataset != "synthetic":

@@ -22,7 +22,7 @@ from typing import NoReturn
 import numpy as np
 
 from .lrmc import ObservedMatrix, _flat_keys
-from .mechanisms import _count
+from .mechanisms import _count, _real
 
 __all__ = [
     "SyntheticSpec",
@@ -86,21 +86,19 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("m", "n", "rank", "seed"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"synthetic dimensions {self.m}x{self.n} must be >= 1")
+        for name, least in (("m", 1), ("n", 1), ("rank", 0), ("seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
         if not 1 <= self.rank <= min(self.m, self.n):
             raise ValueError(f"synthetic rank {self.rank} must lie in [1, {min(self.m, self.n)}]")
         _observed_count(self.observed_fraction, self.m, self.n)
-        if self.seed < 0:
-            raise ValueError(f"synthetic seed {self.seed} must be >= 0")
+        object.__setattr__(self, "observed_fraction", float(self.observed_fraction))
 
 
 def _observed_count(fraction: float, m: int, n: int) -> int:
     """int(fraction * m * n), the entries that a fraction of an m x n matrix
     observes, or a ValueError naming a fraction outside (0, 1] or one that
     observes no entry."""
+    fraction = _real(fraction, "fraction")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction {fraction!r} must lie in (0, 1]")
     k = int(fraction * m * n)
@@ -148,6 +146,8 @@ def mask_entries(x: np.ndarray, fraction: float, rng: np.random.Generator) -> Ob
     """Observe a uniform random subset of floor(fraction * m * n) cells; the
     fraction must lie in (0, 1] and observe at least one."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"x must be a 2-D matrix, got shape {x.shape}")
     m, n = x.shape
     k = _observed_count(fraction, m, n)
     flat = rng.choice(m * n, size=k, replace=False)
@@ -333,6 +333,7 @@ def holdout_split(
     The test part holds floor(test_fraction * |observed|) entries; both sides
     must end up non-empty.
     """
+    test_fraction = _real(test_fraction, "test_fraction")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie in (0, 1)")
     n_test = int(test_fraction * obs.n_observed)

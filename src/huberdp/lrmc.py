@@ -40,7 +40,8 @@ from functools import partial
 
 import numpy as np
 
-from .mechanisms import MechanismConfig, _count, _positive_real, huber_alpha_for_variance, sample
+from .mechanisms import (MechanismConfig, _count, _finite_array, _positive_real,
+                         huber_alpha_for_variance, sample)
 from .robust_solvers import _irls
 
 __all__ = [
@@ -94,12 +95,10 @@ class ObservedMatrix:
 
     def __post_init__(self):
         for name in ("m", "n"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
-        if self.m < 1 or self.n < 1:
-            raise ValueError("matrix dimensions must be >= 1")
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
         rows = _coordinates(self.rows, "rows")
         cols = _coordinates(self.cols, "cols")
-        values = np.asarray(self.values, dtype=float)
+        values = _finite_array(self.values, "values")
         if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
             raise ValueError("rows, cols, values must be 1-d arrays of equal length")
         if rows.size:
@@ -110,8 +109,6 @@ class ObservedMatrix:
             flat = np.sort(_flat_keys(rows, cols, self.m, self.n))
             if (flat[1:] == flat[:-1]).any():
                 raise ValueError("duplicate (row, col) coordinates")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("observed values must be finite")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "values", values)
@@ -189,12 +186,8 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("rank", "outer_iterations", "inner_iterations"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
         object.__setattr__(self, "lam", _positive_real(self.lam, "lam"))
-        if self.outer_iterations < 1 or self.inner_iterations < 1:
-            raise ValueError("iteration counts must be >= 1")
         if self.huber_loss_alpha is not None:
             object.__setattr__(self, "huber_loss_alpha",
                                _positive_real(self.huber_loss_alpha, "huber_loss_alpha"))

@@ -68,13 +68,16 @@ class ConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagree."""
 
 
-def _count(value, name: str) -> int:
-    """value as a Python int, or a ValueError naming the field: a float fails
-    only deep inside a solve, a bool would run as a count of 0 or 1, and a
-    narrow numpy integer would overflow in size arithmetic."""
+def _count(value, name: str, least: int = 0) -> int:
+    """value as a Python int of at least `least`, or a ValueError naming the
+    field: a float fails only deep inside a solve, a bool would run as a count
+    of 0 or 1, and a narrow numpy integer would overflow in size arithmetic."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    count = int(value)
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 def _real(value, name: str) -> float:
@@ -95,10 +98,12 @@ def _positive_real(value, name: str) -> float:
     return float(value)
 
 
-def _as_finite_array(t) -> np.ndarray:
-    x = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("t must be finite")
+def _finite_array(value, name: str) -> np.ndarray:
+    """value as a float array, or a ValueError naming it if an entry is nan
+    or infinite."""
+    x = np.asarray(value, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
     return x
 
 
@@ -248,7 +253,7 @@ def huber_loss(t, alpha: float):
     or arrays.
     """
     a = _positive_real(alpha, "alpha")
-    x = _as_finite_array(t)
+    x = _finite_array(t, "t")
     ax = np.abs(x)
     out = np.where(ax <= a, 0.5 * x * x, a * (ax - 0.5 * a))
     return _scalar_or_array(out, t)
@@ -257,7 +262,7 @@ def huber_loss(t, alpha: float):
 def huber_influence(t, alpha: float):
     """Derivative of the Huber loss: sign(t) * min(|t|, alpha)."""
     a = _positive_real(alpha, "alpha")
-    x = _as_finite_array(t)
+    x = _finite_array(t, "t")
     out = np.sign(x) * np.minimum(np.abs(x), a)
     return _scalar_or_array(out, t)
 
@@ -292,7 +297,7 @@ def huber_cdf(t, alpha: float):
     complement. Continuous, nondecreasing, F(0) = 1/2.
     """
     a = _positive_real(alpha, "alpha")
-    x = _as_finite_array(t)
+    x = _finite_array(t, "t")
     k = huber_normalizer(a)
     scalar_in = x.ndim == 0
     x = np.atleast_1d(x)
@@ -393,6 +398,7 @@ def _unit_variance_convention(variance: float) -> bool:
 def huber_alpha_for_variance(variance: float) -> float:
     """The one variance-to-alpha rule: UNIT_VARIANCE_ALPHA in [0, 1] (0 is kind
     "none", whose IRLS loss takes it too), else calibrate_alpha and its errors."""
+    variance = _real(variance, "variance")
     if variance == 0.0 or _unit_variance_convention(variance):
         return UNIT_VARIANCE_ALPHA
     return calibrate_alpha(variance)
@@ -415,8 +421,6 @@ def sample(config: MechanismConfig, k: int, rng: np.random.Generator) -> NoiseDr
     without consuming the stream.
     """
     k = _count(k, "k")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     kind = config.kind
     if kind == "none":
         return NoiseDraw(np.zeros(k))
@@ -465,7 +469,7 @@ def mechanism_budget(
         return PrivacyBudget(config.scale * sens.l1, 0.0)
     if config.kind == "laplace":
         return PrivacyBudget(sens.l1 / config.scale, 0.0)
-    d = float(delta)
+    d = _real(delta, "delta")
     if not 0.0 < d < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     log = {"natural": math.log, "base10": math.log10}.get(log_base)

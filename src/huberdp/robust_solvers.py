@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import MechanismConfig, NoiseDraw, _count, _positive_real, huber_loss, sample
+from .mechanisms import (MechanismConfig, NoiseDraw, _count, _finite_array, _positive_real,
+                         _real, huber_loss, sample)
 
 __all__ = [
     "RidgeProblem",
@@ -40,19 +41,18 @@ class RidgeProblem:
     lam: float
 
     def __post_init__(self):
-        a = np.asarray(self.design, dtype=float)
-        y = np.asarray(self.targets, dtype=float)
+        a = _finite_array(self.design, "design")
+        y = _finite_array(self.targets, "targets")
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("design must be a p x q matrix with p, q >= 1")
         if y.shape != (a.shape[0],):
             raise ValueError("targets must be a vector of length p")
-        for name, x in (("design", a), ("targets", y)):
-            if not np.isfinite(x).all():
-                raise ValueError(f"{name} must be finite")
-        if not math.isfinite(self.lam) or self.lam < 0:
+        lam = _real(self.lam, "lam")
+        if not 0 <= lam < math.inf:
             raise ValueError("lam must be a nonnegative real")
         object.__setattr__(self, "design", a)
         object.__setattr__(self, "targets", y)
+        object.__setattr__(self, "lam", lam)
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,14 @@ class IrlsConfig:
     def __post_init__(self):
         for name in ("alpha", "lam"):
             object.__setattr__(self, name, _positive_real(getattr(self, name), name))
-        object.__setattr__(self, "iterations", _count(self.iterations, "iterations"))
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        object.__setattr__(self, "iterations", _count(self.iterations, "iterations", 1))
 
 
 def ridge_solve(problem: RidgeProblem, noise: NoiseDraw | None = None) -> np.ndarray:
     """Solve (AtA + lam I) theta = At y + t: the engine's group step (_irls)
     at alpha = infinity, K = 1, on a batch of one.
 
-    t is the zero vector when noise is absent. With lam = 0 the design must
+    Without noise t is absent, not a zero vector. With lam = 0 the design must
     have full column rank; a rank-deficient one raises numpy's LinAlgError
     naming its rank, where the solve alone would often return a theta with an
     arbitrary null-space part, the Gram being singular only up to rounding.
@@ -95,10 +93,13 @@ def ridge_solve(problem: RidgeProblem, noise: NoiseDraw | None = None) -> np.nda
             raise np.linalg.LinAlgError(
                 f"design has rank {rank} < {q} columns; lam = 0 needs full column rank"
             )
-    t = np.zeros(q) if noise is None else np.asarray(noise.values, dtype=float)
-    if t.shape != (q,):
-        raise ValueError(f"noise must have length {q}, got shape {t.shape}")
-    return _irls(a[None], y[None], None, t.reshape(1, 1, q), lam * np.eye(q), math.inf, 1)[0]
+    t = None
+    if noise is not None:
+        t = np.asarray(noise.values, dtype=float)
+        if t.shape != (q,):
+            raise ValueError(f"noise must have length {q}, got shape {t.shape}")
+        t = t.reshape(1, 1, q)
+    return _irls(a[None], y[None], None, t, lam * np.eye(q), math.inf, 1)[0]
 
 
 def _huber_weights(abs_residuals, alpha):
@@ -145,10 +146,7 @@ def irls_weights(residuals, alpha: float) -> np.ndarray:
     underflows to 0 (alpha tiny against |r|), which would drop its row.
     """
     alpha = _positive_real(alpha, "alpha")
-    r = np.abs(np.asarray(residuals, dtype=float))
-    if not np.isfinite(r).all():
-        raise ValueError("residuals must be finite")
-    w = _huber_weights(r, alpha)
+    w = _huber_weights(np.abs(_finite_array(residuals, "residuals")), alpha)
     if not ((w > 0) & (w <= 1)).all():
         raise ValueError("weights must lie in (0, 1]")
     return w
@@ -161,24 +159,25 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:
     config.iterations rounds in one sample call (row k is round k's t), and
     runs the engine's group step, _irls, on this one system: K rounds of
     residual weights, then theta <- (At W A + lam I)^-1 (At W y + t). This is
-    the layout of one target in an lrmc column half-sweep. With
-    noise kind "none" the iteration is the classical majorize-minimize scheme
-    for the regularized Huber objective and never increases it. Raises
-    ValueError when y or a has a non-finite entry, and FloatingPointError
-    when finite input overflows into a non-finite theta.
+    the layout of one target in an lrmc column half-sweep. With noise kind
+    "none" nothing follows the start draw and t is absent, so the loop stops
+    once its weights repeat, as a noiseless engine group does; the iteration
+    is then the classical majorize-minimize scheme for the regularized Huber
+    objective and never increases it. Raises ValueError when y or a has a
+    non-finite entry, and FloatingPointError when finite input overflows
+    into a non-finite theta.
     """
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
+    y = _finite_array(y, "y")
+    a = _finite_array(a, "a")
     if a.ndim != 2:
         raise ValueError("a must be a p x q matrix")
     if y.shape != (a.shape[0],):
         raise ValueError("y must be a vector of length p")
-    for name, x in (("y", y), ("a", a)):
-        if not np.isfinite(x).all():
-            raise ValueError(f"{name} must be finite")
     q, k = a.shape[1], config.iterations
     start = rng.standard_normal((1, q))
-    noise = sample(config.noise, k * q, rng).values.reshape(1, k, q)
+    noise = None
+    if config.noise.kind != "none":
+        noise = sample(config.noise, k * q, rng).values.reshape(1, k, q)
     theta = _irls(a[None], y[None], start, noise, config.lam * np.eye(q), config.alpha, k)[0]
     if not np.isfinite(theta).all():
         raise FloatingPointError("r_irls diverged: non-finite theta")
@@ -188,8 +187,8 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:
 def huber_objective(y, a, theta, alpha: float, lam: float) -> float:
     """Objective descended by the noiseless IRLS iteration:
     sum_i rho_alpha(y_i - a_i theta) + (lam/2) ||theta||^2."""
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    y = _finite_array(y, "y")
+    a = _finite_array(a, "a")
+    theta = _finite_array(theta, "theta")
     resid = y - a @ theta
     return float(np.sum(huber_loss(resid, alpha)) + 0.5 * lam * float(theta @ theta))

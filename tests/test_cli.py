@@ -238,20 +238,20 @@ class TestRunCommand:
             (SMALL + ["--rank", "0"], None, "rank must be >= 1"),
             (SMALL + ["--rank", "21"], None, "rank 21 exceeds min(m, n) = 20"),
             (SMALL + ["--lambda", "-1"], None, "lam must be a positive real, got -1.0"),
-            (SMALL + ["--outer-t", "0"], None, "iteration counts must be >= 1"),
-            (SMALL + ["--irls-k", "0"], None, "iteration counts must be >= 1"),
+            (SMALL + ["--outer-t", "0"], None, "outer_iterations must be >= 1, got 0"),
+            (SMALL + ["--irls-k", "0"], None, "inner_iterations must be >= 1, got 0"),
             (SMALL + ["--huber-loss-alpha", "-1"], None,
              "huber_loss_alpha must be a positive real"),
-            (SMALL + ["--m", "0"], None, "synthetic dimensions 0x20 must be >= 1"),
+            (SMALL + ["--m", "0"], None, "m must be >= 1, got 0"),
             (SMALL + ["--data-rank", "0"], None, "synthetic rank 0 must lie in [1, 20]"),
             (SMALL + ["--data-rank", "40"], None, "synthetic rank 40 must lie in [1, 20]"),
             (SMALL + ["--data-rank", "40", "--trial-mode", "fresh_matrix"], None,
              "synthetic rank 40 must lie in [1, 20]"),
             (SMALL + ["--delta", "0"], None, "delta 0.0 must lie in (0, 1)"),
             (SMALL + ["--holdout", "1.5"], None, "holdout_fraction 1.5 must lie in (0, 1)"),
-            (SMALL + ["--seed", "-1"], None, "seed -1 must be >= 0"),
+            (SMALL + ["--seed", "-1"], None, "seed must be >= 0, got -1"),
             (SMALL + ["--seed", "-1", "--trial-mode", "fresh_matrix"], None,
-             "seed -1 must be >= 0"),
+             "seed must be >= 0, got -1"),
             (["run", "--solver", ""], None, "at least one solver is required"),
             (["run", "--mechanism", ""], None, "at least one mechanism is required"),
             (["run", "--plan", "{tmp}/plan.json"], {"trial_mode": "fresh"},
@@ -297,7 +297,7 @@ class TestRunCommand:
             (["run", "--dataset", "file:{tmp}/u.data", "--rank", "1", "--fraction", "1",
               "--trials", "1"], None, "u.data is not an npz archive"),
             (["gen", "--seed", "-1", "--out", "{tmp}/g.npz"], None,
-             "synthetic seed -1 must be >= 0"),
+             "seed must be >= 0, got -1"),
             (["gen", "--m", "20", "--n", "20", "--fraction", "0.001", "--out", "{tmp}/g.npz"],
              None, "fraction 0.001 observes no entry of a 20x20 matrix"),
             # a sensitivity of 0 would print epsilon 0, a claim of perfect privacy

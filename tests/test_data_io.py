@@ -68,7 +68,7 @@ class TestGenerateSynthetic:
             SyntheticSpec(5, 5, 2, 1.5)
         with pytest.raises(ValueError, match="fraction 0.001 observes no entry of a 20x20 matrix"):
             SyntheticSpec(20, 20, 2, 0.001)
-        with pytest.raises(ValueError, match="synthetic seed -1 must be >= 0"):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             SyntheticSpec(5, 5, 2, 0.5, seed=-1)
 
     def test_mask_entries_direct(self):
@@ -79,13 +79,14 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             mask_entries(x, 0.0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("fraction,message", [
-        (0.001, "^fraction 0.001 observes no entry of a 3x4 matrix$"),
-        (math.nan, r"^fraction nan must lie in \(0, 1\]$"),
+    @pytest.mark.parametrize("shape,fraction,message", [
+        ((3, 4), 0.001, "^fraction 0.001 observes no entry of a 3x4 matrix$"),
+        ((3, 4), math.nan, r"^fraction nan must lie in \(0, 1\]$"),
+        ((4,), 0.5, r"^x must be a 2-D matrix, got shape \(4,\)$"),
     ])
-    def test_mask_entries_refuses_an_empty_mask(self, fraction, message):
+    def test_mask_entries_refuses_bad_input(self, shape, fraction, message):
         with pytest.raises(ValueError, match=message):
-            mask_entries(np.ones((3, 4)), fraction, np.random.default_rng(0))
+            mask_entries(np.ones(shape), fraction, np.random.default_rng(0))
 
 
 MOVIELENS_FIXTURE = "196\t242\t3\t881250949\n186\t302\t3\t891717742\n"

@@ -102,7 +102,7 @@ class TestObservedMatrix:
 
     @pytest.mark.parametrize(
         "m,rows,cols,values,message",
-        [(0, [], [], [], "dimensions must be >= 1"),
+        [(0, [], [], [], "m must be >= 1, got 0"),
          (2, [0, 1], [0], [1.0, 2.0], "1-d arrays of equal length"),
          (2, [0], [2], [1.0], "column index out of range"),
          # a cast would truncate these to the entries (0, 1) and (1, 0)

@@ -14,7 +14,7 @@ from scipy import integrate, special, stats
 from scipy.optimize import brentq
 
 from huberdp import bench_cli, mechanisms
-from huberdp.data_io import SyntheticSpec
+from huberdp.data_io import SyntheticSpec, holdout_split, mask_entries, subsample
 from huberdp.lrmc import ObservedMatrix, SolverConfig
 from huberdp.mechanisms import (
     CalibrationError,
@@ -38,7 +38,7 @@ from huberdp.mechanisms import (
     privacy_gap,
     sample,
 )
-from huberdp.robust_solvers import IrlsConfig, irls_weights
+from huberdp.robust_solvers import IrlsConfig, RidgeProblem, irls_weights
 
 ALPHA_GRID = [0.25, 0.5, 1.0, 2.0, 3.0, 8.0]
 
@@ -752,23 +752,47 @@ NONNEGATIVE_REAL_FIELDS = [
     ("l2", lambda v: Sensitivity(5.0, v), lambda s: s.l2),
     ("epsilon", PrivacyBudget, lambda b: b.epsilon),
     ("delta", lambda v: PrivacyBudget(1.0, v), lambda b: b.delta),
+    ("lam", lambda v: RidgeProblem(np.eye(2), np.ones(2), v), lambda p: p.lam),
+    ("variance", huber_alpha_for_variance, None),
 ]
 
+_FULL_4X4 = mask_entries(np.ones((4, 4)), 1.0, np.random.default_rng(0))
+
+# reals whose range rule is part of (0, 1]; at 0.5 each call runs
+FRACTION_FIELDS = [
+    ("delta", lambda v: mechanism_budget(MechanismConfig.gaussian(1.0), Sensitivity.scalar(1.0), v),
+     lambda b: b.delta),
+    ("fraction", lambda v: SyntheticSpec(4, 4, 1, v), lambda s: s.observed_fraction),
+    ("fraction", lambda v: mask_entries(np.ones((4, 4)), v, np.random.default_rng(0)), None),
+    ("fraction", lambda v: subsample(_FULL_4X4, v, np.random.default_rng(0)), None),
+    ("test_fraction", lambda v: holdout_split(_FULL_4X4, v, np.random.default_rng(0)), None),
+]
+
+# (field name, call, stored field or None, least value the field takes)
 COUNT_FIELDS = [
-    ("m", lambda v: ObservedMatrix(v, 3, [0], [0], [1.0]), lambda o: o.m),
-    ("n", lambda v: ObservedMatrix(3, v, [0], [0], [1.0]), lambda o: o.n),
-    ("m", lambda v: SyntheticSpec(v, 3, 1, 1.0), lambda s: s.m),
-    ("n", lambda v: SyntheticSpec(3, v, 1, 1.0), lambda s: s.n),
-    ("rank", lambda v: SyntheticSpec(3, 3, v, 1.0), lambda s: s.rank),
-    ("seed", lambda v: SyntheticSpec(3, 3, 1, 1.0, seed=v), lambda s: s.seed),
-    ("rank", lambda v: SolverConfig(rank=v), lambda c: c.rank),
+    ("m", lambda v: ObservedMatrix(v, 3, [0], [0], [1.0]), lambda o: o.m, 1),
+    ("n", lambda v: ObservedMatrix(3, v, [0], [0], [1.0]), lambda o: o.n, 1),
+    ("m", lambda v: SyntheticSpec(v, 3, 1, 1.0), lambda s: s.m, 1),
+    ("n", lambda v: SyntheticSpec(3, v, 1, 1.0), lambda s: s.n, 1),
+    # its upper bound depends on m and n, so rank keeps its own rule, which
+    # names the synthetic rank; the count rule takes any value >= 0
+    ("rank", lambda v: SyntheticSpec(3, 3, v, 1.0), lambda s: s.rank, 0),
+    ("seed", lambda v: SyntheticSpec(3, 3, 1, 1.0, seed=v), lambda s: s.seed, 0),
+    ("rank", lambda v: SolverConfig(rank=v), lambda c: c.rank, 1),
     ("outer_iterations", lambda v: SolverConfig(rank=1, outer_iterations=v),
-     lambda c: c.outer_iterations),
+     lambda c: c.outer_iterations, 1),
     ("inner_iterations", lambda v: SolverConfig(rank=1, inner_iterations=v),
-     lambda c: c.inner_iterations),
-    ("iterations", lambda v: IrlsConfig(alpha=1.0, lam=1.0, iterations=v), lambda c: c.iterations),
+     lambda c: c.inner_iterations, 1),
+    ("iterations", lambda v: IrlsConfig(alpha=1.0, lam=1.0, iterations=v),
+     lambda c: c.iterations, 1),
     ("k", lambda v: sample(MechanismConfig.huber(2.0), v, np.random.default_rng(0)),
-     lambda d: d.values.size),
+     lambda d: d.values.size, 0),
+]
+
+# a plan's counts pass the JSON type check first
+PLAN_COUNT_FIELDS = [
+    ("trials", lambda v: bench_cli.ExperimentPlan(trials=v), None, 1),
+    ("seed", lambda v: bench_cli.ExperimentPlan(seed=v), None, 0),
 ]
 
 NOT_A_NUMBER = [True, np.True_, "2"]
@@ -778,7 +802,7 @@ NOT_POSITIVE = [math.nan, math.inf, 0.0, -1.0, 10**400]
 
 def _rows(entries, values):
     return [pytest.param(name, call, value, id=f"{i}-{name}-{value!r:.12}")
-            for i, (name, call, _) in enumerate(entries) for value in values]
+            for i, (name, call, *_) in enumerate(entries) for value in values]
 
 
 class TestScalarParameterRule:
@@ -806,28 +830,31 @@ class TestScalarParameterRule:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             call(value)
 
-    @pytest.mark.parametrize("name,call,value", _rows(COUNT_FIELDS, [0, -1]))
-    def test_counts_keep_their_range_rules(self, name, call, value):
-        if name == "seed" and value == 0:
-            assert call(value).seed == 0
-            return
-        if name == "k" and value == 0:
-            assert call(value).values.size == 0
-            return
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("name,call,value", _rows(FRACTION_FIELDS, [True, np.True_, "0.5"]))
+    def test_fractions_refuse_a_bool_and_a_string(self, name, call, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real, got "):
             call(value)
+
+    @pytest.mark.parametrize("name,call,least", [
+        pytest.param(name, call, least, id=f"{i}-{name}")
+        for i, (name, call, _, least) in enumerate(COUNT_FIELDS + PLAN_COUNT_FIELDS)])
+    def test_counts_keep_their_range_rules(self, name, call, least):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+            call(least - 1)
+        if (name, least) != ("rank", 0):  # SyntheticSpec's own rule refuses rank 0
+            call(least)
 
     # the plan's JSON type check takes a float subclass but no numpy integer
     @pytest.mark.parametrize("name,call,read,value", [
         (*entry, value) for entry in REAL_FIELDS for value in (np.float64(2.0), np.int64(3))
     ] + [(*entry, np.float64(2.0)) for entry in PLAN_REAL_FIELDS]
-      + [(*entry, np.float64(0.5)) for entry in NONNEGATIVE_REAL_FIELDS])
+      + [(*entry, np.float64(0.5)) for entry in NONNEGATIVE_REAL_FIELDS + FRACTION_FIELDS])
     def test_reals_take_numpy_scalars_and_store_python_floats(self, name, call, read, value):
         out = call(value)
         if read is not None:
             assert type(read(out)) is float and read(out) == value
 
-    @pytest.mark.parametrize("name,call,read", COUNT_FIELDS)
+    @pytest.mark.parametrize("name,call,read", [entry[:3] for entry in COUNT_FIELDS])
     def test_counts_take_numpy_integers_and_store_python_ints(self, name, call, read):
         stored = read(call(np.int64(3)))
         assert type(stored) is int and stored == 3

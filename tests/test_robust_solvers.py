@@ -307,6 +307,14 @@ class TestRIrls:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             r_irls(y, a, cfg, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("name", ["y", "a", "theta"])
+    def test_non_finite_objective_input_is_named(self, name):
+        a, y = random_instance(np.random.default_rng(19))
+        args = {"y": y, "a": a, "theta": np.ones(a.shape[1])}
+        args[name].flat[3] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            huber_objective(args["y"], args["a"], args["theta"], 1.0, 0.5)
+
     @pytest.mark.parametrize(
         "y,a,message",
         [(np.ones(3), np.ones(3), "a must be a p x q matrix"),

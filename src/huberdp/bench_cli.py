@@ -27,7 +27,7 @@ import sys
 import time
 import typing
 import zipfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +80,12 @@ _SOLVERS = ("als", "irls")
 _MECHANISMS = ("none", "gaussian", "laplace", "huber")
 
 #: dataset kinds besides "synthetic", given as KIND:PATH: the data_io parser
-#: (looked up by name at load time; None reads a ``gen`` npz) and the protocol
-#: defaults applied to fields that no flag or plan file set
+#: (looked up by name at load time; None reads a ``gen`` npz), and the rank
+#: and sweep count of its protocol, which synthetic data shares with "file"
 _FILE_KINDS = {
-    "movielens": ("parse_movielens", {"rank": 32, "outer_iterations": 20}),
-    "sweetrs": ("parse_sweetrs", {"rank": 32, "outer_iterations": 100}),
-    "file": (None, {}),
+    "movielens": ("parse_movielens", 32, 20),
+    "sweetrs": ("parse_sweetrs", 32, 100),
+    "file": (None, 5, 50),
 }
 
 
@@ -96,8 +96,9 @@ class ExperimentPlan:
     trial_mode "fresh_mask" fixes the synthetic ground truth for the whole
     plan and redraws the observation mask (and noise) per trial;
     "fresh_matrix" regenerates the ground truth each trial as well, so it
-    applies to synthetic data only. Fields are checked when the plan is
-    built, a dataset file's shape once it loads.
+    applies to synthetic data only. rank and outer_iterations left None take
+    the dataset kind's protocol values (see _FILE_KINDS). Fields are checked
+    when the plan is built, a dataset file's shape once it loads.
     """
 
     dataset: str = "synthetic"
@@ -110,9 +111,9 @@ class ExperimentPlan:
     fractions: list[float] = field(default_factory=lambda: [0.05])
     trials: int = 10
     seed: int = 0
-    rank: int = 5
+    rank: int | None = None
     lam: float = 0.5
-    outer_iterations: int = 50
+    outer_iterations: int | None = None
     irls_iterations: int = 20
     huber_loss_alpha: float | None = None
     delta: float = 1e-5
@@ -132,6 +133,9 @@ class ExperimentPlan:
                 f"dataset {self.dataset!r} must be synthetic or KIND:PATH with "
                 f"KIND one of {sorted(_FILE_KINDS)}"
             )
+        _, rank, sweeps = _FILE_KINDS.get(kind, _FILE_KINDS["file"])
+        self.rank = rank if self.rank is None else self.rank
+        self.outer_iterations = sweeps if self.outer_iterations is None else self.outer_iterations
         for s in self.solvers:
             if s not in _SOLVERS:
                 raise ValueError(f"unknown solver {s!r}")
@@ -173,30 +177,24 @@ class ExperimentPlan:
         for solver, mech_kind, variance, _ in self.cells():
             self._cell_config(solver, mech_kind, variance)
         if self.dataset == "synthetic":
-            SyntheticSpec(self.m, self.n, self.data_rank, 1.0)  # fractions checked above
+            data_io._synthetic_shape(self.m, self.n, self.data_rank)
             self._check_data(self.m, self.n)
-
-    def solver_config(self) -> SolverConfig:
-        """The noiseless solver config; _cell_config replaces its mechanism and
-        run_plan passes each trial's stream."""
-        return SolverConfig(
-            rank=self.rank, lam=self.lam, outer_iterations=self.outer_iterations,
-            inner_iterations=self.irls_iterations, huber_loss_alpha=self.huber_loss_alpha,
-        )
 
     def _cell_config(self, solver: str, mech_kind: str, variance: float | None):
         """A cell's solver config and the IRLS loss alpha it records (None for
-        als). A variance that no Huber alpha reaches raises CalibrationError."""
-        mech = MechanismConfig.from_variance(mech_kind, variance)
-        config = replace(self.solver_config(), mechanism=mech)
-        if solver != "irls":
-            return config, None
-        if config.huber_loss_alpha is None and variance is not None:
-            # from the plan's variance, which mech.variance() gives back a few
-            # ulps off, so every irls cell at one variance shares one alpha
-            alpha = mechanisms.huber_alpha_for_variance(variance)
-            config = replace(config, huber_loss_alpha=alpha)
-        return config, lrmc.resolve_loss_alpha(config)
+        als): the plan's huber_loss_alpha, else the alpha of the variance as
+        the plan states it (0 for kind none), which mech.variance() gives back
+        a few ulps off, so every irls cell at one variance shares one alpha.
+        A variance that no Huber alpha reaches raises CalibrationError."""
+        alpha = self.huber_loss_alpha if solver == "irls" else None
+        if solver == "irls" and alpha is None:
+            alpha = mechanisms.huber_alpha_for_variance(variance or 0.0)
+        config = SolverConfig(
+            rank=self.rank, lam=self.lam, outer_iterations=self.outer_iterations,
+            inner_iterations=self.irls_iterations, huber_loss_alpha=alpha,
+            mechanism=MechanismConfig.from_variance(mech_kind, variance),
+        )
+        return config, config.huber_loss_alpha
 
     def _check_data(self, m: int, n: int, observed: int | None = None, split=False) -> None:
         """Reject a rank or fraction that no trial on m x n data can run. A file
@@ -511,17 +509,10 @@ def cmd_gen(args) -> int:
     x, obs = data_io.generate_synthetic(spec)
     path = Path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
-        path,
-        x=x,
-        m=obs.m,
-        n=obs.n,
-        rows=obs.rows,
-        cols=obs.cols,
-        values=obs.values,
-        rank=spec.rank,
-        seed=spec.seed,
-    )
+    # through a file handle: given a path, np.savez would append .npz to it
+    with path.open("wb") as fh:
+        np.savez(fh, x=x, m=obs.m, n=obs.n, rows=obs.rows, cols=obs.cols, values=obs.values,
+                 rank=spec.rank, seed=spec.seed)
     print(
         f"wrote {path}: {obs.m}x{obs.n} rank-{spec.rank} matrix, "
         f"{obs.n_observed} observed entries ({obs.observed_fraction:.1%})"
@@ -547,9 +538,6 @@ def cmd_run(args) -> int:
         if unknown:
             raise ValueError(f"unknown plan fields: {sorted(unknown)}")
     payload.update(given)
-    kind = str(payload.get("dataset", "synthetic")).partition(":")[0]
-    for key, value in _FILE_KINDS.get(kind, (None, {}))[1].items():
-        payload.setdefault(key, value)
     plan = ExperimentPlan(**payload)
     records, failures = run_plan(plan)
     print(_rmse_table(records, failures))

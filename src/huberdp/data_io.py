@@ -86,12 +86,21 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("m", 1), ("n", 1), ("rank", 0), ("seed", 0)):
-            object.__setattr__(self, name, _count(getattr(self, name), name, least))
-        if not 1 <= self.rank <= min(self.m, self.n):
-            raise ValueError(f"synthetic rank {self.rank} must lie in [1, {min(self.m, self.n)}]")
+        for name, value in zip(("m", "n", "rank"), _synthetic_shape(self.m, self.n, self.rank)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
         _observed_count(self.observed_fraction, self.m, self.n)
         object.__setattr__(self, "observed_fraction", float(self.observed_fraction))
+
+
+def _synthetic_shape(m: int, n: int, rank: int) -> tuple[int, int, int]:
+    """m, n and the synthetic rank as Python ints, or a ValueError naming the
+    one that is not a count in range: m and n of at least 1, the rank in
+    [1, min(m, n)]."""
+    m, n, rank = _count(m, "m", 1), _count(n, "n", 1), _count(rank, "synthetic rank", 1)
+    if rank > min(m, n):
+        raise ValueError(f"synthetic rank {rank} must lie in [1, {min(m, n)}]")
+    return m, n, rank
 
 
 def _observed_count(fraction: float, m: int, n: int) -> int:
@@ -122,6 +131,7 @@ def synthetic_truth(m: int, n: int, rank: int, rng: np.random.Generator) -> np.n
     1/sqrt(rank) scale (each factor is scaled by rank^-1/4), so the entry
     variance is 1 at every rank. Values are real and unclipped.
     """
+    m, n, rank = _synthetic_shape(m, n, rank)
     scale = rank**0.25
     u = rng.standard_normal((m, rank)) / scale
     v = rng.standard_normal((n, rank)) / scale

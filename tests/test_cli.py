@@ -4,12 +4,10 @@ import json
 import logging
 import traceback
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from huberdp import data_io, lrmc, mechanisms
+from huberdp import bench_cli, data_io, lrmc, mechanisms
 from huberdp.bench_cli import ExperimentPlan, _stream, _trial_data, main, run_plan
 from huberdp.data_io import SyntheticSpec, generate_synthetic, load_run
 from huberdp.mechanisms import MechanismConfig
@@ -17,6 +15,19 @@ from huberdp.mechanisms import MechanismConfig
 
 def run_cli(args):
     return main(args)
+
+
+def _written(directory):
+    """The files of a run --out directory: each record without its
+    wall_clock_sec, and summary.csv's bytes."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        if path.suffix == ".json":
+            files[path.name] = {k: v for k, v in json.loads(path.read_text()).items()
+                                if k != "wall_clock_sec"}
+        else:
+            files[path.name] = path.read_bytes()
+    return files
 
 
 #: a 20x20 plan that runs in well under a second, for rows that override one flag
@@ -144,17 +155,23 @@ class TestVerifyPrivacyCommand:
 
 
 class TestGenCommand:
-    def test_writes_loadable_dataset(self, tmp_path, capsys):
-        out = tmp_path / "data.npz"
+    # np.savez given a path without the suffix would write data.npz instead
+    @pytest.mark.parametrize("name", ["data.npz", "data"])
+    def test_writes_loadable_dataset(self, name, tmp_path, capsys):
+        out = tmp_path / name
         code = run_cli(
             ["gen", "--m", "40", "--n", "30", "--rank", "2",
              "--fraction", "0.3", "--seed", "5", "--out", str(out)]
         )
         assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
         with np.load(out) as npz:
             assert npz["x"].shape == (40, 30)
             assert npz["rows"].size == int(0.3 * 40 * 30)
             assert "value_range" not in npz.files
+        assert run_cli(["run", "--dataset", f"file:{out}", "--rank", "2", "--solver", "als",
+                        "--mechanism", "none", "--fraction", "1", "--trials", "1",
+                        "--outer-t", "2"]) == 0
 
 
 class TestRunCommand:
@@ -226,7 +243,7 @@ class TestRunCommand:
             (["run", "--plan", "{tmp}/plan.json"], {"trials": "3"},
              "plan field trials must be int, got '3'"),
             (["run", "--plan", "{tmp}/plan.json"], {"rank": 2.5},
-             "plan field rank must be int, got 2.5"),
+             "plan field rank must be int | None, got 2.5"),
             (["run", "--variance", "-1"], None, "variance must be a positive real, got -1.0"),
             (["run", "--variance", "2,nan"], None, "variance must be a positive real, got nan"),
             (["run", "--fraction", "0"], None, "fraction 0.0 must lie in (0, 1]"),
@@ -243,7 +260,8 @@ class TestRunCommand:
             (SMALL + ["--huber-loss-alpha", "-1"], None,
              "huber_loss_alpha must be a positive real"),
             (SMALL + ["--m", "0"], None, "m must be >= 1, got 0"),
-            (SMALL + ["--data-rank", "0"], None, "synthetic rank 0 must lie in [1, 20]"),
+            (SMALL + ["--data-rank", "0"], None, "synthetic rank must be >= 1, got 0"),
+            (SMALL + ["--data-rank", "-1"], None, "synthetic rank must be >= 1, got -1"),
             (SMALL + ["--data-rank", "40"], None, "synthetic rank 40 must lie in [1, 20]"),
             (SMALL + ["--data-rank", "40", "--trial-mode", "fresh_matrix"], None,
              "synthetic rank 40 must lie in [1, 20]"),
@@ -298,6 +316,8 @@ class TestRunCommand:
               "--trials", "1"], None, "u.data is not an npz archive"),
             (["gen", "--seed", "-1", "--out", "{tmp}/g.npz"], None,
              "seed must be >= 0, got -1"),
+            (["gen", "--rank", "-1", "--out", "{tmp}/g.npz"], None,
+             "synthetic rank must be >= 1, got -1"),
             (["gen", "--m", "20", "--n", "20", "--fraction", "0.001", "--out", "{tmp}/g.npz"],
              None, "fraction 0.001 observes no entry of a 20x20 matrix"),
             # a sensitivity of 0 would print epsilon 0, a claim of perfect privacy
@@ -320,6 +340,7 @@ class TestRunCommand:
              "empty-fractions", "empty-variances", "fraction-observes-nothing",
              "zero-rank", "rank-above-shape", "negative-lambda", "zero-outer-t",
              "zero-irls-k", "negative-loss-alpha", "zero-m", "zero-data-rank",
+             "negative-data-rank",
              "data-rank-above-shape", "data-rank-above-shape-fresh-matrix",
              "zero-delta", "holdout-above-one", "negative-seed",
              "negative-seed-fresh-matrix", "empty-solvers", "empty-mechanisms",
@@ -328,7 +349,7 @@ class TestRunCommand:
              "delta-f-zero", "delta-f-nan", "file-fresh-matrix", "als-loss-alpha",
              "plan-list", "plan-int", "plan-null", "file-float-rows", "file-fractional-m",
              "file-nan-n", "file-x-shape", "file-missing-rows", "file-empty", "file-npy",
-             "file-text", "gen-negative-seed", "gen-fraction-observes-nothing",
+             "file-text", "gen-negative-seed", "gen-negative-rank", "gen-fraction-observes-nothing",
              "budget-delta-f-zero", "budget-delta-f-negative", "calibrate-delta-f-zero",
              "calibrate-delta-f-nan", "ratings-keys-wrap"],
     )
@@ -584,20 +605,9 @@ class TestRunPlanApi:
                               irls_iterations=2, seed=3, out=str(tmp_path / "api"))
         records, failures = run_plan(plan)
         assert not failures
-
-        def written(directory):
-            files = {}
-            for path in sorted(directory.iterdir()):
-                if path.suffix == ".json":
-                    files[path.name] = {k: v for k, v in json.loads(path.read_text()).items()
-                                        if k != "wall_clock_sec"}
-                else:
-                    files[path.name] = path.read_bytes()
-            return files
-
-        api = written(tmp_path / "api")
+        api = _written(tmp_path / "api")
         assert len(api) == len(records) + 1 and "summary.csv" in api
-        assert api == written(tmp_path / "cli")
+        assert api == _written(tmp_path / "cli")
 
     def test_fresh_matrix_trial_matches_generate_synthetic(self):
         # fresh_matrix draws truth and mask from one (seed, 1, fraction, trial)
@@ -645,8 +655,7 @@ class TestRunPlanApi:
         assert not failures
         assert len(records) == 8
         for record in records:
-            mech = MechanismConfig.from_variance(record.mechanism, record.variance)
-            config = replace(plan.solver_config(), mechanism=mech)
+            config, _ = plan._cell_config(record.solver, record.mechanism, record.variance)
             solve = lrmc.noisy_als if record.solver == "als" else lrmc.irls_huber
             frac_idx = plan.fractions.index(record.fraction)
             for t, entropy in enumerate(record.config["trial_streams"]):
@@ -745,26 +754,58 @@ class TestRunPlanApi:
                 variances=[3e24], fractions=[0.5], trials=1, outer_iterations=2,
             )
 
-    def test_protocol_defaults_for_real_datasets(self, tmp_path, capsys):
-        # MovieLens-format runs default to rank 32 / 20 sweeps unless overridden
+    @pytest.mark.parametrize("kind,given,rank,sweeps", [
+        ("movielens", {}, 32, 20),
+        ("sweetrs", {}, 32, 100),
+        ("synthetic", {}, 5, 50),
+        ("file", {}, 5, 50),
+        ("movielens", {"rank": 3}, 3, 20),
+        ("sweetrs", {"outer_iterations": 2}, 32, 2),
+    ], ids=["movielens", "sweetrs", "synthetic", "file", "movielens-rank-given",
+            "sweetrs-sweeps-given"])
+    def test_protocol_defaults_for_real_datasets(self, kind, given, rank, sweeps, tmp_path,
+                                                 capsys):
+        # an unset rank or outer_iterations takes the dataset kind's protocol
+        # value, in `run` as in an ExperimentPlan built in Python; a given one wins
         rng = np.random.default_rng(3)
-        lines = [
-            f"{u + 1}\t{i + 1}\t{int(r)}\t0"
-            for u in range(40)
-            for i, r in zip(rng.choice(40, 38, replace=False), rng.integers(1, 6, 38))
-        ]
-        path = tmp_path / "u.data"
-        path.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "results"
-        code = run_cli(
-            ["run", "--dataset", f"movielens:{path}", "--mechanism", "none",
-             "--solver", "als", "--fraction", "1.0", "--trials", "1",
-             "--outer-t", "2", "--seed", "1", "--out", str(out)]
-        )
-        assert code == 0
-        record = load_run(out / "run-als-none-f1.json")
-        assert record.rank == 32  # protocol default survived
-        assert record.config["outer_iterations"] == 2  # explicit flag won
+        ratings = [(u + 1, i + 1, int(r)) for u in range(40)
+                   for i, r in zip(rng.choice(40, 38, replace=False), rng.integers(1, 6, 38))]
+        path = tmp_path / "data"
+        if kind == "movielens":
+            path.write_text("".join(f"{u}\t{i}\t{r}\t0\n" for u, i, r in ratings))
+        elif kind == "sweetrs":
+            path.write_text("".join(f"{u},{i},{r}\n" for u, i, r in ratings))
+        elif kind == "file":
+            assert run_cli(["gen", "--m", "40", "--n", "30", "--rank", "2", "--fraction", "0.5",
+                            "--out", str(path)]) == 0
+        shape = {"m": 20, "n": 20} if kind == "synthetic" else {}
+        dataset = "synthetic" if kind == "synthetic" else f"{kind}:{path}"
+        fields = dict(dataset=dataset, solvers=["als"], mechanisms=["none"], fractions=[1.0],
+                      trials=1, seed=1, **shape, **given)
+        flags = {"m": "--m", "n": "--n", "rank": "--rank", "outer_iterations": "--outer-t"}
+        argv = ["run", "--dataset", dataset, "--solver", "als", "--mechanism", "none",
+                "--fraction", "1.0", "--trials", "1", "--seed", "1"]
+        for name, value in {**shape, **given}.items():
+            argv += [flags[name], str(value)]
+        assert run_cli(argv + ["--out", str(tmp_path / "cli")]) == 0
+        plan = ExperimentPlan(**fields, out=str(tmp_path / "api"))
+        assert (plan.rank, plan.outer_iterations) == (rank, sweeps)
+        records, failures = run_plan(plan)
+        assert not failures
+        record = load_run(tmp_path / "cli" / "run-als-none-f1.json")
+        assert (record.rank, record.config["outer_iterations"]) == (rank, sweeps)
+        assert _written(tmp_path / "api") == _written(tmp_path / "cli")
+
+    def test_json_null_takes_the_protocol_value(self, tmp_path, monkeypatch, capsys):
+        # null in a plan file leaves the field unset, as an omitted one is
+        plans = []
+        monkeypatch.setattr(bench_cli, "run_plan", lambda plan: plans.append(plan) or ([], []))
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"dataset": f"movielens:{tmp_path}/u.data",
+                                         "rank": None, "outer_iterations": None}))
+        assert run_cli(["run", "--plan", str(plan_path)]) == 0
+        [plan] = plans
+        assert (plan.rank, plan.outer_iterations) == (32, 20)
 
     def test_infeasible_subsample_fails_cell(self, tmp_path):
         # the file's size is known once it is loaded, so run_plan rejects the

@@ -14,7 +14,9 @@ from scipy import integrate, special, stats
 from scipy.optimize import brentq
 
 from huberdp import bench_cli, mechanisms
-from huberdp.data_io import SyntheticSpec, holdout_split, mask_entries, subsample
+from huberdp.data_io import (
+    SyntheticSpec, holdout_split, mask_entries, subsample, synthetic_truth,
+)
 from huberdp.lrmc import ObservedMatrix, SolverConfig
 from huberdp.mechanisms import (
     CalibrationError,
@@ -774,9 +776,7 @@ COUNT_FIELDS = [
     ("n", lambda v: ObservedMatrix(3, v, [0], [0], [1.0]), lambda o: o.n, 1),
     ("m", lambda v: SyntheticSpec(v, 3, 1, 1.0), lambda s: s.m, 1),
     ("n", lambda v: SyntheticSpec(3, v, 1, 1.0), lambda s: s.n, 1),
-    # its upper bound depends on m and n, so rank keeps its own rule, which
-    # names the synthetic rank; the count rule takes any value >= 0
-    ("rank", lambda v: SyntheticSpec(3, 3, v, 1.0), lambda s: s.rank, 0),
+    ("synthetic rank", lambda v: SyntheticSpec(3, 3, v, 1.0), lambda s: s.rank, 1),
     ("seed", lambda v: SyntheticSpec(3, 3, 1, 1.0, seed=v), lambda s: s.seed, 0),
     ("rank", lambda v: SolverConfig(rank=v), lambda c: c.rank, 1),
     ("outer_iterations", lambda v: SolverConfig(rank=1, outer_iterations=v),
@@ -787,6 +787,10 @@ COUNT_FIELDS = [
      lambda c: c.iterations, 1),
     ("k", lambda v: sample(MechanismConfig.huber(2.0), v, np.random.default_rng(0)),
      lambda d: d.values.size, 0),
+    # a matrix stores no count; its shape holds m and n
+    ("m", lambda v: synthetic_truth(v, 3, 1, np.random.default_rng(0)), lambda x: x.shape[0], 1),
+    ("n", lambda v: synthetic_truth(3, v, 1, np.random.default_rng(0)), lambda x: x.shape[1], 1),
+    ("synthetic rank", lambda v: synthetic_truth(3, 3, v, np.random.default_rng(0)), None, 1),
 ]
 
 # a plan's counts pass the JSON type check first
@@ -841,8 +845,7 @@ class TestScalarParameterRule:
     def test_counts_keep_their_range_rules(self, name, call, least):
         with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
             call(least - 1)
-        if (name, least) != ("rank", 0):  # SyntheticSpec's own rule refuses rank 0
-            call(least)
+        call(least)
 
     # the plan's JSON type check takes a float subclass but no numpy integer
     @pytest.mark.parametrize("name,call,read,value", [
@@ -856,8 +859,9 @@ class TestScalarParameterRule:
 
     @pytest.mark.parametrize("name,call,read", [entry[:3] for entry in COUNT_FIELDS])
     def test_counts_take_numpy_integers_and_store_python_ints(self, name, call, read):
-        stored = read(call(np.int64(3)))
-        assert type(stored) is int and stored == 3
+        out = call(np.int64(3))
+        if read is not None:
+            assert type(read(out)) is int and read(out) == 3
 
     def test_narrow_numpy_shape_does_not_overflow(self):
         obs = ObservedMatrix(np.int8(100), np.int8(100), [0], [0], [1.0])

@@ -97,8 +97,10 @@ class ExperimentPlan:
     plan and redraws the observation mask (and noise) per trial;
     "fresh_matrix" regenerates the ground truth each trial as well, so it
     applies to synthetic data only. rank and outer_iterations left None take
-    the dataset kind's protocol values (see _FILE_KINDS). Fields are checked
-    when the plan is built, a dataset file's shape once it loads.
+    the dataset kind's protocol values (see _FILE_KINDS) where they are read,
+    so a plan that dataclasses.replace moves to another kind takes that
+    kind's. Fields are checked when the plan is built, a dataset file's shape
+    once it loads.
     """
 
     dataset: str = "synthetic"
@@ -133,9 +135,6 @@ class ExperimentPlan:
                 f"dataset {self.dataset!r} must be synthetic or KIND:PATH with "
                 f"KIND one of {sorted(_FILE_KINDS)}"
             )
-        _, rank, sweeps = _FILE_KINDS.get(kind, _FILE_KINDS["file"])
-        self.rank = rank if self.rank is None else self.rank
-        self.outer_iterations = sweeps if self.outer_iterations is None else self.outer_iterations
         for s in self.solvers:
             if s not in _SOLVERS:
                 raise ValueError(f"unknown solver {s!r}")
@@ -189,20 +188,29 @@ class ExperimentPlan:
         alpha = self.huber_loss_alpha if solver == "irls" else None
         if solver == "irls" and alpha is None:
             alpha = mechanisms.huber_alpha_for_variance(variance or 0.0)
+        rank, sweeps = self._rank_and_sweeps()
         config = SolverConfig(
-            rank=self.rank, lam=self.lam, outer_iterations=self.outer_iterations,
+            rank=rank, lam=self.lam, outer_iterations=sweeps,
             inner_iterations=self.irls_iterations, huber_loss_alpha=alpha,
             mechanism=MechanismConfig.from_variance(mech_kind, variance),
         )
         return config, config.huber_loss_alpha
+
+    def _rank_and_sweeps(self) -> tuple[int, int]:
+        """rank and outer_iterations as the cells run them: the given values,
+        else the dataset kind's protocol values."""
+        _, rank, sweeps = _FILE_KINDS.get(self.dataset.partition(":")[0], _FILE_KINDS["file"])
+        return (rank if self.rank is None else self.rank,
+                sweeps if self.outer_iterations is None else self.outer_iterations)
 
     def _check_data(self, m: int, n: int, observed: int | None = None, split=False) -> None:
         """Reject a rank or fraction that no trial on m x n data can run. A file
         of `observed` entries runs fraction 1.0 as is and subsamples
         int(fraction * m * n) of them otherwise, so a lower fraction must not
         need more; with split, each trial holds holdout_fraction of them out."""
-        if self.rank > min(m, n):
-            raise ValueError(f"rank {self.rank} exceeds min(m, n) = {min(m, n)} of the data")
+        rank = self._rank_and_sweeps()[0]
+        if rank > min(m, n):
+            raise ValueError(f"rank {rank} exceeds min(m, n) = {min(m, n)} of the data")
         for f in self.fractions:
             k = observed if f == 1.0 and observed is not None else data_io._observed_count(f, m, n)
             if observed is not None and k > observed:
@@ -348,14 +356,14 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
                 mechanism=mech_kind,
                 variance=variance,
                 fraction=fraction,
-                rank=plan.rank,
+                rank=config.rank,
                 rmse_trials=trial_rmse,
                 epsilon=budget.epsilon,
                 delta=budget.delta,
                 seed=plan.seed,
                 config={
                     "lam": plan.lam,
-                    "outer_iterations": plan.outer_iterations,
+                    "outer_iterations": config.outer_iterations,
                     "irls_iterations": plan.irls_iterations,
                     "mechanism_scale": mech.scale,
                     "huber_loss_alpha": loss_alpha,

@@ -16,8 +16,10 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field, asdict
+from itertools import chain, filterfalse
+from operator import methodcaller
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -168,11 +170,12 @@ def mask_entries(x: np.ndarray, fraction: float, rng: np.random.Generator) -> Ob
 
 #: per ratings format: field separator, row dtype for numpy's reader, and
 #: whether line 1 may be a header (a first field that is not an integer id).
-#: MovieLens's timestamp is not read: as one character of text its
-#: conversion cannot fail, and the reader still counts it as a field.
+#: MovieLens's timestamp is not read: as text of no characters its
+#: conversion cannot fail and takes no bytes, and the reader still counts it
+#: as a field.
 _RATINGS_FORMATS = {
     "movielens": ("\t", np.dtype([("user", "i8"), ("item", "i8"), ("rating", "f8"),
-                                  ("timestamp", "U1")]), False),
+                                  ("timestamp", "U0")]), False),
     "sweetrs": (",", np.dtype([("user", "i8"), ("item", "i8"), ("rating", "f8")]), True),
 }
 
@@ -186,59 +189,80 @@ def _is_header(first_field: str) -> bool:
     return not first_field.strip().lstrip("-").isdigit()
 
 
+#: characters of text read per block; a block's lines go to numpy's reader
+#: before the next block is read
+_BLOCK_CHARS = 1 << 16
+
+
+def _kept_lines(block: str) -> Iterator[str]:
+    """The lines of a text block that numpy's reader is given: whitespace-only
+    lines are dropped (the reader skips empty lines itself, but not these),
+    then _PADDING_NUMPY_ONLY is mapped."""
+    lines = filterfalse(str.isspace, block.split("\n"))
+    if any(chr(c) in block for c in _PADDING_NUMPY_ONLY):
+        return map(methodcaller("translate", _PADDING_NUMPY_ONLY), lines)
+    return lines
+
+
+def _data_lines(fh, sep: str, header: bool) -> Iterator[str]:
+    """The kept lines of a text handle, without line 1 if it is a header. The
+    handle is read in blocks that end at a line's end, so only one block's
+    lines exist at a time, never a list of the file's."""
+    first = fh.readline()
+    blocks = iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), "")
+    if not (header and _is_header(first.split(sep, 1)[0])):
+        blocks = chain([first], blocks)
+    return chain.from_iterable(map(_kept_lines, blocks))
+
+
 def _parse_ratings(path, kind: str, report: ParseReport | None) -> ObservedMatrix:
-    """One bulk read by numpy's reader for every `_RATINGS_FORMATS` kind;
-    whitespace-only lines are skipped. Each coordinate keeps its first
-    position and its last value. Ratings off the 1-5 scale are kept, and
-    only counted. A file that is not UTF-8, or that the reader or the id and
-    rating checks refuse, goes to _raise_first_bad_line, which names its
-    first bad line."""
+    """One streaming read of _data_lines by numpy's reader for every
+    `_RATINGS_FORMATS` kind. Each coordinate keeps its first position and
+    its last value. Ratings off the 1-5 scale are kept, and only counted. A
+    file that is not UTF-8, or that the reader or the id and rating checks
+    refuse, goes to _raise_first_bad_line, which names its first bad line."""
     sep, row, header = _RATINGS_FORMATS[kind]
     path = Path(path)
     if not path.is_file():
         raise RatingsParseError(f"{path}: no such file")
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        _raise_first_bad_line(path, kind)
-    lines = text.split("\n")
-    if header and _is_header(lines[0].split(sep, 1)[0]):
-        del lines[0]
-    # the reader skips empty lines itself, but not whitespace-only ones
-    lines = [line for line in lines if not line.isspace()]
-    if not any(lines):
-        raise RatingsParseError(f"{path}: no ratings found")
-    if any(chr(c) in text for c in _PADDING_NUMPY_ONLY):
-        lines = [line.translate(_PADDING_NUMPY_ONLY) for line in lines]
-    try:
-        with warnings.catch_warnings():
+        with path.open(encoding="utf-8") as fh, warnings.catch_warnings():
             # numpy < 2 reads an integer field such as "1.5" through float,
             # with only a DeprecationWarning
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(lines, dtype=row, delimiter=sep, comments=None, ndmin=1)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(_data_lines(fh, sep, header), dtype=row, delimiter=sep,
+                               comments=None, ndmin=1)
     except (ValueError, DeprecationWarning):
+        # a UnicodeDecodeError is a ValueError
         _raise_first_bad_line(path, kind)
-    users, items, values = table["user"], table["item"], table["rating"].copy()
-    if (users < 1).any() or (items < 1).any() or not np.isfinite(values).all():
+    if not table.size:
+        raise RatingsParseError(f"{path}: no ratings found")
+    users, items = table["user"], table["item"]
+    if (users < 1).any() or (items < 1).any() or not np.isfinite(table["rating"]).all():
         _raise_first_bad_line(path, kind)
-    rows, cols = users - 1, items - 1
+    rows, cols, values = users - 1, items - 1, table["rating"].copy()
+    # the table and then the sorted keys are freed once read, so ingest's
+    # peak is the table plus the returned arrays
+    del table, users, items
     m, n = int(rows.max()) + 1, int(cols.max()) + 1
     lo, hi = 1.0, 5.0
     out_of_range = int(np.count_nonzero(~((lo <= values) & (values <= hi))))
     try:
-        flat = _flat_keys(rows, cols, m, n)
+        keys = _flat_keys(rows, cols, m, n)
     except ValueError as exc:
         raise RatingsParseError(f"{path}: {exc}") from exc
-    keys = np.sort(flat)
+    keys.sort()
     new_key = np.concatenate(([True], keys[1:] != keys[:-1]))
-    duplicates = flat.size - int(np.count_nonzero(new_key))
+    del keys
+    duplicates = rows.size - int(np.count_nonzero(new_key))
     if duplicates:
         # a stable sort keeps each key's entries in file order: the first of
         # a run is the key's first position, the last of it its last write
-        order = np.argsort(flat, kind="stable")
+        order = np.argsort(_flat_keys(rows, cols, m, n), kind="stable")
         starts = np.flatnonzero(new_key)
         last = np.empty_like(order)
-        last[order[starts]] = order[np.append(starts[1:], flat.size) - 1]
+        last[order[starts]] = order[np.append(starts[1:], rows.size) - 1]
         first = np.sort(order[starts])
         rows, cols, values = rows[first], cols[first], values[last[first]]
         logger.warning("%s: %d duplicate ratings, last write wins", path, duplicates)

@@ -1,5 +1,6 @@
 """Tests for the benchmark command line."""
 
+import dataclasses
 import json
 import logging
 import traceback
@@ -789,7 +790,7 @@ class TestRunPlanApi:
             argv += [flags[name], str(value)]
         assert run_cli(argv + ["--out", str(tmp_path / "cli")]) == 0
         plan = ExperimentPlan(**fields, out=str(tmp_path / "api"))
-        assert (plan.rank, plan.outer_iterations) == (rank, sweeps)
+        assert plan._rank_and_sweeps() == (rank, sweeps)
         records, failures = run_plan(plan)
         assert not failures
         record = load_run(tmp_path / "cli" / "run-als-none-f1.json")
@@ -805,7 +806,41 @@ class TestRunPlanApi:
                                          "rank": None, "outer_iterations": None}))
         assert run_cli(["run", "--plan", str(plan_path)]) == 0
         [plan] = plans
-        assert (plan.rank, plan.outer_iterations) == (32, 20)
+        assert plan._rank_and_sweeps() == (32, 20)
+
+    @pytest.mark.parametrize("given,dataset,rank,sweeps", [
+        ({}, "movielens:u.data", 32, 20),
+        ({}, "sweetrs:r.csv", 32, 100),
+        ({"rank": 7}, "movielens:u.data", 7, 20),
+        ({"rank": 5, "outer_iterations": 50}, "sweetrs:r.csv", 5, 50),
+        ({}, "synthetic", 5, 50),
+    ], ids=["movielens", "sweetrs", "rank-given", "synthetic-values-given", "back-to-synthetic"])
+    def test_replace_takes_the_new_kinds_protocol_values(self, given, dataset, rank, sweeps):
+        # an unset rank or outer_iterations stays None, so a plan moved to
+        # another dataset kind runs that kind's values; a given one stays,
+        # even one equal to the old kind's protocol value
+        start = ExperimentPlan(dataset="movielens:x" if dataset == "synthetic" else "synthetic",
+                               **given)
+        config, _ = dataclasses.replace(start, dataset=dataset)._cell_config("als", "none", None)
+        assert (config.rank, config.outer_iterations) == (rank, sweeps)
+
+    def test_replaced_plan_writes_the_records_run_writes(self, tmp_path, capsys):
+        path = tmp_path / "u.data"
+        rng = np.random.default_rng(5)
+        path.write_text("".join(f"{u + 1}\t{i + 1}\t{r}\t0\n" for u in range(40)
+                                for i, r in zip(rng.choice(40, 38, replace=False),
+                                                rng.integers(1, 6, 38))))
+        dataset = f"movielens:{path}"
+        assert run_cli(["run", "--dataset", dataset, "--solver", "als", "--mechanism", "none",
+                        "--fraction", "1.0", "--trials", "1", "--seed", "1", "--outer-t", "2",
+                        "--out", str(tmp_path / "cli")]) == 0
+        start = ExperimentPlan(m=20, n=20, solvers=["als"], mechanisms=["none"],
+                               fractions=[1.0], trials=1, seed=1, outer_iterations=2)
+        plan = dataclasses.replace(start, dataset=dataset, out=str(tmp_path / "api"))
+        _, failures = run_plan(plan)
+        assert not failures
+        assert load_run(tmp_path / "api" / "run-als-none-f1.json").rank == 32
+        assert _written(tmp_path / "api") == _written(tmp_path / "cli")
 
     def test_infeasible_subsample_fails_cell(self, tmp_path):
         # the file's size is known once it is loaded, so run_plan rejects the

@@ -4,12 +4,14 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from huberdp import data_io
 from huberdp.data_io import (
     ParseReport,
     RatingsParseError,
@@ -145,6 +147,26 @@ class TestParseMovielens:
         obs = parse_movielens(path, report)
         assert report.out_of_range == 1
         assert (obs.rows.tolist(), obs.cols.tolist(), obs.values.tolist()) == ([0, 1], [0, 1], [7.0, 1.0])
+
+    def test_ingest_memory_scales_with_the_parsed_arrays(self, tmp_path):
+        # the file streams through numpy's reader, so the traced peak is the
+        # reader's table plus the returned arrays, about 2.4x a file of
+        # 20-byte lines; a read that holds the text and a list of its lines
+        # reaches about 9x
+        rng = np.random.default_rng(0)
+        keys = rng.choice(943 * 1682, 50_000, replace=False)
+        table = np.column_stack([keys // 1682 + 1, keys % 1682 + 1, rng.integers(1, 6, keys.size),
+                                 rng.integers(874_724_710, 892_724_710, keys.size)])
+        path = tmp_path / "u.data"
+        np.savetxt(path, table, fmt="%d", delimiter="\t")
+        tracemalloc.start()
+        try:
+            obs = parse_movielens(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obs.n_observed == keys.size
+        assert peak < 4 * path.stat().st_size
 
     CANONICAL = os.environ.get("HUBERDP_MOVIELENS", "data/ml-100k/u.data")
 
@@ -333,8 +355,9 @@ class TestRatingsParserEdges:
 
     def test_header_only_sweetrs_has_no_ratings(self, tmp_path):
         path = tmp_path / "sweetrs.csv"
-        message, lineno = _parse_error(parse_sweetrs, path, "user,item,rating\n\n")
-        assert (message, lineno) == (f"{path}: no ratings found", None)
+        for text in ("user,item,rating\n\n", "user,item,rating\n \t \n"):
+            message, lineno = _parse_error(parse_sweetrs, path, text)
+            assert (message, lineno) == (f"{path}: no ratings found", None)
 
     @pytest.mark.parametrize(
         "line,field",
@@ -373,8 +396,9 @@ class TestRatingsParserEdges:
         "parse,data,lineno",
         [(parse_movielens, b"1\t1\t5\t0\n1\t2\t4\t0 \xff\n1\t3\n", 2),
          (parse_sweetrs, b"1,1,5\n1,2\xff,4\n", 2),
-         (parse_sweetrs, b"us\xe9r,item,rating\n1,1,5\n", 1)],
-        ids=["movielens", "sweetrs", "sweetrs-header"],
+         (parse_sweetrs, b"us\xe9r,item,rating\n1,1,5\n", 1),
+         (parse_movielens, b"1\t1\t3\t0\n2\t2\t4\t1\n3\t3\xff\t5\t2\n", 3)],
+        ids=["movielens", "sweetrs", "sweetrs-header", "movielens-line-3"],
     )
     def test_line_that_is_not_utf8_names_its_line(self, parse, data, lineno, tmp_path):
         # an undecodable byte is its line's first error, a header's too
@@ -395,6 +419,73 @@ class TestRatingsParserEdges:
         assert message.startswith(f"{path}:3: invalid literal for int()") and lineno == 3
         path.write_text(f"1\t1\t3\t0\n{pad}\n2\t2\t4\t{pad}\n")
         assert parse_movielens(path).n_observed == 2
+
+    @pytest.mark.parametrize(
+        "parse,data,expected",
+        [(parse_movielens, b"1\t1\t3\t0\r2\t2\t4\t1\n", ([0, 1], [0, 1], [3.0, 4.0])),
+         (parse_movielens, b"1\t1\t3\t0\r \t\n2\t2\t4\t1\n", ([0, 1], [0, 1], [3.0, 4.0])),
+         (parse_sweetrs, b"user,item,rating\r1,1,3\r2,2,4\n", ([0, 1], [0, 1], [3.0, 4.0])),
+         (parse_movielens, b"1\t1\t3\t0\r\n\r\n \r\n2\t2\t4\t1\r\n", ([0, 1], [0, 1], [3.0, 4.0])),
+         (parse_movielens, "1\t1\t3\t0\n\u3000\n\u00a0\n2\t2\t4\t1\n".encode(),
+          ([0, 1], [0, 1], [3.0, 4.0])),
+         (parse_movielens, "1\t1\t3\u2028\t0\n\u2028\n2\t2\t4\t1\n".encode(),
+          ([0, 1], [0, 1], [3.0, 4.0])),
+         (parse_sweetrs, "\ufeff1,1,3\n2,2,4\n".encode(), ([1], [1], [4.0])),
+         (parse_sweetrs, "\ufeffuser,item,rating\n1,1,3\n".encode(), ([0], [0], [3.0])),
+         (parse_sweetrs, b"user,item,rating\n \t \n1,1,3\n", ([0], [0], [3.0]))],
+        ids=["lone-cr", "lone-cr-before-blank", "sweetrs-lone-cr", "crlf-blank-lines",
+             "u3000-and-u00a0-lines", "u2028-pad-and-line", "bom-data-line-is-a-header",
+             "bom-header", "header-then-whitespace-line"],
+    )
+    def test_line_breaks_and_blank_lines(self, parse, data, expected, tmp_path):
+        # universal newlines split a lone CR; str.isspace lines are blank;
+        # U+2028 breaks no line; a BOM is part of line 1's first field
+        path = tmp_path / "ratings"
+        path.write_bytes(data)
+        obs = parse(path)
+        assert (obs.rows.tolist(), obs.cols.tolist(), obs.values.tolist()) == expected
+
+    @pytest.mark.parametrize(
+        "parse,data,error,lineno",
+        [(parse_movielens, b"1\t1\t3\t0\n2\t2\r\t4\t1\n", "expected 4 fields, got 2", 2),
+         (parse_movielens, "1\t1\t3\t0\u20282\t2\t4\t1\n".encode(), "expected 4 fields, got 7", 1),
+         (parse_sweetrs, "1,1,3\u20282,2,4\n".encode(), "expected 3 fields, got 5", 1),
+         (parse_movielens, b"1\t1\t3\t0\n\x1c2\t2\t4\t1\n",
+          "invalid literal for int() with base 10: '\\x1c2'", 2),
+         (parse_sweetrs, b"1,1,3\n2,2,4\x1e\n", "could not convert string to float: '4\\x1e'", 2),
+         (parse_movielens, "\ufeff1\t1\t3\t0\n2\t2\t4\t1\n".encode(),
+          "invalid literal for int() with base 10: '\\ufeff1'", 1)],
+        ids=["lone-cr-splits-a-line", "u2028-joins-lines", "sweetrs-u2028-joins-lines",
+             "u001c-leads-an-id", "u001e-trails-a-rating", "bom"],
+    )
+    def test_edge_line_names_its_line(self, parse, data, error, lineno, tmp_path):
+        path = tmp_path / "ratings"
+        path.write_bytes(data)
+        with pytest.raises(RatingsParseError) as err:
+            parse(path)
+        assert (str(err.value), err.value.line_number) == (f"{path}:{lineno}: {error}", lineno)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    def test_read_block_size_changes_no_parse(self, block, tmp_path, monkeypatch):
+        # lines, CRLF pairs and a lone CR that straddle a block's end
+        lines = [f"{u}\t{i}\t{(u * i) % 5 + 1}\t{u}" for u in range(1, 30) for i in (1, 3)]
+        text = "\r\n".join(lines[:20]) + "\r\n \n\n" + "\r".join(lines[20:]) + "\n1\t1\t4\t\x1c\n"
+        path = tmp_path / "u.data"
+        path.write_bytes(text.encode())
+        expected_report = ParseReport()
+        expected = parse_movielens(path, expected_report)
+        monkeypatch.setattr(data_io, "_BLOCK_CHARS", block)
+        report = ParseReport()
+        obs = parse_movielens(path, report)
+        assert (obs.m, obs.n) == (expected.m, expected.n) == (29, 3)
+        for name in ("rows", "cols", "values"):
+            np.testing.assert_array_equal(getattr(obs, name), getattr(expected, name))
+        assert report == expected_report == ParseReport(duplicates=1, out_of_range=0)
+        path.write_bytes(text.encode() + b"2\t2\t3\t0\n3\t\x1d3\t4\t0\n")
+        with pytest.raises(RatingsParseError) as err:
+            parse_movielens(path)
+        assert (str(err.value), err.value.line_number) == (
+            f"{path}:63: invalid literal for int() with base 10: '\\x1d3'", 63)
 
 
 class TestSubsample:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io, lrmc, mechanisms
-from .data_io import RunRecord, SyntheticSpec
+from .data_io import RunRecord
 from .lrmc import ObservedMatrix, SolverConfig
 from .mechanisms import MechanismConfig, Sensitivity, _count, _positive_real
 
@@ -263,7 +263,7 @@ def _load_file_dataset(kind: str, path: str) -> tuple[np.ndarray | None, Observe
             raise ValueError(f"{path} lacks npz key(s) {', '.join(missing)}")
         obs = ObservedMatrix(npz["m"].item(), npz["n"].item(), npz["rows"], npz["cols"],
                              npz["values"])
-        truth = npz["x"] if "x" in npz.files else None
+        truth = mechanisms._finite_array(npz["x"], "x") if "x" in npz.files else None
     if not obs.n_observed:
         raise ValueError(f"{path} holds no observed entry")
     if truth is not None and truth.shape != (obs.m, obs.n):
@@ -277,9 +277,9 @@ def _trial_data(
     """One trial's (x, train, test); test None scores against the dense x."""
     if plan.dataset == "synthetic":
         if plan.trial_mode == "fresh_matrix":
-            spec = SyntheticSpec(plan.m, plan.n, plan.data_rank, fraction)
             rng = _stream(plan.seed, _DOMAIN_TRUTH, frac_idx, trial)
-            return (*data_io.generate_synthetic(spec, rng), None)
+            x, obs = data_io.generate_synthetic(plan.m, plan.n, plan.data_rank, fraction, rng)
+            return x, obs, None
         rng = _stream(plan.seed, _DOMAIN_MASK, frac_idx, trial)
         return truth, data_io.mask_entries(truth, fraction, rng), None
     obs = base_obs
@@ -513,16 +513,16 @@ def cmd_verify_privacy(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = SyntheticSpec(args.m, args.n, args.rank, args.fraction, args.seed)
-    x, obs = data_io.generate_synthetic(spec)
+    x, obs = data_io.generate_synthetic(args.m, args.n, args.rank, args.fraction,
+                                        _count(args.seed, "seed"))
     path = Path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
     # through a file handle: given a path, np.savez would append .npz to it
     with path.open("wb") as fh:
         np.savez(fh, x=x, m=obs.m, n=obs.n, rows=obs.rows, cols=obs.cols, values=obs.values,
-                 rank=spec.rank, seed=spec.seed)
+                 rank=args.rank, seed=args.seed)
     print(
-        f"wrote {path}: {obs.m}x{obs.n} rank-{spec.rank} matrix, "
+        f"wrote {path}: {obs.m}x{obs.n} rank-{args.rank} matrix, "
         f"{obs.n_observed} observed entries ({obs.observed_fraction:.1%})"
     )
     return 0

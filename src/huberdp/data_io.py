@@ -27,7 +27,6 @@ from .lrmc import ObservedMatrix, _flat_keys
 from .mechanisms import _count, _real
 
 __all__ = [
-    "SyntheticSpec",
     "ParseReport",
     "RunRecord",
     "RatingsParseError",
@@ -77,24 +76,6 @@ class SchemaVersionError(ValueError):
     """A persisted record uses a schema version this code does not know."""
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Shape, rank, observation density, and seed of a synthetic instance."""
-
-    m: int
-    n: int
-    rank: int
-    observed_fraction: float
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, value in zip(("m", "n", "rank"), _synthetic_shape(self.m, self.n, self.rank)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "seed", _count(self.seed, "seed"))
-        _observed_count(self.observed_fraction, self.m, self.n)
-        object.__setattr__(self, "observed_fraction", float(self.observed_fraction))
-
-
 def _synthetic_shape(m: int, n: int, rank: int) -> tuple[int, int, int]:
     """m, n and the synthetic rank as Python ints, or a ValueError naming the
     one that is not a count in range: m and n of at least 1, the rank in
@@ -141,17 +122,20 @@ def synthetic_truth(m: int, n: int, rank: int, rng: np.random.Generator) -> np.n
 
 
 def generate_synthetic(
-    spec: SyntheticSpec, rng: np.random.Generator | int | None = None
+    m: int, n: int, rank: int, fraction: float, rng: np.random.Generator | int
 ) -> tuple[np.ndarray, ObservedMatrix]:
     """Ground-truth matrix plus a uniformly masked observation of it.
 
     Returns (X, observed): X from synthetic_truth, and observed holding a
-    uniform random sample of floor(observed_fraction * m * n) distinct cells
-    drawn from the same generator.
+    uniform random sample of floor(fraction * m * n) distinct cells drawn
+    from the same generator. The shape and the fraction are checked before
+    anything is drawn.
     """
-    rng = np.random.default_rng(spec.seed if rng is None else rng)
-    x = synthetic_truth(spec.m, spec.n, spec.rank, rng)
-    return x, mask_entries(x, spec.observed_fraction, rng)
+    m, n, rank = _synthetic_shape(m, n, rank)
+    _observed_count(fraction, m, n)
+    rng = np.random.default_rng(rng)
+    x = synthetic_truth(m, n, rank, rng)
+    return x, mask_entries(x, fraction, rng)
 
 
 def mask_entries(x: np.ndarray, fraction: float, rng: np.random.Generator) -> ObservedMatrix:

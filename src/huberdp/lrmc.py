@@ -59,9 +59,12 @@ __all__ = [
 
 def _coordinates(index, name: str) -> np.ndarray:
     """An index array as int64. Integer arrays pass as they are; any other
-    must hold finite whole numbers, which the cast would otherwise truncate."""
+    must hold finite whole numbers, which the cast would otherwise truncate.
+    A bool array is refused: it would run as the coordinates 0 and 1."""
     index = np.asarray(index)
-    if index.dtype.kind not in "biu":
+    if index.dtype.kind == "b" and index.size:
+        raise ValueError(f"{name} must be integer coordinates, got {index.flat[0]}")
+    if index.dtype.kind not in "iu":
         index = np.asarray(index, dtype=float)
         bad = ~(np.isfinite(index) & (index == np.floor(index)))
         if bad.any():

@@ -134,8 +134,7 @@ def test_criterion_6_gradient_suite():
 
 def test_criterion_7_noiseless_solver_correctness():
     started = time.perf_counter()
-    spec = h.SyntheticSpec(m=500, n=500, rank=5, observed_fraction=0.15, seed=MASTER_SEED)
-    x, obs = h.generate_synthetic(spec)
+    x, obs = h.generate_synthetic(500, 500, 5, 0.15, MASTER_SEED)
     als = h.noisy_als(obs, h.SolverConfig(rank=5, lam=0.5, outer_iterations=50), 99)
     als_rmse = h.rmse(x, als)
     irls = h.irls_huber(

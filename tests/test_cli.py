@@ -10,7 +10,7 @@ import pytest
 
 from huberdp import bench_cli, data_io, lrmc, mechanisms
 from huberdp.bench_cli import ExperimentPlan, _stream, _trial_data, main, run_plan
-from huberdp.data_io import SyntheticSpec, generate_synthetic, load_run
+from huberdp.data_io import generate_synthetic, load_run
 from huberdp.mechanisms import MechanismConfig
 
 
@@ -174,6 +174,17 @@ class TestGenCommand:
                         "--mechanism", "none", "--fraction", "1", "--trials", "1",
                         "--outer-t", "2"]) == 0
 
+    def test_writes_the_instance_its_seed_draws(self, tmp_path, capsys):
+        out = tmp_path / "g.npz"
+        assert run_cli(["gen", "--m", "30", "--n", "25", "--rank", "3", "--fraction", "0.4",
+                        "--seed", "3", "--out", str(out)]) == 0
+        x, obs = generate_synthetic(30, 25, 3, 0.4, 3)
+        with np.load(out) as npz:
+            assert np.array_equal(npz["x"], x)
+            for name in ("rows", "cols", "values"):
+                assert np.array_equal(npz[name], getattr(obs, name))
+            assert (npz["m"], npz["n"], npz["rank"], npz["seed"]) == (30, 25, 3, 3)
+
 
 class TestRunCommand:
     BASE = [
@@ -315,6 +326,13 @@ class TestRunCommand:
               "--trials", "1"], None, "values.npy is not an npz archive"),
             (["run", "--dataset", "file:{tmp}/u.data", "--rank", "1", "--fraction", "1",
               "--trials", "1"], None, "u.data is not an npz archive"),
+            # a truth that is not finite would score every trial as RMSE nan
+            (["run", "--dataset", "file:{tmp}/nan_x.npz", "--rank", "1", "--fraction", "1",
+              "--trials", "1", "--out", "{tmp}/fresh/results"], None, "x must be finite"),
+            # a bool array would run as the rows 1 and 0
+            (["run", "--dataset", "file:{tmp}/bool_rows.npz", "--rank", "1", "--fraction", "1",
+              "--trials", "1", "--out", "{tmp}/fresh/results"], None,
+             "rows must be integer coordinates, got True"),
             (["gen", "--seed", "-1", "--out", "{tmp}/g.npz"], None,
              "seed must be >= 0, got -1"),
             (["gen", "--rank", "-1", "--out", "{tmp}/g.npz"], None,
@@ -350,7 +368,8 @@ class TestRunCommand:
              "delta-f-zero", "delta-f-nan", "file-fresh-matrix", "als-loss-alpha",
              "plan-list", "plan-int", "plan-null", "file-float-rows", "file-fractional-m",
              "file-nan-n", "file-x-shape", "file-missing-rows", "file-empty", "file-npy",
-             "file-text", "gen-negative-seed", "gen-negative-rank", "gen-fraction-observes-nothing",
+             "file-text", "file-nan-x", "file-bool-rows", "gen-negative-seed", "gen-negative-rank",
+             "gen-fraction-observes-nothing",
              "budget-delta-f-zero", "budget-delta-f-negative", "calibrate-delta-f-zero",
              "calibrate-delta-f-nan", "ratings-keys-wrap"],
     )
@@ -372,6 +391,10 @@ class TestRunCommand:
         np.savez(tmp_path / "wide_x.npz", **{**valid, "x": np.ones((5, 6))})
         np.savez(tmp_path / "no_rows.npz", **{k: v for k, v in valid.items() if k != "rows"})
         np.savez(tmp_path / "empty.npz", **{**valid, "rows": [], "cols": [], "values": []})
+        nan_x = np.ones((3, 4))
+        nan_x[0, 0] = np.nan
+        np.savez(tmp_path / "nan_x.npz", **{**valid, "x": nan_x})
+        np.savez(tmp_path / "bool_rows.npz", **{**valid, "rows": np.repeat([True, False, True], 4)})
         np.save(tmp_path / "values.npy", valid["values"])
         code = run_cli([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()
@@ -380,6 +403,7 @@ class TestRunCommand:
         assert line.startswith("huberdp-bench: error: ") and message in line
         if argv[0] == "run":
             assert captured.out == ""  # no cell ran, so no table was printed
+        assert not (tmp_path / "fresh").exists()  # nor was --out made
 
     def test_rank_above_file_shape_is_one_error_line(self, tmp_path, capsys):
         # a ratings file's shape is known once it is loaded, before any cell
@@ -619,9 +643,7 @@ class TestRunPlanApi:
             for trial in range(2):
                 x, train, test = _trial_data(plan, None, None, frac_idx, fraction, trial)
                 x_ref, obs_ref = generate_synthetic(
-                    SyntheticSpec(40, 30, 2, fraction, plan.seed),
-                    _stream(plan.seed, 1, frac_idx, trial),
-                )
+                    40, 30, 2, fraction, _stream(plan.seed, 1, frac_idx, trial))
                 assert test is None
                 assert np.array_equal(x, x_ref)
                 for name in ("rows", "cols", "values"):

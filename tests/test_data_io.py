@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -18,7 +19,6 @@ from huberdp.data_io import (
     RunRecord,
     SchemaVersionError,
     SUMMARY_FIELDS,
-    SyntheticSpec,
     generate_synthetic,
     holdout_split,
     load_run,
@@ -33,45 +33,59 @@ from huberdp.data_io import (
 
 class TestGenerateSynthetic:
     def test_full_observation(self):
-        x, obs = generate_synthetic(SyntheticSpec(10, 8, 2, 1.0, seed=0))
+        x, obs = generate_synthetic(10, 8, 2, 1.0, 0)
         assert obs.n_observed == 80
 
     def test_numerical_rank(self):
-        x, _ = generate_synthetic(SyntheticSpec(100, 100, 5, 0.5, seed=1))
+        x, _ = generate_synthetic(100, 100, 5, 0.5, 1)
         singular = np.linalg.svd(x, compute_uv=False)
         assert np.count_nonzero(singular > 1e-8 * singular[0]) == 5
 
     def test_deterministic(self):
-        spec = SyntheticSpec(30, 30, 3, 0.2, seed=5)
-        x1, obs1 = generate_synthetic(spec)
-        x2, obs2 = generate_synthetic(spec)
+        x1, obs1 = generate_synthetic(30, 30, 3, 0.2, 5)
+        x2, obs2 = generate_synthetic(30, 30, 3, 0.2, 5)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(obs1.rows, obs2.rows)
         np.testing.assert_array_equal(obs1.values, obs2.values)
 
     def test_entry_variance_near_one(self):
-        x, _ = generate_synthetic(SyntheticSpec(200, 200, 4, 0.1, seed=2))
+        x, _ = generate_synthetic(200, 200, 4, 0.1, 2)
         assert x.var() == pytest.approx(1.0, rel=0.10)
 
     def test_mask_count(self):
-        _, obs = generate_synthetic(SyntheticSpec(20, 20, 2, 0.15, seed=3))
+        _, obs = generate_synthetic(20, 20, 2, 0.15, 3)
         assert obs.n_observed == int(0.15 * 400)
 
     def test_observed_values_match_truth(self):
-        x, obs = generate_synthetic(SyntheticSpec(15, 12, 2, 0.3, seed=4))
+        x, obs = generate_synthetic(15, 12, 2, 0.3, 4)
         np.testing.assert_array_equal(obs.values, x[obs.rows, obs.cols])
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SyntheticSpec(5, 5, 6, 0.5)
-        with pytest.raises(ValueError):
-            SyntheticSpec(5, 5, 2, 0.0)
-        with pytest.raises(ValueError):
-            SyntheticSpec(5, 5, 2, 1.5)
-        with pytest.raises(ValueError, match="fraction 0.001 observes no entry of a 20x20 matrix"):
-            SyntheticSpec(20, 20, 2, 0.001)
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            SyntheticSpec(5, 5, 2, 0.5, seed=-1)
+    @pytest.mark.parametrize("m,n,rank,fraction,message", [
+        (5, 5, 6, 0.5, "synthetic rank 6 must lie in [1, 5]"),
+        (5, 5, 2, 0.0, "fraction 0.0 must lie in (0, 1]"),
+        (5, 5, 2, 1.5, "fraction 1.5 must lie in (0, 1]"),
+        (20, 20, 2, 0.001, "fraction 0.001 observes no entry of a 20x20 matrix"),
+    ])
+    def test_refusals(self, m, n, rank, fraction, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_synthetic(m, n, rank, fraction, 0)
+
+    def test_refused_fraction_draws_nothing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("synthetic_truth ran before the fraction was checked")
+
+        monkeypatch.setattr(data_io, "synthetic_truth", no_draw)
+        with pytest.raises(ValueError, match="observes no entry"):
+            generate_synthetic(20, 20, 2, 0.001, 0)
+
+    def test_truth_then_mask_from_one_generator(self):
+        x, obs = generate_synthetic(20, 15, 2, 0.5, 16)
+        rng = np.random.default_rng(16)
+        x_ref = data_io.synthetic_truth(20, 15, 2, rng)
+        obs_ref = mask_entries(x_ref, 0.5, rng)
+        np.testing.assert_array_equal(x, x_ref)
+        for name in ("rows", "cols", "values"):
+            np.testing.assert_array_equal(getattr(obs, name), getattr(obs_ref, name))
 
     def test_mask_entries_direct(self):
         x = np.arange(24.0).reshape(4, 6)
@@ -490,7 +504,7 @@ class TestRatingsParserEdges:
 
 class TestSubsample:
     def setup_method(self):
-        self.x, self.obs = generate_synthetic(SyntheticSpec(20, 20, 2, 0.4, seed=6))
+        self.x, self.obs = generate_synthetic(20, 20, 2, 0.4, 6)
 
     def test_identity_at_current_fraction(self):
         out = subsample(self.obs, self.obs.observed_fraction, np.random.default_rng(0))
@@ -530,7 +544,7 @@ class TestSubsample:
 
 class TestHoldoutSplit:
     def test_partition(self):
-        _, obs = generate_synthetic(SyntheticSpec(10, 10, 2, 1.0, seed=7))
+        _, obs = generate_synthetic(10, 10, 2, 1.0, 7)
         train, test = holdout_split(obs, 0.1, np.random.default_rng(5))
         assert test.n_observed == 10
         assert train.n_observed == 90
@@ -541,14 +555,14 @@ class TestHoldoutSplit:
         assert train_set | test_set == full
 
     def test_deterministic(self):
-        _, obs = generate_synthetic(SyntheticSpec(10, 10, 2, 0.5, seed=8))
+        _, obs = generate_synthetic(10, 10, 2, 0.5, 8)
         a_train, a_test = holdout_split(obs, 0.2, np.random.default_rng(6))
         b_train, b_test = holdout_split(obs, 0.2, np.random.default_rng(6))
         np.testing.assert_array_equal(a_test.rows, b_test.rows)
         np.testing.assert_array_equal(a_train.values, b_train.values)
 
     def test_degenerate_sizes_rejected(self):
-        obs_small = generate_synthetic(SyntheticSpec(3, 3, 1, 1.0, seed=9))[1]
+        obs_small = generate_synthetic(3, 3, 1, 1.0, 9)[1]
         with pytest.raises(ValueError):
             holdout_split(obs_small, 0.01, np.random.default_rng(7))
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from huberdp import lrmc
-from huberdp.data_io import SyntheticSpec, generate_synthetic, mask_entries
+from huberdp.data_io import generate_synthetic, mask_entries
 from huberdp.lrmc import (
     FactorPair,
     ObservedMatrix,
@@ -108,9 +108,12 @@ class TestObservedMatrix:
          # a cast would truncate these to the entries (0, 1) and (1, 0)
          (2, [0.5, 1.9], [1, 0], [1.0, 2.0], "rows must be integer coordinates, got 0.5"),
          (2, [0, 1], [1.7, 0], [1.0, 2.0], "cols must be integer coordinates, got 1.7"),
-         (2, [np.nan], [0], [1.0], "rows must be integer coordinates, got nan")],
+         (2, [np.nan], [0], [1.0], "rows must be integer coordinates, got nan"),
+         # a bool array would run as the rows 1 and 0
+         (2, np.array([True, False]), [0, 1], [1.0, 2.0],
+          "rows must be integer coordinates, got True")],
         ids=["zero-m", "ragged", "column-out-of-range", "fractional-row",
-             "fractional-col", "nan-row"],
+             "fractional-col", "nan-row", "bool-row"],
     )
     def test_malformed_triplets_rejected(self, m, rows, cols, values, message):
         with pytest.raises(ValueError, match=message):
@@ -227,7 +230,7 @@ class TestNoisyAls:
         assert rmse(x, noisy_als(obs, cfg, 2)) < 1e-3
 
     def test_seeded_reproducibility_bit_identical(self):
-        x, obs = generate_synthetic(SyntheticSpec(30, 25, 2, 0.5, seed=8))
+        x, obs = generate_synthetic(30, 25, 2, 0.5, 8)
         cfg = SolverConfig(
             rank=2, lam=0.5, outer_iterations=5,
             mechanism=MechanismConfig.huber(1.0),
@@ -239,18 +242,18 @@ class TestNoisyAls:
 
     @pytest.mark.parametrize("kind,variance", [("huber", 2.0), ("laplace", 2.0), ("gaussian", 2.0)])
     def test_noise_only_in_column_sweep(self, kind, variance):
-        x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=9))
+        x, obs = generate_synthetic(20, 15, 2, 0.5, 9)
         mech = MechanismConfig.from_variance(kind, variance)
         cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=4, mechanism=mech)
         assert noisy_als(obs, cfg, 3).noise_draws == 4 * obs.n * cfg.rank
 
     def test_no_noise_consumes_no_draws(self):
-        x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=10))
+        x, obs = generate_synthetic(20, 15, 2, 0.5, 10)
         factors = noisy_als(obs, SolverConfig(rank=2, lam=0.5, outer_iterations=3), 0)
         assert factors.noise_draws == 0
 
     def test_noiseless_objective_monotone(self):
-        x, obs = generate_synthetic(SyntheticSpec(40, 35, 3, 0.3, seed=11))
+        x, obs = generate_synthetic(40, 35, 3, 0.3, 11)
         cfg = SolverConfig(rank=3, lam=0.5, outer_iterations=15)
         history = []
         noisy_als(obs, cfg, 4, history=history)
@@ -259,7 +262,7 @@ class TestNoisyAls:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(12)
-        x, obs = generate_synthetic(SyntheticSpec(12, 10, 2, 0.6, seed=12))
+        x, obs = generate_synthetic(12, 10, 2, 0.6, 12)
         perm = rng.permutation(obs.m)
         permuted = ObservedMatrix(obs.m, obs.n, perm[obs.rows], obs.cols, obs.values)
         # permuting rows leaves the columns, and so the V start, as they are
@@ -275,7 +278,7 @@ class TestNoisyAls:
     @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
     def test_column_permutation_equivariance(self, solve):
         rng = np.random.default_rng(12)
-        x, obs = generate_synthetic(SyntheticSpec(12, 10, 2, 0.6, seed=12))
+        x, obs = generate_synthetic(12, 10, 2, 0.6, 12)
         perm = rng.permutation(obs.n)
         permuted = ObservedMatrix(obs.m, obs.n, obs.rows, perm[obs.cols], obs.values)
         # column j moves to perm[j], and its row of the V start with it
@@ -290,7 +293,7 @@ class TestNoisyAls:
 
     def test_column_update_matches_ridge_solve(self):
         # one sweep of the batched engine equals per-column reference solves
-        x, obs = generate_synthetic(SyntheticSpec(15, 12, 2, 0.5, seed=13))
+        x, obs = generate_synthetic(15, 12, 2, 0.5, 13)
         mech = MechanismConfig.huber(2.0)
         cfg = SolverConfig(rank=2, lam=0.7, outer_iterations=1, mechanism=mech)
         factors = noisy_als(obs, cfg, np.random.default_rng(21))
@@ -329,7 +332,7 @@ class TestIrlsHuber:
     def test_matches_als_when_weights_stay_unit(self):
         # a huge loss transition keeps every weight at 1, so the IRLS column
         # update collapses onto the ridge update and the trajectories agree
-        x, obs = generate_synthetic(SyntheticSpec(25, 20, 2, 0.5, seed=14))
+        x, obs = generate_synthetic(25, 20, 2, 0.5, 14)
         als_cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=8)
         irls_cfg = SolverConfig(
             rank=2, lam=0.5, outer_iterations=8, inner_iterations=20, huber_loss_alpha=1e9,
@@ -342,7 +345,7 @@ class TestIrlsHuber:
     def test_column_update_matches_r_irls(self):
         # the batched engine must reproduce literal per-column IRLS solves
         # when fed the start and noise each call draws from its stream
-        x, obs = generate_synthetic(SyntheticSpec(15, 12, 2, 0.5, seed=15))
+        x, obs = generate_synthetic(15, 12, 2, 0.5, 15)
         mech = MechanismConfig.huber(1.5)
         lam, iterations, r = 0.6, 4, 2
         irls_config = IrlsConfig(alpha=1.5, lam=lam, iterations=iterations, noise=mech)
@@ -362,7 +365,7 @@ class TestIrlsHuber:
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_noise_draw_accounting(self):
-        x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+        x, obs = generate_synthetic(20, 15, 2, 0.5, 16)
         mech = MechanismConfig.laplace(1.0)
         cfg = SolverConfig(
             rank=2, lam=0.5, outer_iterations=3, inner_iterations=5,
@@ -371,7 +374,7 @@ class TestIrlsHuber:
         assert irls_huber(obs, cfg, 10).noise_draws == 3 * obs.n * 5 * cfg.rank
 
     def test_seeded_reproducibility(self):
-        x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=17))
+        x, obs = generate_synthetic(20, 15, 2, 0.5, 17)
         cfg = SolverConfig(
             rank=2, lam=0.5, outer_iterations=3, inner_iterations=4,
             mechanism=MechanismConfig.huber(1.0),
@@ -412,7 +415,7 @@ def test_empty_column_under_noise_is_last_draw_over_lam(solve):
 def test_sweep_draws_start_block_then_noise_block(solve):
     # pins the draw layout: one stream per sweep, the (n, r) IRLS starts
     # first, then every column's noise in one sample call
-    x, obs = generate_synthetic(SyntheticSpec(15, 12, 2, 0.5, seed=19))
+    x, obs = generate_synthetic(15, 12, 2, 0.5, 19)
     mech = MechanismConfig.huber(1.5)
     cfg = SolverConfig(
         rank=2, lam=0.6, outer_iterations=1, inner_iterations=4,
@@ -442,7 +445,7 @@ def test_noisy_solve_samples_one_block_per_sweep(monkeypatch, solve, iterations)
         return sample(mech, k, rng)
 
     monkeypatch.setattr(lrmc, "sample", counting_sample)
-    x, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    x, obs = generate_synthetic(20, 15, 2, 0.5, 16)
     cfg = SolverConfig(
         rank=2, lam=0.5, outer_iterations=3, inner_iterations=5,
         mechanism=MechanismConfig.laplace(1.0),
@@ -500,7 +503,7 @@ def test_u_half_draws_nothing(monkeypatch, solve, iterations, threaded):
     # also when the blocks of sweeps 1 on are drawn ahead on a pool thread
     if threaded:
         _force_threads(monkeypatch)
-    _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    _, obs = generate_synthetic(20, 15, 2, 0.5, 16)
     drawn, factors = _draw_audit(monkeypatch, solve, obs, _AUDIT_CONFIG)
     assert drawn["u"] == [0, 0, 0]
     assert drawn["v"] == [obs.n * iterations * _AUDIT_CONFIG.rank] * 3
@@ -520,7 +523,7 @@ def test_draw_audit_reports_a_u_half_draw(monkeypatch):
         return half_sweep(*args)
 
     monkeypatch.setattr(lrmc, "_half_sweep", leaky_half_sweep)
-    _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    _, obs = generate_synthetic(20, 15, 2, 0.5, 16)
     drawn, factors = _draw_audit(monkeypatch, noisy_als, obs, _AUDIT_CONFIG)
     assert drawn["u"] == [7, 7, 7]
     assert factors.noise_draws == sum(drawn["v"])
@@ -543,7 +546,7 @@ def _record_draw_threads(monkeypatch):
 def test_later_sweeps_draw_on_the_pool(monkeypatch, solve):
     _force_threads(monkeypatch)
     calls = _record_draw_threads(monkeypatch)
-    _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    _, obs = generate_synthetic(20, 15, 2, 0.5, 16)
     solve(obs, _AUDIT_CONFIG, 3)
     caller = threading.current_thread().name
     assert [sweep for sweep, _ in calls] == [0, 1, 2]
@@ -556,7 +559,7 @@ def test_serial_halves_draw_on_the_caller(monkeypatch, solve):
     # two CPUs, but the 20 x 15 halves stay under _PARALLEL_WORK
     monkeypatch.setattr(lrmc, "_usable_cpus", lambda: 2)
     calls = _record_draw_threads(monkeypatch)
-    _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    _, obs = generate_synthetic(20, 15, 2, 0.5, 16)
     solve(obs, _AUDIT_CONFIG, 3)
     assert calls == [(s, threading.current_thread().name) for s in range(3)]
 
@@ -574,7 +577,7 @@ def test_failed_draw_ahead_is_the_solve_error(monkeypatch, solve):
         return sample_values(mech, k, rng)
 
     monkeypatch.setattr(lrmc, "sample", failing_sample)
-    _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    _, obs = generate_synthetic(20, 15, 2, 0.5, 16)
     history = []
     alive = threading.active_count()
     with pytest.raises(RuntimeError, match="sampler failed at sweep 1"):
@@ -606,7 +609,7 @@ def test_v_half_error_masks_a_failed_draw_ahead(monkeypatch, solve):
 
     monkeypatch.setattr(np.linalg, "solve", failing_solve)
     monkeypatch.setattr(lrmc, "sample", failing_sample)
-    _, obs = generate_synthetic(SyntheticSpec(20, 15, 2, 0.5, seed=16))
+    _, obs = generate_synthetic(20, 15, 2, 0.5, 16)
     alive = threading.active_count()
     with pytest.raises(RuntimeError, match="V half failed at sweep 0"):
         solve(obs, _AUDIT_CONFIG, 3, history=history)
@@ -619,7 +622,7 @@ def test_v_half_error_masks_a_failed_draw_ahead(monkeypatch, solve):
 def test_init_is_the_v_start_a_sweep_reads(solve):
     # a solve started at the replayed V start, its stream advanced past the
     # U and V starts, is the solve that drew them
-    _, obs = generate_synthetic(SyntheticSpec(15, 12, 2, 0.5, seed=19))
+    _, obs = generate_synthetic(15, 12, 2, 0.5, 19)
     cfg = SolverConfig(
         rank=2, lam=0.6, outer_iterations=2, inner_iterations=3,
         mechanism=MechanismConfig.huber(1.5),
@@ -642,7 +645,7 @@ def test_noiseless_als_draws_nothing():
 def test_divergent_solve_raises_solver_divergence():
     # ratings scaled by 1e200 give a finite U after the first row half-sweep,
     # but U^T U overflows in the column half-sweep that follows
-    x, obs = generate_synthetic(SyntheticSpec(30, 25, 2, 0.5, seed=8))
+    x, obs = generate_synthetic(30, 25, 2, 0.5, 8)
     huge = ObservedMatrix(obs.m, obs.n, obs.rows, obs.cols, obs.values * 1e200)
     cfg = SolverConfig(rank=2, outer_iterations=3)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -654,7 +657,7 @@ def test_divergent_solve_raises_solver_divergence():
 @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
 def test_row_half_divergence_names_u(solve):
     # every rating 1e308: V^T y overflows in the first row half-sweep
-    x, obs = generate_synthetic(SyntheticSpec(30, 25, 2, 0.5, seed=8))
+    x, obs = generate_synthetic(30, 25, 2, 0.5, 8)
     huge = ObservedMatrix(obs.m, obs.n, obs.rows, obs.cols, np.full(obs.n_observed, 1e308))
     cfg = SolverConfig(rank=2, outer_iterations=3)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1075,7 +1078,7 @@ class TestTargetGroups:
         # at rank 5 the IRLS V half-sweep is bound by numpy call overhead,
         # paid K times per group, so the merge must collapse the ~28 distinct
         # column counts of this mask into a few groups
-        _, obs = generate_synthetic(SyntheticSpec(500, 500, 5, 0.05))
+        _, obs = generate_synthetic(500, 500, 5, 0.05, 0)
         groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, 5)
         assert len(groups) <= 6
 
@@ -1126,7 +1129,7 @@ class TestSolverConfig:
 
     def test_numpy_integer_counts_run_as_ints(self):
         # narrow numpy integers used to overflow in the solver's size arithmetic
-        _, obs = generate_synthetic(SyntheticSpec(60, 50, 2, 0.5, seed=16))
+        _, obs = generate_synthetic(60, 50, 2, 0.5, 16)
         mech = MechanismConfig.huber(1.0)
         cfg = SolverConfig(
             rank=np.int8(2), outer_iterations=np.int16(2), inner_iterations=np.uint8(3),
@@ -1160,7 +1163,7 @@ class TestLossAlphaResolution:
 class TestCompletionObjective:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(18)
-        x, obs = generate_synthetic(SyntheticSpec(8, 7, 2, 0.5, seed=18))
+        x, obs = generate_synthetic(8, 7, 2, 0.5, 18)
         u = rng.standard_normal((8, 2))
         v = rng.standard_normal((7, 2))
         z = u @ v.T

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 from huberdp import bench_cli, mechanisms
 from huberdp.data_io import (
-    SyntheticSpec, holdout_split, mask_entries, subsample, synthetic_truth,
+    generate_synthetic, holdout_split, mask_entries, subsample, synthetic_truth,
 )
 from huberdp.lrmc import ObservedMatrix, SolverConfig
 from huberdp.mechanisms import (
@@ -764,7 +764,7 @@ _FULL_4X4 = mask_entries(np.ones((4, 4)), 1.0, np.random.default_rng(0))
 FRACTION_FIELDS = [
     ("delta", lambda v: mechanism_budget(MechanismConfig.gaussian(1.0), Sensitivity.scalar(1.0), v),
      lambda b: b.delta),
-    ("fraction", lambda v: SyntheticSpec(4, 4, 1, v), lambda s: s.observed_fraction),
+    ("fraction", lambda v: generate_synthetic(4, 4, 1, v, 0), None),
     ("fraction", lambda v: mask_entries(np.ones((4, 4)), v, np.random.default_rng(0)), None),
     ("fraction", lambda v: subsample(_FULL_4X4, v, np.random.default_rng(0)), None),
     ("test_fraction", lambda v: holdout_split(_FULL_4X4, v, np.random.default_rng(0)), None),
@@ -774,10 +774,9 @@ FRACTION_FIELDS = [
 COUNT_FIELDS = [
     ("m", lambda v: ObservedMatrix(v, 3, [0], [0], [1.0]), lambda o: o.m, 1),
     ("n", lambda v: ObservedMatrix(3, v, [0], [0], [1.0]), lambda o: o.n, 1),
-    ("m", lambda v: SyntheticSpec(v, 3, 1, 1.0), lambda s: s.m, 1),
-    ("n", lambda v: SyntheticSpec(3, v, 1, 1.0), lambda s: s.n, 1),
-    ("synthetic rank", lambda v: SyntheticSpec(3, 3, v, 1.0), lambda s: s.rank, 1),
-    ("seed", lambda v: SyntheticSpec(3, 3, 1, 1.0, seed=v), lambda s: s.seed, 0),
+    ("m", lambda v: generate_synthetic(v, 3, 1, 1.0, 0), lambda d: d[1].m, 1),
+    ("n", lambda v: generate_synthetic(3, v, 1, 1.0, 0), lambda d: d[1].n, 1),
+    ("synthetic rank", lambda v: generate_synthetic(3, 3, v, 1.0, 0), None, 1),
     ("rank", lambda v: SolverConfig(rank=v), lambda c: c.rank, 1),
     ("outer_iterations", lambda v: SolverConfig(rank=1, outer_iterations=v),
      lambda c: c.outer_iterations, 1),

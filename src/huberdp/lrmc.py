@@ -242,7 +242,9 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # the advanced index other[oidx], which sends every short r-float row through
 # numpy's generic index loop, in about a quarter of the time at rank 5. Each
 # group then runs _irls once, whose residual, Gram and right-hand-side
-# contractions are stacked matmuls on that block, so they run on BLAS.
+# contractions are stacked matmuls on that block, so they run on BLAS; each
+# Gram multiplies two buffers (dgemm), never a block and its own transposed
+# view, which matmul would send to the slower syrk.
 # Per-target results match solving each system on its own up to rounding.
 #
 # A solve deals each half once (_deal): when the half's Gram work (padded

@@ -99,9 +99,13 @@ def _positive_real(value, name: str) -> float:
 
 
 def _finite_array(value, name: str) -> np.ndarray:
-    """value as a float array, or a ValueError naming it if an entry is nan
-    or infinite."""
-    x = np.asarray(value, dtype=float)
+    """value as a float array, or a ValueError naming it if its dtype is not
+    bool, integer or real (a cast would drop a complex array's imaginary
+    part) or an entry is nan or infinite."""
+    x = np.asarray(value)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be a real array, got dtype {x.dtype}")
+    x = x.astype(float, copy=False)
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
     return x

@@ -118,10 +118,14 @@ def _irls(ag, vals, theta, noise, lam_eye, alpha, iterations):
     so one iteration is the ridge update. Without noise the weights fix the
     next theta, so once they repeat exactly the loop stops: every later
     iteration would recompute the same theta bit for bit.
+
+    The ridge branch transposes a copy of ag, so its Gram multiplies two
+    buffers on BLAS dgemm: matmul sends a buffer times its own transposed
+    view to syrk, which is slower. The reweighted branch's awt is fresh.
     """
-    agt = ag.transpose(0, 2, 1)
-    vcol = vals[..., None]
     reweight = math.isfinite(alpha)
+    agt = (ag if reweight else ag.copy()).transpose(0, 2, 1)
+    vcol = vals[..., None]
     prev_w = None
     for k in range(iterations):
         awt = agt
@@ -134,8 +138,10 @@ def _irls(ag, vals, theta, noise, lam_eye, alpha, iterations):
             awt = agt * w[:, None, :]
         rhs = awt @ vcol
         if noise is not None:
-            rhs = rhs + noise[:, k, :, None]
-        theta = np.linalg.solve(awt @ ag + lam_eye, rhs)[..., 0]
+            rhs += noise[:, k, :, None]
+        gram = awt @ ag
+        gram += lam_eye
+        theta = np.linalg.solve(gram, rhs)[..., 0]
     return theta
 
 

@@ -333,6 +333,10 @@ class TestRunCommand:
             (["run", "--dataset", "file:{tmp}/bool_rows.npz", "--rank", "1", "--fraction", "1",
               "--trials", "1", "--out", "{tmp}/fresh/results"], None,
              "rows must be integer coordinates, got True"),
+            # complex values would run on their real part
+            (["run", "--dataset", "file:{tmp}/complex_values.npz", "--rank", "1", "--fraction",
+              "1", "--trials", "1", "--out", "{tmp}/fresh/results"], None,
+             "values must be a real array, got dtype complex128"),
             (["gen", "--seed", "-1", "--out", "{tmp}/g.npz"], None,
              "seed must be >= 0, got -1"),
             (["gen", "--rank", "-1", "--out", "{tmp}/g.npz"], None,
@@ -368,7 +372,8 @@ class TestRunCommand:
              "delta-f-zero", "delta-f-nan", "file-fresh-matrix", "als-loss-alpha",
              "plan-list", "plan-int", "plan-null", "file-float-rows", "file-fractional-m",
              "file-nan-n", "file-x-shape", "file-missing-rows", "file-empty", "file-npy",
-             "file-text", "file-nan-x", "file-bool-rows", "gen-negative-seed", "gen-negative-rank",
+             "file-text", "file-nan-x", "file-bool-rows", "file-complex-values",
+             "gen-negative-seed", "gen-negative-rank",
              "gen-fraction-observes-nothing",
              "budget-delta-f-zero", "budget-delta-f-negative", "calibrate-delta-f-zero",
              "calibrate-delta-f-nan", "ratings-keys-wrap"],
@@ -395,6 +400,7 @@ class TestRunCommand:
         nan_x[0, 0] = np.nan
         np.savez(tmp_path / "nan_x.npz", **{**valid, "x": nan_x})
         np.savez(tmp_path / "bool_rows.npz", **{**valid, "rows": np.repeat([True, False, True], 4)})
+        np.savez(tmp_path / "complex_values.npz", **{**valid, "values": valid["values"] + 1j})
         np.save(tmp_path / "values.npy", valid["values"])
         code = run_cli([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()

@@ -741,6 +741,51 @@ class TestEngineAgainstReference:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
 
+class TestWideRidgeGroups:
+    """Rank-32 count groups about 400 wide: there BLAS dgemm, which the
+    engine's ridge Gram runs on, and the syrk that a.T @ a runs on sum in a
+    different order, so their Grams can differ in the last bit."""
+
+    RANK, WIDTH = 32, 400
+
+    def _observed(self, seed):
+        # every row holds 390 to 410 of the 600 columns, so every column
+        # holds about 400 entries too
+        rng = np.random.default_rng(seed)
+        m = n = 600
+        rows = np.repeat(np.arange(m), rng.integers(390, 411, m))
+        cols = np.concatenate([rng.choice(n, c, replace=False) for c in np.bincount(rows)])
+        values = 3.0 * rng.standard_normal(rows.size)
+        return rows, cols, values, m, n
+
+    def test_ridge_half_sweep_matches_per_target_solves(self):
+        rows, cols, values, m, n = self._observed(5)
+        rng = np.random.default_rng(6)
+        other = rng.standard_normal((n, self.RANK))
+        noise = rng.standard_normal((m, 1, self.RANK))
+        groups = _target_groups(rows, cols, values, m, self.RANK)
+        assert max(vals.shape[1] for _, _, vals in groups) >= self.WIDTH
+        got = _half_sweep([groups], other, 0.5, math.inf, 1, None, noise, m)
+        expected = np.array([
+            _reference_ridge(other[cols[rows == i]], values[rows == i], 0.5, noise[i, 0])
+            for i in range(m)
+        ])
+        error = np.linalg.norm(got - expected, axis=1)
+        assert (error <= 1e-12 * np.linalg.norm(expected, axis=1)).all()
+
+    def test_threads_give_the_serial_factors(self, monkeypatch):
+        rows, cols, values, m, n = self._observed(7)
+        obs = ObservedMatrix(m, n, rows, cols, values)
+        cfg = SolverConfig(rank=self.RANK, lam=0.5, outer_iterations=2,
+                           mechanism=MechanismConfig.huber(1.3))
+        monkeypatch.setattr(lrmc, "_usable_cpus", lambda: 1)
+        serial = noisy_als(obs, cfg, 11)
+        _force_threads(monkeypatch, 2)
+        threaded = noisy_als(obs, cfg, 11)
+        np.testing.assert_array_equal(threaded.U, serial.U)
+        np.testing.assert_array_equal(threaded.V, serial.V)
+
+
 def _engine_and_r_irls(seed, instance, config):
     """_half_sweep against _reference_irls(..., default_rng((seed, j))) for
     every target j, replaying each stream into the engine's start and noise

@@ -92,6 +92,25 @@ class TestHuberLoss:
         with pytest.raises(ValueError):
             huber_loss(bad, 1.0)
 
+    # a complex array would lose its imaginary part with only a warning, and
+    # a string one fail in numpy's conversion without naming t
+    @pytest.mark.parametrize(
+        "bad,dtype",
+        [(np.array([1.0, 2 + 1j]), "complex128"), (np.array(["1.0", "2.0"]), "<U3"),
+         (np.array([1.0, 2.0], dtype=object), "object")],
+        ids=["complex", "string", "object"],
+    )
+    def test_non_real_t_is_named_with_its_dtype(self, bad, dtype):
+        with pytest.raises(ValueError, match=f"^t must be a real array, got dtype {dtype}$"):
+            huber_loss(bad, 1.0)
+
+    @pytest.mark.parametrize("t", [np.array([True, False]), np.array([-2, 3]),
+                                   np.array([2, 3], dtype=np.uint8), np.float32(1.5)],
+                             ids=["bool", "int", "uint", "float32"])
+    def test_bool_integer_and_real_t_run_as_float(self, t):
+        np.testing.assert_array_equal(huber_loss(t, 1.0),
+                                      huber_loss(np.asarray(t, dtype=float), 1.0))
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
     def test_bad_alpha_rejected(self, bad):
         with pytest.raises(ValueError):

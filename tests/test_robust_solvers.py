@@ -11,6 +11,7 @@ from huberdp.robust_solvers import (
     IrlsConfig,
     RidgeProblem,
     _huber_weights,
+    _irls,
     huber_objective,
     irls_weights,
     r_irls,
@@ -307,6 +308,13 @@ class TestRIrls:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             r_irls(y, a, cfg, np.random.default_rng(0))
 
+    def test_complex_y_is_named(self):
+        # its real part alone would run without an error
+        a, y = random_instance(np.random.default_rng(19))
+        cfg = IrlsConfig(alpha=1.0, lam=0.5, iterations=3)
+        with pytest.raises(ValueError, match="^y must be a real array, got dtype complex128$"):
+            r_irls(y + 1j, a, cfg, np.random.default_rng(0))
+
     @pytest.mark.parametrize("name", ["y", "a", "theta"])
     def test_non_finite_objective_input_is_named(self, name):
         a, y = random_instance(np.random.default_rng(19))
@@ -366,3 +374,24 @@ class TestRIrls:
             r_irls(y, a, cfg, np.random.default_rng(0)),
             r_irls(y, a, plain, np.random.default_rng(0)),
         )
+
+
+class TestIrlsStep:
+    @pytest.mark.parametrize("alpha", [np.inf, 0.5], ids=["ridge", "reweighted"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    def test_leaves_its_inputs_alone(self, alpha, noisy):
+        # the step adds the noise and lam I into its own matmul outputs only
+        rng = np.random.default_rng(31)
+        g, p, q, k = 4, 20, 3, 3
+        inputs = dict(
+            ag=rng.standard_normal((g, p, q)),
+            vals=3.0 * rng.standard_normal((g, p)),
+            theta=rng.standard_normal((g, q)),
+            noise=rng.standard_normal((g, k, q)) if noisy else None,
+            lam_eye=0.5 * np.eye(q),
+        )
+        before = {name: x.copy() for name, x in inputs.items() if x is not None}
+        theta = _irls(**inputs, alpha=alpha, iterations=1 if alpha == np.inf else k)
+        assert np.isfinite(theta).all()
+        for name, x in before.items():
+            np.testing.assert_array_equal(inputs[name], x, err_msg=name)

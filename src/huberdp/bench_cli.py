@@ -180,11 +180,11 @@ class ExperimentPlan:
             self._check_data(self.m, self.n)
 
     def _cell_config(self, solver: str, mech_kind: str, variance: float | None):
-        """A cell's solver config and the IRLS loss alpha it records (None for
-        als): the plan's huber_loss_alpha, else the alpha of the variance as
-        the plan states it (0 for kind none), which mech.variance() gives back
-        a few ulps off, so every irls cell at one variance shares one alpha.
-        A variance that no Huber alpha reaches raises CalibrationError."""
+        """A cell's solver config. Its huber_loss_alpha (None for als) is the
+        plan's, else the alpha of the variance as the plan states it (0 for
+        kind none), which mech.variance() gives back a few ulps off, so every
+        irls cell at one variance shares one alpha. A variance that no Huber
+        alpha reaches raises CalibrationError."""
         alpha = self.huber_loss_alpha if solver == "irls" else None
         if solver == "irls" and alpha is None:
             alpha = mechanisms.huber_alpha_for_variance(variance or 0.0)
@@ -194,7 +194,7 @@ class ExperimentPlan:
             inner_iterations=self.irls_iterations, huber_loss_alpha=alpha,
             mechanism=MechanismConfig.from_variance(mech_kind, variance),
         )
-        return config, config.huber_loss_alpha
+        return config
 
     def _rank_and_sweeps(self) -> tuple[int, int]:
         """rank and outer_iterations as the cells run them: the given values,
@@ -326,7 +326,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
         cell_name = _cell_name(solver, mech_kind, variance, fraction)
         started = time.perf_counter()
         try:
-            config, loss_alpha = plan._cell_config(solver, mech_kind, variance)
+            config = plan._cell_config(solver, mech_kind, variance)
             mech = config.mechanism
             budget = mechanisms.mechanism_budget(mech, sens, delta=plan.delta)
             solve = lrmc.noisy_als if solver == "als" else lrmc.irls_huber
@@ -366,7 +366,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], list[str]]:
                     "outer_iterations": config.outer_iterations,
                     "irls_iterations": plan.irls_iterations,
                     "mechanism_scale": mech.scale,
-                    "huber_loss_alpha": loss_alpha,
+                    "huber_loss_alpha": config.huber_loss_alpha,
                     "delta_f": plan.delta_f,
                     "trial_mode": plan.trial_mode,
                     "holdout_fraction": None if test is None else plan.holdout_fraction,

@@ -24,7 +24,7 @@ from typing import Iterator, NoReturn
 import numpy as np
 
 from .lrmc import ObservedMatrix, _flat_keys
-from .mechanisms import _count, _real
+from .mechanisms import _count, _finite_array, _real
 
 __all__ = [
     "ParseReport",
@@ -141,7 +141,7 @@ def generate_synthetic(
 def mask_entries(x: np.ndarray, fraction: float, rng: np.random.Generator) -> ObservedMatrix:
     """Observe a uniform random subset of floor(fraction * m * n) cells; the
     fraction must lie in (0, 1] and observe at least one."""
-    x = np.asarray(x, dtype=float)
+    x = _finite_array(x, "x")
     if x.ndim != 2:
         raise ValueError(f"x must be a 2-D matrix, got shape {x.shape}")
     m, n = x.shape

@@ -58,18 +58,25 @@ __all__ = [
 
 
 def _coordinates(index, name: str) -> np.ndarray:
-    """An index array as int64. Integer arrays pass as they are; any other
-    must hold finite whole numbers, which the cast would otherwise truncate.
+    """An index array as int64. Integer arrays pass as they are; any other must
+    pass _finite_array and hold whole numbers, which the cast would truncate.
     A bool array is refused: it would run as the coordinates 0 and 1."""
     index = np.asarray(index)
     if index.dtype.kind == "b" and index.size:
         raise ValueError(f"{name} must be integer coordinates, got {index.flat[0]}")
     if index.dtype.kind not in "iu":
-        index = np.asarray(index, dtype=float)
-        bad = ~(np.isfinite(index) & (index == np.floor(index)))
+        index = _finite_array(index, name)
+        bad = index != np.floor(index)
         if bad.any():
             raise ValueError(f"{name} must be integer coordinates, got {index[bad][0]:g}")
     return np.asarray(index, dtype=np.int64)
+
+
+def _check_range(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> None:
+    """Refuse a coordinate outside an m x n matrix, negative ones included."""
+    for index, size, axis in ((rows, m, "row"), (cols, n, "column")):
+        if index.size and (index.min() < 0 or index.max() >= size):
+            raise ValueError(f"{axis} index out of range")
 
 
 def _flat_keys(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -99,16 +106,12 @@ class ObservedMatrix:
     def __post_init__(self):
         for name in ("m", "n"):
             object.__setattr__(self, name, _count(getattr(self, name), name, 1))
-        rows = _coordinates(self.rows, "rows")
-        cols = _coordinates(self.cols, "cols")
+        rows, cols = _coordinates(self.rows, "rows"), _coordinates(self.cols, "cols")
         values = _finite_array(self.values, "values")
         if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
             raise ValueError("rows, cols, values must be 1-d arrays of equal length")
+        _check_range(rows, cols, self.m, self.n)
         if rows.size:
-            if rows.min() < 0 or rows.max() >= self.m:
-                raise ValueError("row index out of range")
-            if cols.min() < 0 or cols.max() >= self.n:
-                raise ValueError("column index out of range")
             flat = np.sort(_flat_keys(rows, cols, self.m, self.n))
             if (flat[1:] == flat[:-1]).any():
                 raise ValueError("duplicate (row, col) coordinates")
@@ -135,8 +138,7 @@ class FactorPair:
     noise_draws: int = 0
 
     def __post_init__(self):
-        u = np.asarray(self.U, dtype=float)
-        v = np.asarray(self.V, dtype=float)
+        u, v = _finite_array(self.U, "U"), _finite_array(self.V, "V")
         if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
             raise ValueError("U and V must be 2-d with equal column counts")
         if u.shape[1] > min(u.shape[0], v.shape[0]):
@@ -145,7 +147,9 @@ class FactorPair:
         self.V = v
 
     def predict_entries(self, rows, cols) -> np.ndarray:
-        """Entry-wise predictions (U V^T)[rows, cols] without forming U V^T."""
+        """(U V^T)[rows, cols] without forming U V^T, coordinates as in ObservedMatrix."""
+        rows, cols = _coordinates(rows, "rows"), _coordinates(cols, "cols")
+        _check_range(rows, cols, self.U.shape[0], self.V.shape[0])
         return _predict_entries(self.U, self.V, rows, cols)
 
 
@@ -155,8 +159,6 @@ _PREDICT_BLOCK = 8192  # entries whose factor rows are gathered at once
 def _predict_entries(u, v, rows, cols):
     """(u v^T)[rows, cols], gathering the factor rows of a fixed-size block of
     entries at a time so memory stays bounded for any number of entries."""
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
     out = np.empty(rows.size)
     for start in range(0, rows.size, _PREDICT_BLOCK):
         block = slice(start, start + _PREDICT_BLOCK)
@@ -387,7 +389,7 @@ def _alternate(solver, obs, config, rng, init, history, alpha, iterations):
         rng.standard_normal((obs.m, r))  # an unread U start, kept so streams stay as recorded
         v = rng.standard_normal((obs.n, r)) / math.sqrt(r)
     else:
-        v = np.asarray(init, dtype=float)
+        v = _finite_array(init, "init")
         if v.shape != (obs.n, r):
             raise ValueError(f"init must be the {(obs.n, r)} start of V, got {v.shape}")
     e0, e1 = (int(x) for x in rng.integers(0, 2**63, size=2))
@@ -491,7 +493,7 @@ def rmse(truth, factors: FactorPair) -> float:
     dense ground-truth matrix X and gives ||X - U V^T||_F / sqrt(m n).
     """
     observed = isinstance(truth, ObservedMatrix)
-    x = truth if observed else np.asarray(truth, dtype=float)
+    x = truth if observed else _finite_array(truth, "truth")
     shape = (x.m, x.n) if observed else x.shape
     if shape != (factors.U.shape[0], factors.V.shape[0]):
         raise ValueError("truth shape does not match the factors")

@@ -289,7 +289,7 @@ def huber_pdf(t, alpha: float):
     """
     a = _positive_real(alpha, "alpha")
     k = huber_normalizer(a)
-    out = k * np.exp(-np.asarray(huber_loss(t, a), dtype=float))
+    out = k * np.exp(-huber_loss(t, a))
     return _scalar_or_array(out, t)
 
 
@@ -303,20 +303,16 @@ def huber_cdf(t, alpha: float):
     a = _positive_real(alpha, "alpha")
     x = _finite_array(t, "t")
     k = huber_normalizer(a)
-    scalar_in = x.ndim == 0
-    x = np.atleast_1d(x)
     out = np.empty_like(x)
     lo = x <= -a
     hi = x >= a
     mid = ~(lo | hi)
     f_minus_a = (k / a) * math.exp(-0.5 * a * a)
     out[lo] = (k / a) * np.exp(0.5 * a * a + a * x[lo])
-    phi_mid = np.array([_norm_cdf(v) for v in x[mid].tolist()], dtype=float)
+    phi_mid = np.array([_norm_cdf(v) for v in x[mid].tolist()])
     out[mid] = f_minus_a + k * SQRT_2PI * (phi_mid - _norm_cdf(-a))
     out[hi] = 1.0 - (k / a) * np.exp(0.5 * a * a - a * x[hi])
-    if scalar_in:
-        return float(out[0])
-    return out
+    return _scalar_or_array(out, t)
 
 
 def huber_variance(alpha: float) -> float:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import (MechanismConfig, NoiseDraw, _count, _finite_array, _positive_real,
-                         _real, huber_loss, sample)
+from .mechanisms import (MechanismConfig, _count, _finite_array, _positive_real, _real,
+                         huber_loss, sample)
 
 __all__ = [
     "RidgeProblem",
@@ -76,14 +76,15 @@ class IrlsConfig:
         object.__setattr__(self, "iterations", _count(self.iterations, "iterations", 1))
 
 
-def ridge_solve(problem: RidgeProblem, noise: NoiseDraw | None = None) -> np.ndarray:
+def ridge_solve(problem: RidgeProblem, noise: np.ndarray | None = None) -> np.ndarray:
     """Solve (AtA + lam I) theta = At y + t: the engine's group step (_irls)
     at alpha = infinity, K = 1, on a batch of one.
 
-    Without noise t is absent, not a zero vector. With lam = 0 the design must
-    have full column rank; a rank-deficient one raises numpy's LinAlgError
-    naming its rank, where the solve alone would often return a theta with an
-    arbitrary null-space part, the Gram being singular only up to rounding.
+    t is noise, a finite length-q array; without it t is absent, not a zero
+    vector. With lam = 0 the design must have full column rank; a
+    rank-deficient one raises numpy's LinAlgError naming its rank, where the
+    solve alone would often return a theta with an arbitrary null-space part,
+    the Gram being singular only up to rounding.
     """
     a, y, lam = problem.design, problem.targets, problem.lam
     q = a.shape[1]
@@ -95,7 +96,7 @@ def ridge_solve(problem: RidgeProblem, noise: NoiseDraw | None = None) -> np.nda
             )
     t = None
     if noise is not None:
-        t = np.asarray(noise.values, dtype=float)
+        t = _finite_array(noise, "noise")
         if t.shape != (q,):
             raise ValueError(f"noise must have length {q}, got shape {t.shape}")
         t = t.reshape(1, 1, q)

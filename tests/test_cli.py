@@ -337,6 +337,10 @@ class TestRunCommand:
             (["run", "--dataset", "file:{tmp}/complex_values.npz", "--rank", "1", "--fraction",
               "1", "--trials", "1", "--out", "{tmp}/fresh/results"], None,
              "values must be a real array, got dtype complex128"),
+            # complex rows would run on their real parts
+            (["run", "--dataset", "file:{tmp}/complex_rows.npz", "--rank", "1", "--fraction",
+              "1", "--trials", "1", "--out", "{tmp}/fresh/results"], None,
+             "rows must be a real array, got dtype complex128"),
             (["gen", "--seed", "-1", "--out", "{tmp}/g.npz"], None,
              "seed must be >= 0, got -1"),
             (["gen", "--rank", "-1", "--out", "{tmp}/g.npz"], None,
@@ -373,6 +377,7 @@ class TestRunCommand:
              "plan-list", "plan-int", "plan-null", "file-float-rows", "file-fractional-m",
              "file-nan-n", "file-x-shape", "file-missing-rows", "file-empty", "file-npy",
              "file-text", "file-nan-x", "file-bool-rows", "file-complex-values",
+             "file-complex-rows",
              "gen-negative-seed", "gen-negative-rank",
              "gen-fraction-observes-nothing",
              "budget-delta-f-zero", "budget-delta-f-negative", "calibrate-delta-f-zero",
@@ -401,6 +406,7 @@ class TestRunCommand:
         np.savez(tmp_path / "nan_x.npz", **{**valid, "x": nan_x})
         np.savez(tmp_path / "bool_rows.npz", **{**valid, "rows": np.repeat([True, False, True], 4)})
         np.savez(tmp_path / "complex_values.npz", **{**valid, "values": valid["values"] + 1j})
+        np.savez(tmp_path / "complex_rows.npz", **{**valid, "rows": valid["rows"] + 0j})
         np.save(tmp_path / "values.npy", valid["values"])
         code = run_cli([a.format(tmp=tmp_path) for a in argv])
         captured = capsys.readouterr()
@@ -684,7 +690,7 @@ class TestRunPlanApi:
         assert not failures
         assert len(records) == 8
         for record in records:
-            config, _ = plan._cell_config(record.solver, record.mechanism, record.variance)
+            config = plan._cell_config(record.solver, record.mechanism, record.variance)
             solve = lrmc.noisy_als if record.solver == "als" else lrmc.irls_huber
             frac_idx = plan.fractions.index(record.fraction)
             for t, entropy in enumerate(record.config["trial_streams"]):
@@ -849,7 +855,7 @@ class TestRunPlanApi:
         # even one equal to the old kind's protocol value
         start = ExperimentPlan(dataset="movielens:x" if dataset == "synthetic" else "synthetic",
                                **given)
-        config, _ = dataclasses.replace(start, dataset=dataset)._cell_config("als", "none", None)
+        config = dataclasses.replace(start, dataset=dataset)._cell_config("als", "none", None)
         assert (config.rank, config.outer_iterations) == (rank, sweeps)
 
     def test_replaced_plan_writes_the_records_run_writes(self, tmp_path, capsys):

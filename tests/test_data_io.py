@@ -104,6 +104,16 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match=message):
             mask_entries(np.ones(shape), fraction, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("x,message", [
+        # the observed entries would otherwise refuse it as values
+        (np.full((3, 4), np.nan), "^x must be finite$"),
+        # a cast would observe only the real parts
+        (np.ones((3, 4)) + 1j, "^x must be a real array, got dtype complex128$"),
+    ], ids=["nan", "complex"])
+    def test_mask_entries_names_x(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            mask_entries(x, 0.5, np.random.default_rng(0))
+
 
 MOVIELENS_FIXTURE = "196\t242\t3\t881250949\n186\t302\t3\t891717742\n"
 

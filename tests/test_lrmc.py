@@ -108,12 +108,23 @@ class TestObservedMatrix:
          # a cast would truncate these to the entries (0, 1) and (1, 0)
          (2, [0.5, 1.9], [1, 0], [1.0, 2.0], "rows must be integer coordinates, got 0.5"),
          (2, [0, 1], [1.7, 0], [1.0, 2.0], "cols must be integer coordinates, got 1.7"),
-         (2, [np.nan], [0], [1.0], "rows must be integer coordinates, got nan"),
+         (2, [np.nan], [0], [1.0], "rows must be finite"),
          # a bool array would run as the rows 1 and 0
          (2, np.array([True, False]), [0, 1], [1.0, 2.0],
-          "rows must be integer coordinates, got True")],
+          "rows must be integer coordinates, got True"),
+         # a cast would keep only the real parts 0 and 1
+         (2, np.array([0, 1]) + 1j, [0, 1], [1.0, 2.0],
+          "rows must be a real array, got dtype complex128"),
+         (2, [0, 1], np.array([1, 0]) + 0j, [1.0, 2.0],
+          "cols must be a real array, got dtype complex128"),
+         # a cast would parse these as the numbers 0 and 1
+         (2, np.array(["0", "1"]), [0, 1], [1.0, 2.0],
+          "rows must be a real array, got dtype <U1"),
+         (2, [0, 1], np.array(["1", "0"]), [1.0, 2.0],
+          "cols must be a real array, got dtype <U1")],
         ids=["zero-m", "ragged", "column-out-of-range", "fractional-row",
-             "fractional-col", "nan-row", "bool-row"],
+             "fractional-col", "nan-row", "bool-row", "complex-row", "complex-col",
+             "string-row", "string-col"],
     )
     def test_malformed_triplets_rejected(self, m, rows, cols, values, message):
         with pytest.raises(ValueError, match=message):
@@ -124,8 +135,11 @@ class TestFactorPair:
     @pytest.mark.parametrize(
         "u,v,message",
         [(np.ones(3), np.ones((3, 1)), "must be 2-d"),
-         (np.ones((2, 3)), np.ones((4, 3)), "rank exceeds min")],
-        ids=["one-dimensional", "rank-above-shape"],
+         (np.ones((2, 3)), np.ones((4, 3)), "rank exceeds min"),
+         # a cast would keep only the real part of U
+         (np.ones((3, 1)) + 1j, np.ones((3, 1)), "U must be a real array, got dtype complex128"),
+         (np.ones((3, 1)), np.full((3, 1), np.nan), "V must be finite")],
+        ids=["one-dimensional", "rank-above-shape", "complex-u", "nan-v"],
     )
     def test_malformed_factors_rejected(self, u, v, message):
         with pytest.raises(ValueError, match=message):
@@ -147,6 +161,24 @@ class TestFactorPair:
         f = FactorPair(np.ones((3, 2)), np.ones((4, 2)))
         empty = np.empty(0, dtype=np.int64)
         assert f.predict_entries(empty, empty).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "rows,cols,message",
+        # numpy would read -1 as the last row, and raise its own IndexError
+        # naming no argument for 3
+        [([-1], [0], "row index out of range"),
+         ([3], [0], "row index out of range"),
+         ([0], [-1], "column index out of range"),
+         ([0], [4], "column index out of range"),
+         ([0.5], [0], "rows must be integer coordinates, got 0.5"),
+         ([0], np.array([1 + 1j]), "cols must be a real array, got dtype complex128")],
+        ids=["negative-row", "row-past-end", "negative-col", "col-past-end",
+             "fractional-row", "complex-col"],
+    )
+    def test_predict_entries_refuses_bad_coordinates(self, rows, cols, message):
+        f = FactorPair(np.ones((3, 2)), np.ones((4, 2)))
+        with pytest.raises(ValueError, match=message):
+            f.predict_entries(rows, cols)
 
 
 class TestRmse:
@@ -200,6 +232,13 @@ class TestRmse:
         f = FactorPair(np.ones((3, 1)), np.ones((4, 1)))
         with pytest.raises(ValueError, match="truth shape"):
             rmse(truth, f)
+
+    def test_nonfinite_dense_truth_rejected(self):
+        # an RMSE of nan would score the solve as neither good nor bad
+        truth = np.ones((3, 4))
+        truth[1, 2] = np.nan
+        with pytest.raises(ValueError, match="truth must be finite"):
+            rmse(truth, FactorPair(np.ones((3, 1)), np.ones((4, 1))))
 
 
 class TestComplete:
@@ -326,6 +365,13 @@ class TestNoisyAls:
         obs = ObservedMatrix(3, 4, [0], [0], [1.0])
         with pytest.raises(ValueError, match=r"init must be the \(4, 2\) start of V, got \(3, 2\)"):
             noisy_als(obs, SolverConfig(rank=2, outer_iterations=1), 0, init=np.ones((3, 2)))
+
+    @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+    def test_complex_init_rejected(self, solve):
+        # a cast would start V from the real parts
+        obs = ObservedMatrix(3, 4, [0], [0], [1.0])
+        with pytest.raises(ValueError, match="init must be a real array, got dtype complex128"):
+            solve(obs, SolverConfig(rank=2, outer_iterations=1), 0, init=np.ones((4, 2)) + 1j)
 
 
 class TestIrlsHuber:

@@ -43,7 +43,7 @@ class TestRidgeSolve:
         y = rng.standard_normal(10)
         t = np.array([0.3, -0.1, 0.7])
         expected = np.linalg.solve(a.T @ a + 2.0 * np.eye(3), a.T @ y + t)
-        got = ridge_solve(RidgeProblem(a, y, 2.0), NoiseDraw(t))
+        got = ridge_solve(RidgeProblem(a, y, 2.0), t)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -54,7 +54,7 @@ class TestRidgeSolve:
         t = rng.standard_normal(6)
         gram = a.T @ a + lam * np.eye(6)
         expected = cho_solve(cho_factor(gram, lower=True), a.T @ y + t)
-        got = ridge_solve(RidgeProblem(a, y, lam), NoiseDraw(t))
+        got = ridge_solve(RidgeProblem(a, y, lam), t)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_singular_unregularized_system_fails(self):
@@ -65,7 +65,19 @@ class TestRidgeSolve:
     def test_noise_length_checked(self):
         problem = RidgeProblem(np.eye(2), np.ones(2), 1.0)
         with pytest.raises(ValueError):
-            ridge_solve(problem, NoiseDraw(np.ones(3)))
+            ridge_solve(problem, np.ones(3))
+
+    @pytest.mark.parametrize("noise,message", [
+        # a nan would otherwise come back as a nan theta
+        (np.array([0.5, np.nan]), "noise must be finite"),
+        (np.array([0.5, 1j]), "noise must be a real array, got dtype complex128"),
+        # the noise is an array, not the wrapper sample() returns
+        (NoiseDraw(np.ones(2)), "noise must be a real array, got dtype object"),
+    ], ids=["nan", "complex", "noise-draw"])
+    def test_bad_noise_refused_by_name(self, noise, message):
+        problem = RidgeProblem(np.eye(2), np.ones(2), 1.0)
+        with pytest.raises(ValueError, match=message):
+            ridge_solve(problem, noise)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
@@ -230,7 +242,7 @@ class TestRIrls:
         replay = np.random.default_rng(3)
         replay.standard_normal(a.shape[1])
         t = sample(mech, a.shape[1], replay)
-        expected = ridge_solve(RidgeProblem(a, y, 0.5), t)
+        expected = ridge_solve(RidgeProblem(a, y, 0.5), t.values)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_noiseless_descent(self):

@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict
 from itertools import chain, filterfalse
 from operator import methodcaller
 from pathlib import Path
@@ -107,14 +107,16 @@ class ParseReport:
     out_of_range: int = 0
 
 
-def synthetic_truth(m: int, n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """Random rank-`rank` matrix with unit-variance entries.
+def synthetic_truth(m: int, n: int, rank: int, rng: np.random.Generator | int) -> np.ndarray:
+    """Random rank-`rank` matrix with unit-variance entries, drawn from rng, a
+    seed or Generator.
 
     Each entry is a sum of rank standard-normal products carrying an overall
     1/sqrt(rank) scale (each factor is scaled by rank^-1/4), so the entry
     variance is 1 at every rank. Values are real and unclipped.
     """
     m, n, rank = _synthetic_shape(m, n, rank)
+    rng = np.random.default_rng(rng)
     scale = rank**0.25
     u = rng.standard_normal((m, rank)) / scale
     v = rng.standard_normal((n, rank)) / scale
@@ -138,15 +140,18 @@ def generate_synthetic(
     return x, mask_entries(x, fraction, rng)
 
 
-def mask_entries(x: np.ndarray, fraction: float, rng: np.random.Generator) -> ObservedMatrix:
-    """Observe a uniform random subset of floor(fraction * m * n) cells; the
-    fraction must lie in (0, 1] and observe at least one."""
+def mask_entries(
+    x: np.ndarray, fraction: float, rng: np.random.Generator | int
+) -> ObservedMatrix:
+    """Observe a uniform random subset of floor(fraction * m * n) cells, drawn
+    from rng, a seed or Generator; the fraction must lie in (0, 1] and
+    observe at least one."""
     x = _finite_array(x, "x")
     if x.ndim != 2:
         raise ValueError(f"x must be a 2-D matrix, got shape {x.shape}")
     m, n = x.shape
     k = _observed_count(fraction, m, n)
-    flat = rng.choice(m * n, size=k, replace=False)
+    flat = np.random.default_rng(rng).choice(m * n, size=k, replace=False)
     flat.sort()
     rows, cols = np.divmod(flat, n)
     return ObservedMatrix(m, n, rows, cols, x[rows, cols])
@@ -323,9 +328,10 @@ def parse_sweetrs(path, report: ParseReport | None = None) -> ObservedMatrix:
 
 
 def subsample(
-    obs: ObservedMatrix, target_fraction: float, rng: np.random.Generator
+    obs: ObservedMatrix, target_fraction: float, rng: np.random.Generator | int
 ) -> ObservedMatrix:
-    """Uniform random subset of entries hitting floor(target_fraction * m * n).
+    """Uniform random subset of entries hitting floor(target_fraction * m * n),
+    drawn from rng, a seed or Generator.
 
     The target must lie in (0, 1], observe at least one entry, and not exceed
     the current observed fraction.
@@ -338,15 +344,16 @@ def subsample(
         )
     if k == obs.n_observed:
         return obs
-    keep = rng.choice(obs.n_observed, size=k, replace=False)
+    keep = np.random.default_rng(rng).choice(obs.n_observed, size=k, replace=False)
     keep.sort()
     return ObservedMatrix(obs.m, obs.n, obs.rows[keep], obs.cols[keep], obs.values[keep])
 
 
 def holdout_split(
-    obs: ObservedMatrix, test_fraction: float, rng: np.random.Generator
+    obs: ObservedMatrix, test_fraction: float, rng: np.random.Generator | int
 ) -> tuple[ObservedMatrix, ObservedMatrix]:
-    """Disjoint (train, test) partition of the observed entries.
+    """Disjoint (train, test) partition of the observed entries, drawn from
+    rng, a seed or Generator.
 
     The test part holds floor(test_fraction * |observed|) entries; both sides
     must end up non-empty.
@@ -360,7 +367,7 @@ def holdout_split(
             f"split of {obs.n_observed} entries at fraction {test_fraction} "
             "leaves one side empty"
         )
-    perm = rng.permutation(obs.n_observed)
+    perm = np.random.default_rng(rng).permutation(obs.n_observed)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
     make = lambda idx: ObservedMatrix(obs.m, obs.n, obs.rows[idx], obs.cols[idx], obs.values[idx])
@@ -442,8 +449,9 @@ def persist_run(record: RunRecord, path) -> None:
 
 
 def load_run(path) -> RunRecord:
-    """Read a RunRecord back; unknown schema versions raise, never misparse,
-    and a stored rmse_mean or rmse_std that its trials do not give raises."""
+    """Read a RunRecord back; unknown schema versions raise, never misparse. A
+    missing or unknown key, and a stored rmse_mean or rmse_std that its
+    trials do not give, raise ValueError naming the path and the key."""
     with Path(path).open("r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("schema_version")
@@ -452,9 +460,18 @@ def load_run(path) -> RunRecord:
             f"record schema version {version!r} is not supported "
             f"(this code reads version {SCHEMA_VERSION})"
         )
+    derived = ["rmse_mean", "rmse_std"]
+    required = [f.name for f in fields(RunRecord)
+                if f.default is MISSING and f.default_factory is MISSING] + derived
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: record lacks key(s) {', '.join(missing)}")
+    unknown = sorted(set(payload) - {f.name for f in fields(RunRecord)} - set(derived))
+    if unknown:
+        raise ValueError(f"{path}: record has unknown key(s) {', '.join(unknown)}")
     payload["epsilon"] = _decode_float(payload["epsilon"])
     payload["variance"] = _decode_float(payload["variance"])
-    stored = {key: payload.pop(key) for key in ("rmse_mean", "rmse_std")}
+    stored = {key: payload.pop(key) for key in derived}
     record = RunRecord(**payload)
     for key, value in stored.items():
         if not math.isclose(value, getattr(record, key), rel_tol=0, abs_tol=1e-12):

@@ -72,6 +72,13 @@ def _coordinates(index, name: str) -> np.ndarray:
     return np.asarray(index, dtype=np.int64)
 
 
+def _check_parallel(**arrays: np.ndarray) -> None:
+    """Refuse arrays that are not 1-d arrays of equal length, naming them all."""
+    first, *rest = arrays.values()
+    if first.ndim != 1 or any(a.shape != first.shape for a in rest):
+        raise ValueError(f"{', '.join(arrays)} must be 1-d arrays of equal length")
+
+
 def _check_range(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> None:
     """Refuse a coordinate outside an m x n matrix, negative ones included."""
     for index, size, axis in ((rows, m, "row"), (cols, n, "column")):
@@ -108,8 +115,7 @@ class ObservedMatrix:
             object.__setattr__(self, name, _count(getattr(self, name), name, 1))
         rows, cols = _coordinates(self.rows, "rows"), _coordinates(self.cols, "cols")
         values = _finite_array(self.values, "values")
-        if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
-            raise ValueError("rows, cols, values must be 1-d arrays of equal length")
+        _check_parallel(rows=rows, cols=cols, values=values)
         _check_range(rows, cols, self.m, self.n)
         if rows.size:
             flat = np.sort(_flat_keys(rows, cols, self.m, self.n))
@@ -149,6 +155,7 @@ class FactorPair:
     def predict_entries(self, rows, cols) -> np.ndarray:
         """(U V^T)[rows, cols] without forming U V^T, coordinates as in ObservedMatrix."""
         rows, cols = _coordinates(rows, "rows"), _coordinates(cols, "cols")
+        _check_parallel(rows=rows, cols=cols)
         _check_range(rows, cols, self.U.shape[0], self.V.shape[0])
         return _predict_entries(self.U, self.V, rows, cols)
 

@@ -409,8 +409,9 @@ def huber_alpha_for_variance(variance: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sample(config: MechanismConfig, k: int, rng: np.random.Generator) -> NoiseDraw:
-    """Draw k i.i.d. noise values for the configured mechanism.
+def sample(config: MechanismConfig, k: int, rng: np.random.Generator | int) -> NoiseDraw:
+    """Draw k i.i.d. noise values for the configured mechanism from rng, a
+    seed or Generator.
 
     Huber noise thins k standard normals z with k uniforms u: z is kept where
     |z| <= alpha and u < kappa * sqrt(2 pi), which leaves the density
@@ -421,6 +422,7 @@ def sample(config: MechanismConfig, k: int, rng: np.random.Generator) -> NoiseDr
     without consuming the stream.
     """
     k = _count(k, "k")
+    rng = np.random.default_rng(rng)
     kind = config.kind
     if kind == "none":
         return NoiseDraw(np.zeros(k))

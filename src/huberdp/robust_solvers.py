@@ -159,16 +159,17 @@ def irls_weights(residuals, alpha: float) -> np.ndarray:
     return w
 
 
-def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:
+def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator | int) -> np.ndarray:
     """Regularized IRLS estimate of theta from y ~ A theta.
 
-    Draws from rng the start theta ~ N(0, I), then the noise of all K =
-    config.iterations rounds in one sample call (row k is round k's t), and
-    runs the engine's group step, _irls, on this one system: K rounds of
-    residual weights, then theta <- (At W A + lam I)^-1 (At W y + t). This is
-    the layout of one target in an lrmc column half-sweep. With noise kind
-    "none" nothing follows the start draw and t is absent, so the loop stops
-    once its weights repeat, as a noiseless engine group does; the iteration
+    Draws from rng, a seed or Generator, the start theta ~ N(0, I), then the
+    noise of all K = config.iterations rounds in one sample call (row k is
+    round k's t), and runs the engine's group step, _irls, on this one
+    system: K rounds of residual weights, then
+    theta <- (At W A + lam I)^-1 (At W y + t). This is the layout of one
+    target in an lrmc column half-sweep. With noise kind "none" nothing
+    follows the start draw and t is absent, so the loop stops once its
+    weights repeat, as a noiseless engine group does; the iteration
     is then the classical majorize-minimize scheme for the regularized Huber
     objective and never increases it. Raises ValueError when y or a has a
     non-finite entry, and FloatingPointError when finite input overflows
@@ -181,6 +182,7 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator) -> np.ndarray:
     if y.shape != (a.shape[0],):
         raise ValueError("y must be a vector of length p")
     q, k = a.shape[1], config.iterations
+    rng = np.random.default_rng(rng)
     start = rng.standard_normal((1, q))
     noise = None
     if config.noise.kind != "none":

@@ -359,6 +359,18 @@ class TestRunCommand:
             # int64 keys of (0, 0) and (4294967296, 0) in this shape would collide
             (["run", "--dataset", "movielens:{tmp}/wrap.data"], None,
              "wrap.data: a 4294967297x4294967296 matrix has 2**63 or more entries"),
+            (["run", "--trials", "0"], None, "trials must be >= 1, got 0"),
+            (["gen", "--m", "0", "--out", "{tmp}/fresh/g.npz"], None, "m must be >= 1, got 0"),
+            # distinct floats that print alike under %g would share one record file
+            (["run", "--variance", "2.0000001,2.0000002"], None,
+             "variances has duplicate entries: [2.0000001, 2.0000002]"),
+            # an unusable --out is found before any cell runs
+            (SMALL + ["--out", "{tmp}/plan.json"], None, "File exists: "),
+            (["run", "--dataset", "movielens:{tmp}/latin1.data", "--rank", "1"], None,
+             "latin1.data:2: not UTF-8 text"),
+            # numpy's reader strips U+001C around a number and float() does not
+            (["run", "--dataset", "movielens:{tmp}/pad.data", "--rank", "1"], None,
+             "pad.data:2: could not convert string to float: '4\\x1c'"),
         ],
         ids=["duplicate-mechanism", "unknown-dataset", "missing-ratings",
              "missing-plan", "uncalibratable-variance", "dataset-not-str",
@@ -381,7 +393,9 @@ class TestRunCommand:
              "gen-negative-seed", "gen-negative-rank",
              "gen-fraction-observes-nothing",
              "budget-delta-f-zero", "budget-delta-f-negative", "calibrate-delta-f-zero",
-             "calibrate-delta-f-nan", "ratings-keys-wrap"],
+             "calibrate-delta-f-nan", "ratings-keys-wrap", "zero-trials", "gen-zero-m",
+             "duplicate-printed-variances", "out-is-a-file", "ratings-not-utf8",
+             "ratings-fs-padding"],
     )
     def test_bad_input_is_one_error_line(self, argv, plan, message, tmp_path, capsys):
         (tmp_path / "plan.json").write_text(json.dumps(plan))  # None writes null
@@ -390,6 +404,8 @@ class TestRunCommand:
             "1\t1\t5\t0\n1\t2\t4\t0\n2\t2\t3\t0\n2\t3\t4\t0\n3\t1\t2\t0\n3\t3\t5\t0\n"
         )
         (tmp_path / "wrap.data").write_text("1\t1\t3\t0\n4294967297\t1\t4\t0\n1\t4294967296\t5\t0\n")
+        (tmp_path / "latin1.data").write_bytes(b"1\t1\t5\t0\n1\t2\t4\t0 \xff\n2\t2\t3\t0\n")
+        (tmp_path / "pad.data").write_text("1\t1\t5\t0\n1\t2\t4\x1c\t0\n2\t2\t3\t0\n")
         np.savez(tmp_path / "float_rows.npz", x=np.ones((3, 3)), m=3, n=3,
                  rows=[0.5, 1.0, 2.9, 0.0], cols=[0, 1, 2, 2], values=[1.0, 2.0, 3.0, 4.0],
                  value_range=[1.0, 5.0])

@@ -635,6 +635,22 @@ class TestRunPersistence:
         with pytest.raises(ValueError, match=r"run\.json: rmse_mean 0\.9 does not match"):
             load_run(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda payload: payload.pop("epsilon"), r"run\.json: record lacks key\(s\) epsilon$"),
+        (lambda payload: payload.update(bogus=1),
+         r"run\.json: record has unknown key\(s\) bogus$"),
+    ], ids=["missing-key", "unknown-key"])
+    def test_malformed_record_names_its_key(self, edit, message, tmp_path):
+        # a KeyError or RunRecord's TypeError would name neither the file nor
+        # what is wrong with it
+        path = tmp_path / "run.json"
+        persist_run(make_record(), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_run(path)
+
     CELL = dict(dataset="d", solver="als", mechanism="none", variance=None,
                 fraction=0.1, rank=2, epsilon=1.0, delta=0.0, seed=0)
 

@@ -15,7 +15,8 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 _RUNTIME = f"""
-import contextlib, io, json, sys
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
 sys.path.insert(0, {SRC!r})
 import numpy as np
 import huberdp
@@ -23,7 +24,9 @@ from huberdp import bench_cli
 from huberdp.mechanisms import MechanismConfig, calibrate_alpha, huber_cdf
 from huberdp.robust_solvers import IrlsConfig, RidgeProblem, r_irls, ridge_solve
 
-with contextlib.redirect_stdout(io.StringIO()):
+FILE_RUN = ["--rank", "1", "--fraction", "1", "--holdout", "0.5", "--trials", "1",
+            "--outer-t", "2", "--solver", "als", "--mechanism", "huber", "--variance", "2"]
+with contextlib.redirect_stdout(io.StringIO()), tempfile.TemporaryDirectory() as tmp:
     assert bench_cli.main(["budget"]) == 0
     assert bench_cli.main(["calibrate", "--targets", "2,3"]) == 0
     assert bench_cli.main(["verify-privacy"]) == 0
@@ -33,6 +36,19 @@ with contextlib.redirect_stdout(io.StringIO()):
         "--mechanism", "gaussian,laplace,huber", "--variance", "2",
         "--trials", "1", "--outer-t", "1", "--irls-k", "1", "--seed", "0",
     ]) == 0
+    # each dataset reader: both ratings formats with a CRLF line and a
+    # whitespace-only line, SweetRS with its header, and a gen npz
+    ratings = Path(tmp, "u.data")
+    ratings.write_bytes(b"1\\t1\\t5\\t0\\r\\n1\\t2\\t4\\t0\\n \\t \\n2\\t2\\t3\\t0\\n"
+                        b"2\\t3\\t4\\t0\\n3\\t1\\t2\\t0\\n3\\t3\\t5\\t0\\n")
+    assert bench_cli.main(["run", "--dataset", f"movielens:{{ratings}}", *FILE_RUN]) == 0
+    sweetrs = Path(tmp, "r.csv")
+    sweetrs.write_bytes(b"user,item,rating\\n1,1,5\\r\\n1,2,4\\n \\t \\n2,2,3\\n2,3,4\\n3,1,2\\n3,3,5\\n")
+    assert bench_cli.main(["run", "--dataset", f"sweetrs:{{sweetrs}}", *FILE_RUN]) == 0
+    npz = Path(tmp, "g.npz")
+    assert bench_cli.main(["gen", "--m", "20", "--n", "20", "--rank", "2", "--fraction", "0.5",
+                           "--out", str(npz)]) == 0
+    assert bench_cli.main(["run", "--dataset", f"file:{{npz}}", *FILE_RUN]) == 0
 calibrate_alpha(2.0)
 huber_cdf(np.linspace(-3.0, 3.0, 7), 1.0)
 rng = np.random.default_rng(0)

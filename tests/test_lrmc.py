@@ -171,9 +171,12 @@ class TestFactorPair:
          ([0], [-1], "column index out of range"),
          ([0], [4], "column index out of range"),
          ([0.5], [0], "rows must be integer coordinates, got 0.5"),
-         ([0], np.array([1 + 1j]), "cols must be a real array, got dtype complex128")],
+         ([0], np.array([1 + 1j]), "cols must be a real array, got dtype complex128"),
+         # a lone column would be broadcast against both rows
+         ([0, 1], [0], "rows, cols must be 1-d arrays of equal length"),
+         ([[0, 1]], [[0, 1]], "rows, cols must be 1-d arrays of equal length")],
         ids=["negative-row", "row-past-end", "negative-col", "col-past-end",
-             "fractional-row", "complex-col"],
+             "fractional-row", "complex-col", "unequal-lengths", "two-d"],
     )
     def test_predict_entries_refuses_bad_coordinates(self, rows, cols, message):
         f = FactorPair(np.ones((3, 2)), np.ones((4, 2)))

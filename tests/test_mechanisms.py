@@ -17,7 +17,7 @@ from huberdp import bench_cli, mechanisms
 from huberdp.data_io import (
     generate_synthetic, holdout_split, mask_entries, subsample, synthetic_truth,
 )
-from huberdp.lrmc import ObservedMatrix, SolverConfig
+from huberdp.lrmc import FactorPair, ObservedMatrix, SolverConfig, irls_huber, noisy_als
 from huberdp.mechanisms import (
     CalibrationError,
     ConsistencyError,
@@ -40,7 +40,7 @@ from huberdp.mechanisms import (
     privacy_gap,
     sample,
 )
-from huberdp.robust_solvers import IrlsConfig, RidgeProblem, irls_weights
+from huberdp.robust_solvers import IrlsConfig, RidgeProblem, irls_weights, r_irls
 
 ALPHA_GRID = [0.25, 0.5, 1.0, 2.0, 3.0, 8.0]
 
@@ -884,3 +884,41 @@ class TestScalarParameterRule:
     def test_narrow_numpy_shape_does_not_overflow(self):
         obs = ObservedMatrix(np.int8(100), np.int8(100), [0], [0], [1.0])
         assert obs.observed_fraction == 1e-4
+
+
+_NOISY = SolverConfig(rank=1, outer_iterations=2, inner_iterations=2,
+                      mechanism=MechanismConfig.huber(1.0))
+
+# Every public function that draws, as (name, call passing rng). Each takes a
+# seed or a Generator through np.random.default_rng.
+SEEDED_DRAWS = [
+    ("sample", lambda rng: sample(MechanismConfig.huber(2.0), 50, rng)),
+    ("r_irls", lambda rng: r_irls(np.arange(4.0), np.eye(4, 2), IrlsConfig(
+        1.0, 0.5, 3, MechanismConfig.huber(1.0)), rng)),
+    ("synthetic_truth", lambda rng: synthetic_truth(4, 3, 2, rng)),
+    ("mask_entries", lambda rng: mask_entries(np.ones((4, 4)), 0.5, rng)),
+    ("subsample", lambda rng: subsample(_FULL_4X4, 0.5, rng)),
+    ("holdout_split", lambda rng: holdout_split(_FULL_4X4, 0.5, rng)),
+    ("generate_synthetic", lambda rng: generate_synthetic(4, 4, 1, 0.5, rng)),
+    ("noisy_als", lambda rng: noisy_als(_FULL_4X4, _NOISY, rng)),
+    ("irls_huber", lambda rng: irls_huber(_FULL_4X4, _NOISY, rng)),
+]
+
+
+def _drawn(result) -> list[np.ndarray]:
+    """The arrays a drawing call returned, in order."""
+    if isinstance(result, tuple):
+        return [a for part in result for a in _drawn(part)]
+    if isinstance(result, ObservedMatrix):
+        return [result.rows, result.cols, result.values]
+    if isinstance(result, FactorPair):
+        return [result.U, result.V]
+    return [getattr(result, "values", result)]
+
+
+@pytest.mark.parametrize("name,call", SEEDED_DRAWS, ids=[name for name, _ in SEEDED_DRAWS])
+def test_a_seed_draws_what_its_generator_draws(name, call):
+    seeded, generated = _drawn(call(7)), _drawn(call(np.random.default_rng(7)))
+    assert len(seeded) == len(generated)
+    for a, b in zip(seeded, generated):
+        assert np.array_equal(a, b)

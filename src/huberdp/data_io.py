@@ -427,10 +427,8 @@ def _encode_float(x):
 
 
 def _decode_float(x):
-    if x is None:
-        return None
     if isinstance(x, str):
-        return float(x)
+        return {"inf": math.inf, "-inf": -math.inf}.get(x, x)
     return x
 
 
@@ -450,8 +448,10 @@ def persist_run(record: RunRecord, path) -> None:
 
 def load_run(path) -> RunRecord:
     """Read a RunRecord back; unknown schema versions raise, never misparse. A
-    missing or unknown key, and a stored rmse_mean or rmse_std that its
-    trials do not give, raise ValueError naming the path and the key."""
+    missing or unknown key, a number of the wrong type (rank and seed are
+    integers, rmse_trials a non-empty list of finite reals, variance a real
+    or null), and a stored rmse_mean or rmse_std that its trials do not give,
+    raise ValueError naming the path and the key."""
     with Path(path).open("r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("schema_version")
@@ -469,8 +469,15 @@ def load_run(path) -> RunRecord:
     unknown = sorted(set(payload) - {f.name for f in fields(RunRecord)} - set(derived))
     if unknown:
         raise ValueError(f"{path}: record has unknown key(s) {', '.join(unknown)}")
-    payload["epsilon"] = _decode_float(payload["epsilon"])
-    payload["variance"] = _decode_float(payload["variance"])
+    for key in ("epsilon", "variance", "fraction", "delta", "wall_clock_sec", *derived):
+        if key in payload and not (key == "variance" and payload[key] is None):
+            payload[key] = _real(_decode_float(payload[key]), f"{path}: {key}")
+    for key, least in (("rank", 1), ("seed", 0)):
+        payload[key] = _count(payload[key], f"{path}: {key}", least)
+    trials = _finite_array(payload["rmse_trials"], f"{path}: rmse_trials")
+    if trials.ndim != 1 or not trials.size:
+        raise ValueError(f"{path}: rmse_trials must be a non-empty list of reals")
+    payload["rmse_trials"] = trials.tolist()
     stored = {key: payload.pop(key) for key in derived}
     record = RunRecord(**payload)
     for key, value in stored.items():

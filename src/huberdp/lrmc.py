@@ -250,10 +250,13 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # axis 0, as are the noise and IRLS-start slices: it copies the same rows as
 # the advanced index other[oidx], which sends every short r-float row through
 # numpy's generic index loop, in about a quarter of the time at rank 5. Each
-# group then runs _irls once, whose residual, Gram and right-hand-side
-# contractions are stacked matmuls on that block, so they run on BLAS; each
-# Gram multiplies two buffers (dgemm), never a block and its own transposed
-# view, which matmul would send to the slower syrk.
+# group then runs _irls once, whose residual and normal-equation
+# contractions are stacked matmuls on that block, so they run on BLAS: a
+# reweighted iteration takes A^T W A and A^T W y from one product of the
+# weighted [A | y]^T and the block, a ridge step its Gram from a transposed
+# copy of the block. Each product multiplies two buffers (dgemm), never a
+# block and its own transposed view, which matmul would send to the slower
+# syrk.
 # Per-target results match solving each system on its own up to rounding.
 #
 # A solve deals each half once (_deal): when the half's Gram work (padded
@@ -497,19 +500,27 @@ def rmse(truth, factors: FactorPair) -> float:
 
     An ObservedMatrix truth gives the RMSE over its entries only (use a
     held-out split for test error on real data). Any other truth is the
-    dense ground-truth matrix X and gives ||X - U V^T||_F / sqrt(m n).
+    dense ground-truth matrix X and gives ||X - U V^T||_F / sqrt(m n),
+    summed over blocks of rows of about _PREDICT_BLOCK entries, so no m x n
+    array is formed.
     """
     observed = isinstance(truth, ObservedMatrix)
     x = truth if observed else _finite_array(truth, "truth")
     shape = (x.m, x.n) if observed else x.shape
     if shape != (factors.U.shape[0], factors.V.shape[0]):
         raise ValueError("truth shape does not match the factors")
+    if (x.n_observed if observed else x.size) == 0:
+        raise ValueError("cannot compute RMSE over an empty index set")
     if observed:
-        if x.n_observed == 0:
-            raise ValueError("cannot compute RMSE over an empty index set")
         err = x.values - factors.predict_entries(x.rows, x.cols)
         return float(math.sqrt(np.mean(err * err)))
-    return float(np.linalg.norm(x - factors.U @ factors.V.T) / math.sqrt(x.size))
+    u, vt = factors.U, factors.V.T
+    step = max(1, _PREDICT_BLOCK // x.shape[1])
+    total = 0.0
+    for start in range(0, x.shape[0], step):
+        err = x[start:start + step] - u[start:start + step] @ vt
+        total += np.vdot(err, err)
+    return float(math.sqrt(total / x.size))
 
 
 def completion_objective(obs: ObservedMatrix, u, v, lam: float) -> float:

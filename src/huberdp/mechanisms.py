@@ -543,13 +543,16 @@ def _gap_check(alpha: float, delta_f: float) -> tuple[float, float, bool]:
 
     The grid spans every breakpoint (-df - alpha, -alpha, alpha - df, alpha),
     which are added to it exactly, and reaches into both constant plateaus.
+    A loss that overflows makes the maximum NaN without a numpy warning: the
+    check reports it as a failure itself.
     """
     a = _positive_real(alpha, "alpha")
     df = _positive_real(delta_f, "delta_f")
     grid = np.linspace(-df - 2.0 * a - 1.0, 2.0 * a + df + 1.0, _GAP_GRID_POINTS)
     breakpoints = np.array([-df - a, -a, a - df, a])
     ts = np.concatenate([grid, breakpoints])
-    g_max = float(np.max(huber_loss(ts + df, a) - huber_loss(ts, a)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_max = float(np.max(huber_loss(ts + df, a) - huber_loss(ts, a)))
     deviation = abs(g_max - a * df)
     return g_max, deviation, deviation <= _GAP_TOL
 

@@ -154,6 +154,14 @@ class TestVerifyPrivacyCommand:
         assert row.split()[2:4] == ["nan", "nan"]
         assert "max |sup g - alpha*delta_f| = nan" in out
 
+    def test_nan_grid_fails_without_numpy_warnings(self, capsys):
+        # the same grid outside any np.errstate: the check reports the NaN
+        # itself, so the overflow may not warn (the suite turns warnings into
+        # errors) and stderr holds the one failure line
+        code = run_cli(["verify-privacy", "--alphas", "1e200", "--delta-fs", "1e200"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["tolerance 1e-09 exceeded"]
+
 
 class TestGenCommand:
     # np.savez given a path without the suffix would write data.npz instead

@@ -639,10 +639,23 @@ class TestRunPersistence:
         (lambda payload: payload.pop("epsilon"), r"run\.json: record lacks key\(s\) epsilon$"),
         (lambda payload: payload.update(bogus=1),
          r"run\.json: record has unknown key\(s\) bogus$"),
-    ], ids=["missing-key", "unknown-key"])
+        (lambda payload: payload.update(epsilon="abc"),
+         r"run\.json: epsilon must be a real, got 'abc'$"),
+        (lambda payload: payload.update(rmse_trials="ab"),
+         r"run\.json: rmse_trials must be a real array, got dtype <U2$"),
+        (lambda payload: payload.update(rmse_trials=[[0.5, 0.7, 0.6]]),
+         r"run\.json: rmse_trials must be a non-empty list of reals$"),
+        (lambda payload: payload.update(rmse_trials=[]),
+         r"run\.json: rmse_trials must be a non-empty list of reals$"),
+        (lambda payload: payload.update(rank=2.5), r"run\.json: rank must be an integer, got 2\.5$"),
+        (lambda payload: payload.update(wall_clock_sec=[1]),
+         r"run\.json: wall_clock_sec must be a real, got \[1\]$"),
+    ], ids=["missing-key", "unknown-key", "string-epsilon", "string-trials", "nested-trials",
+            "empty-trials", "fractional-rank", "list-wall-clock"])
     def test_malformed_record_names_its_key(self, edit, message, tmp_path):
-        # a KeyError or RunRecord's TypeError would name neither the file nor
-        # what is wrong with it
+        # a KeyError, RunRecord's TypeError, float()'s or numpy's own error
+        # would name neither the file nor what is wrong with it, and a
+        # fractional rank or a listed wall clock would load without one
         path = tmp_path / "run.json"
         persist_run(make_record(), path)
         payload = json.loads(path.read_text())

@@ -224,6 +224,21 @@ class TestRmse:
         with pytest.raises(ValueError):
             rmse(obs, f)
 
+    def test_empty_dense_truth_rejected(self):
+        f = FactorPair(np.zeros((3, 0)), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="cannot compute RMSE over an empty index set"):
+            rmse(np.zeros((3, 0)), f)
+
+    # 37 x 500 sums 16-row blocks and a 5-row tail; a row of 9000 entries
+    # exceeds a block, so each block is one row
+    @pytest.mark.parametrize("m,n", [(37, 500), (3, 9000)], ids=["row-blocks", "one-row-blocks"])
+    def test_dense_blocks_match_the_whole_difference(self, m, n):
+        rng = np.random.default_rng(6)
+        f = FactorPair(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
+        x = rng.standard_normal((m, n))
+        expected = np.linalg.norm(x - f.U @ f.V.T) / math.sqrt(m * n)
+        assert rmse(x, f) == pytest.approx(expected, rel=1e-13)
+
     @pytest.mark.parametrize(
         "truth",
         [np.ones((4, 3)),

@@ -407,3 +407,51 @@ class TestIrlsStep:
         assert np.isfinite(theta).all()
         for name, x in before.items():
             np.testing.assert_array_equal(inputs[name], x, err_msg=name)
+
+    # 7 systems, each with two padded slots (a zero design row, value 0) at
+    # the end; exactly linear targets plus a +10 outlier in every tenth row,
+    # so the noiseless weights of each system repeat at an iteration of its
+    # own within K = 60
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("p,q", [(4, 6), (30, 5)], ids=["narrower-than-rank", "tall"])
+    def test_each_system_solves_as_on_a_stack_of_one(self, p, q, noisy, monkeypatch):
+        # the threaded half-sweep deals count groups to any thread, in any
+        # split, so every system's theta may not depend on its stack mates
+        rng = np.random.default_rng(7)
+        g, k, alpha = 7, 60, 1.0
+        ag = rng.standard_normal((g, p, q))
+        vals = np.einsum("gpq,gq->gp", ag, rng.standard_normal((g, q)))
+        vals[:, ::10] += 10.0
+        ag[:, -2:] = 0.0
+        vals[:, -2:] = 0.0
+        theta = rng.standard_normal((g, q))
+        noise = rng.standard_normal((g, k, q)) if noisy else None
+        lam_eye = 0.5 * np.eye(q)
+        solves = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            solves.append(a.shape[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+
+        def run(members):
+            """(theta, solve calls) of the stack of these systems."""
+            before = len(solves)
+            inputs = [None if x is None else x[members].copy() for x in (ag, vals, theta, noise)]
+            return _irls(*inputs, lam_eye, alpha, k), len(solves) - before
+
+        stacked, stack_solves = run(slice(None))
+        alone = [run(slice(i, i + 1)) for i in range(g)]
+        for i, (one, _) in enumerate(alone):
+            np.testing.assert_array_equal(stacked[i], one[0], err_msg=f"system {i}")
+        # an uneven split into stacks of 3 and 4
+        split = np.concatenate([run(slice(None, 3))[0], run(slice(3, None))[0]])
+        np.testing.assert_array_equal(split, stacked)
+        # a stack solves as often as its slowest system: K times with noise,
+        # without it until the last system's weights repeat
+        assert stack_solves == max(count for _, count in alone)
+        if not noisy:
+            assert stack_solves < k
+            assert min(count for _, count in alone) < stack_solves

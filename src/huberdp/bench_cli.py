@@ -20,14 +20,12 @@ for byte, regardless of execution order.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import sys
 import time
-import typing
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -125,10 +123,7 @@ class ExperimentPlan:
     out: str | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _has_type(value, _FIELD_TYPES[f.name]):
-                raise ValueError(f"plan field {f.name} must be {f.type}, got {value!r}")
+        data_io._check_fields(self, "plan")
         kind, _, path = self.dataset.partition(":")
         if self.dataset != "synthetic" and (kind not in _FILE_KINDS or not path):
             raise ValueError(
@@ -233,23 +228,6 @@ class ExperimentPlan:
         return out
 
 
-_FIELD_TYPES = typing.get_type_hints(ExperimentPlan)
-
-
-def _has_type(value, hint) -> bool:
-    """isinstance against a plan field's annotation. A bool is not an int
-    (JSON true is not a count), and an int is a float."""
-    if hint is int or hint is float:
-        allowed = (int,) if hint is int else (int, float)
-        return isinstance(value, allowed) and not isinstance(value, bool)
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
-    if args:  # a union such as float | None
-        return any(_has_type(value, arg) for arg in args)
-    return isinstance(value, hint)
-
-
 def _load_file_dataset(kind: str, path: str) -> tuple[np.ndarray | None, ObservedMatrix]:
     parser = _FILE_KINDS[kind][0]
     if parser is not None:
@@ -261,8 +239,9 @@ def _load_file_dataset(kind: str, path: str) -> tuple[np.ndarray | None, Observe
         missing = [k for k in ("m", "n", "rows", "cols", "values") if k not in npz.files]
         if missing:
             raise ValueError(f"{path} lacks npz key(s) {', '.join(missing)}")
-        obs = ObservedMatrix(npz["m"].item(), npz["n"].item(), npz["rows"], npz["cols"],
-                             npz["values"])
+        # an m or n that is not one number goes to ObservedMatrix as an array, which names it
+        m, n = (dim.item() if dim.size == 1 else dim for dim in (npz["m"], npz["n"]))
+        obs = ObservedMatrix(m, n, npz["rows"], npz["cols"], npz["values"])
         truth = mechanisms._finite_array(npz["x"], "x") if "x" in npz.files else None
     if not obs.n_observed:
         raise ValueError(f"{path} holds no observed entry")
@@ -534,17 +513,7 @@ def cmd_run(args) -> int:
         for name in ExperimentPlan.__dataclass_fields__
         if getattr(args, name, None) is not None
     }
-    payload = {}
-    if args.plan:
-        with Path(args.plan).open("r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"plan file {args.plan} must hold a JSON object, got {type(payload).__name__}"
-            )
-        unknown = set(payload) - set(ExperimentPlan.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown plan fields: {sorted(unknown)}")
+    payload = data_io._read_fields(args.plan, ExperimentPlan, "plan") if args.plan else {}
     payload.update(given)
     plan = ExperimentPlan(**payload)
     records, failures = run_plan(plan)

@@ -11,9 +11,11 @@ Run results persist as versioned JSON records plus a flat CSV summary.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
+import typing
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, asdict
 from itertools import chain, filterfalse
@@ -48,6 +50,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
+_DERIVED = ("rmse_mean", "rmse_std")  # stored by persist_run beside the fields
 
 SUMMARY_FIELDS = [
     "dataset",
@@ -379,6 +382,50 @@ def holdout_split(
 # ---------------------------------------------------------------------------
 
 
+def _has_type(value, hint) -> bool:
+    """isinstance against a field's annotation. A bool is not an int (JSON
+    true is not a count), and an int is a float."""
+    if hint is int or hint is float:
+        allowed = (int,) if hint is int else (int, float)
+        return isinstance(value, allowed) and not isinstance(value, bool)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if args:  # a union such as float | None
+        return any(_has_type(value, arg) for arg in args)
+    return isinstance(value, hint)
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per class
+
+
+def _check_fields(obj, what: str) -> None:
+    """ValueError naming the first field of dataclass obj that _has_type refuses."""
+    hints = _type_hints(type(obj))
+    for f in fields(obj):
+        value, hint = getattr(obj, f.name), hints[f.name]
+        if type(value) is not hint and not _has_type(value, hint):
+            raise ValueError(f"{what} field {f.name} must be {f.type}, got {value!r}")
+
+
+def _read_fields(path, cls, what: str, extra=()) -> dict:
+    """The JSON object in a file, keyed by dataclass cls's fields and extra; a
+    ValueError naming the path refuses a non-object, a missing or unknown key."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: {what} must hold a JSON object, got {type(payload).__name__}")
+    required = {f.name: f.default is MISSING and f.default_factory is MISSING
+                for f in fields(cls)} | dict.fromkeys(extra, True)
+    missing = [key for key, needed in required.items() if needed and key not in payload]
+    if missing:
+        raise ValueError(f"{path}: {what} lacks key(s) {', '.join(missing)}")
+    unknown = sorted(set(payload) - set(required))
+    if unknown:
+        raise ValueError(f"{path}: {what} has unknown key(s) {', '.join(unknown)}")
+    return payload
+
+
 @dataclass
 class RunRecord:
     """One benchmark cell: config, data descriptor, per-trial RMSEs, budget.
@@ -406,8 +453,13 @@ class RunRecord:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        _check_fields(self, "record")
+        _count(self.rank, "record field rank", 1)
+        _count(self.seed, "record field seed", 0)
         if not self.rmse_trials:  # np.mean would warn and return nan
-            raise ValueError("rmse_trials must not be empty")
+            raise ValueError("record field rmse_trials must not be empty")
+        if not all(map(math.isfinite, self.rmse_trials)):
+            raise ValueError(f"record field rmse_trials must be finite, got {self.rmse_trials!r}")
 
     @property
     def rmse_mean(self) -> float:
@@ -435,8 +487,7 @@ def _decode_float(x):
 def persist_run(record: RunRecord, path) -> None:
     """Write a RunRecord, its derived statistics too, as pretty-printed JSON."""
     payload = asdict(record)
-    payload["rmse_mean"] = record.rmse_mean
-    payload["rmse_std"] = record.rmse_std
+    payload.update({key: getattr(record, key) for key in _DERIVED})
     payload["epsilon"] = _encode_float(record.epsilon)
     payload["variance"] = _encode_float(record.variance)
     path = Path(path)
@@ -448,40 +499,25 @@ def persist_run(record: RunRecord, path) -> None:
 
 def load_run(path) -> RunRecord:
     """Read a RunRecord back; unknown schema versions raise, never misparse. A
-    missing or unknown key, a number of the wrong type (rank and seed are
-    integers, rmse_trials a non-empty list of finite reals, variance a real
-    or null), and a stored rmse_mean or rmse_std that its trials do not give,
-    raise ValueError naming the path and the key."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    file _read_fields refuses (keys are read before the version), a field
+    RunRecord refuses, and a stored rmse_mean or rmse_std its trials do not
+    give raise ValueError naming the path."""
+    payload = _read_fields(path, RunRecord, "record", _DERIVED)
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"record schema version {version!r} is not supported "
             f"(this code reads version {SCHEMA_VERSION})"
         )
-    derived = ["rmse_mean", "rmse_std"]
-    required = [f.name for f in fields(RunRecord)
-                if f.default is MISSING and f.default_factory is MISSING] + derived
-    missing = [key for key in required if key not in payload]
-    if missing:
-        raise ValueError(f"{path}: record lacks key(s) {', '.join(missing)}")
-    unknown = sorted(set(payload) - {f.name for f in fields(RunRecord)} - set(derived))
-    if unknown:
-        raise ValueError(f"{path}: record has unknown key(s) {', '.join(unknown)}")
-    for key in ("epsilon", "variance", "fraction", "delta", "wall_clock_sec", *derived):
-        if key in payload and not (key == "variance" and payload[key] is None):
-            payload[key] = _real(_decode_float(payload[key]), f"{path}: {key}")
-    for key, least in (("rank", 1), ("seed", 0)):
-        payload[key] = _count(payload[key], f"{path}: {key}", least)
-    trials = _finite_array(payload["rmse_trials"], f"{path}: rmse_trials")
-    if trials.ndim != 1 or not trials.size:
-        raise ValueError(f"{path}: rmse_trials must be a non-empty list of reals")
-    payload["rmse_trials"] = trials.tolist()
-    stored = {key: payload.pop(key) for key in derived}
-    record = RunRecord(**payload)
+    payload.update({key: _decode_float(payload[key]) for key in ("epsilon", "variance")})
+    stored = {key: payload.pop(key) for key in _DERIVED}
+    try:
+        record = RunRecord(**payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     for key, value in stored.items():
-        if not math.isclose(value, getattr(record, key), rel_tol=0, abs_tol=1e-12):
+        if not (_has_type(value, float)
+                and math.isclose(value, getattr(record, key), rel_tol=0, abs_tol=1e-12)):
             raise ValueError(f"{path}: {key} {value!r} does not match its rmse_trials")
     return record
 

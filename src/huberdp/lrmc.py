@@ -358,14 +358,13 @@ def _half_sweep(parts, other, lam, alpha, iterations, init, noise, num_targets, 
     r = other.shape[1]
     other = np.concatenate((other, np.zeros((1, r))))
     out = np.empty((num_targets, r))
-    lam_eye = lam * np.eye(r)
 
     def solve_groups(part):
         for ids, oidx, vals in part:
             theta = None if init is None else np.take(init, ids, axis=0)
             gnoise = None if noise is None else np.take(noise, ids, axis=0)
             ag = np.take(other, oidx, axis=0)
-            out[ids] = _irls(ag, vals, theta, gnoise, lam_eye, alpha, iterations)
+            out[ids] = _irls(ag, vals, theta, gnoise, lam, alpha, iterations)
 
     _join(pool, *(partial(solve_groups, part) for part in parts))
     return out
@@ -512,7 +511,7 @@ def rmse(truth, factors: FactorPair) -> float:
     if (x.n_observed if observed else x.size) == 0:
         raise ValueError("cannot compute RMSE over an empty index set")
     if observed:
-        err = x.values - factors.predict_entries(x.rows, x.cols)
+        err = x.values - _predict_entries(factors.U, factors.V, x.rows, x.cols)
         return float(math.sqrt(np.mean(err * err)))
     u, vt = factors.U, factors.V.T
     step = max(1, _PREDICT_BLOCK // x.shape[1])

@@ -100,7 +100,7 @@ def ridge_solve(problem: RidgeProblem, noise: np.ndarray | None = None) -> np.nd
         if t.shape != (q,):
             raise ValueError(f"noise must have length {q}, got shape {t.shape}")
         t = t.reshape(1, 1, q)
-    return _irls(a[None], y[None], None, t, lam * np.eye(q), math.inf, 1)[0]
+    return _irls(a[None], y[None], None, t, lam, math.inf, 1)[0]
 
 
 def _huber_weights(abs_residuals, alpha):
@@ -110,7 +110,7 @@ def _huber_weights(abs_residuals, alpha):
     return np.divide(alpha, abs_residuals, out=abs_residuals)
 
 
-def _irls(ag, vals, theta, noise, lam_eye, alpha, iterations):
+def _irls(ag, vals, theta, noise, lam, alpha, iterations):
     """Regularized Huber IRLS on a stack of g same-shape systems: designs ag
     (g, p, q), targets vals (g, p), starts theta (g, q), noise (g, K, q) or
     None. Iteration k solves (A^T W A + lam I) theta = A^T W y + noise[:, k],
@@ -131,7 +131,7 @@ def _irls(ag, vals, theta, noise, lam_eye, alpha, iterations):
     matrix-vector product it saves (13-15% on the group steps of the rank-32
     ratings halves). Its Gram, too, multiplies two buffers: matmul sends a
     buffer times its own transposed view to syrk, which is slower. The noise
-    is added in place into the right-hand side, and lam_eye = lam I through
+    is added in place into the right-hand side, and lam I as lam added to
     a writable view of each Gram's diagonal: a full (q, q) add into the
     strided Gram view took as long as the product itself on narrow rank-32
     groups.
@@ -162,9 +162,19 @@ def _irls(ag, vals, theta, noise, lam_eye, alpha, iterations):
         if noise is not None:
             rhs += noise[:, k, :, None]
         diagonal = np.einsum("gii->gi", gram)  # a writable view
-        diagonal += lam_eye.diagonal()
+        diagonal += lam
         theta = np.linalg.solve(gram, rhs)[..., 0]
     return theta
+
+
+def _system(y, a) -> tuple[np.ndarray, np.ndarray]:
+    """y and a of y ~ A theta: a length-p vector and a p x q matrix, p >= 0."""
+    y, a = _finite_array(y, "y"), _finite_array(a, "a")
+    if a.ndim != 2:
+        raise ValueError("a must be a p x q matrix")
+    if y.shape != (a.shape[0],):
+        raise ValueError("y must be a vector of length p")
+    return y, a
 
 
 def irls_weights(residuals, alpha: float) -> np.ndarray:
@@ -196,19 +206,14 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator | int) -> np.ndarr
     non-finite entry, and FloatingPointError when finite input overflows
     into a non-finite theta.
     """
-    y = _finite_array(y, "y")
-    a = _finite_array(a, "a")
-    if a.ndim != 2:
-        raise ValueError("a must be a p x q matrix")
-    if y.shape != (a.shape[0],):
-        raise ValueError("y must be a vector of length p")
+    y, a = _system(y, a)
     q, k = a.shape[1], config.iterations
     rng = np.random.default_rng(rng)
     start = rng.standard_normal((1, q))
     noise = None
     if config.noise.kind != "none":
         noise = sample(config.noise, k * q, rng).values.reshape(1, k, q)
-    theta = _irls(a[None], y[None], start, noise, config.lam * np.eye(q), config.alpha, k)[0]
+    theta = _irls(a[None], y[None], start, noise, config.lam, config.alpha, k)[0]
     if not np.isfinite(theta).all():
         raise FloatingPointError("r_irls diverged: non-finite theta")
     return theta
@@ -217,8 +222,9 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator | int) -> np.ndarr
 def huber_objective(y, a, theta, alpha: float, lam: float) -> float:
     """Objective descended by the noiseless IRLS iteration:
     sum_i rho_alpha(y_i - a_i theta) + (lam/2) ||theta||^2."""
-    y = _finite_array(y, "y")
-    a = _finite_array(a, "a")
+    y, a = _system(y, a)
     theta = _finite_array(theta, "theta")
+    if theta.shape != (a.shape[1],):
+        raise ValueError("theta must be a vector of length q")
     resid = y - a @ theta
-    return float(np.sum(huber_loss(resid, alpha)) + 0.5 * lam * float(theta @ theta))
+    return float(np.sum(huber_loss(resid, alpha)) + 0.5 * _real(lam, "lam") * float(theta @ theta))

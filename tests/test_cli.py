@@ -214,6 +214,24 @@ class TestRunCommand:
         assert record.draw_counts["v_sweep"] > 0
         assert len(record.rmse_trials) == 2
 
+    def test_every_record_loads_back_as_run(self, tmp_path, monkeypatch, capsys):
+        returned = []
+
+        def recording_run_plan(plan):
+            returned.append(run_plan(plan))
+            return returned[-1]
+
+        monkeypatch.setattr(bench_cli, "run_plan", recording_run_plan)
+        out = tmp_path / "results"
+        assert run_cli(self.BASE + ["--out", str(out)]) == 0
+        [(records, failures)] = returned
+        assert failures == [] and len(records) == 8
+        loaded = {path.name: load_run(path) for path in out.glob("run-*.json")}
+        assert loaded == {
+            f"run-{bench_cli._cell_name(r.solver, r.mechanism, r.variance, r.fraction)}.json": r
+            for r in records
+        }
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_cli(self.BASE + ["--out", str(out1)])
@@ -247,8 +265,7 @@ class TestRunCommand:
         plan_path.write_text(json.dumps({"bogus": 1}))
         assert run_cli(["run", "--plan", str(plan_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("huberdp-bench: error: unknown plan fields")
-        assert "bogus" in err
+        assert err == f"huberdp-bench: error: {plan_path}: plan has unknown key(s) bogus\n"
 
     @pytest.mark.parametrize(
         "argv,plan,message",
@@ -323,6 +340,9 @@ class TestRunCommand:
               "--trials", "1"], None, "m must be an integer, got 3.7"),
             (["run", "--dataset", "file:{tmp}/nan_n.npz", "--rank", "1", "--fraction", "1",
               "--trials", "1"], None, "n must be an integer, got nan"),
+            # numpy's .item() would refuse m = [3, 4] without naming it
+            (["run", "--dataset", "file:{tmp}/array_m.npz", "--rank", "1", "--fraction", "1",
+              "--trials", "1"], None, "m must be an integer, got array([3, 4])"),
             (["run", "--dataset", "file:{tmp}/wide_x.npz", "--rank", "1", "--fraction", "1",
               "--trials", "1"], None, "x has shape (5, 6), not (m, n) = (3, 4)"),
             (["run", "--dataset", "file:{tmp}/no_rows.npz", "--rank", "1", "--fraction", "1",
@@ -395,8 +415,8 @@ class TestRunCommand:
              "file-holdout-leaves-test-empty", "file-fraction-above-observed",
              "delta-f-zero", "delta-f-nan", "file-fresh-matrix", "als-loss-alpha",
              "plan-list", "plan-int", "plan-null", "file-float-rows", "file-fractional-m",
-             "file-nan-n", "file-x-shape", "file-missing-rows", "file-empty", "file-npy",
-             "file-text", "file-nan-x", "file-bool-rows", "file-complex-values",
+             "file-nan-n", "file-array-m", "file-x-shape", "file-missing-rows", "file-empty",
+             "file-npy", "file-text", "file-nan-x", "file-bool-rows", "file-complex-values",
              "file-complex-rows",
              "gen-negative-seed", "gen-negative-rank",
              "gen-fraction-observes-nothing",
@@ -422,6 +442,7 @@ class TestRunCommand:
                      cols=np.tile(np.arange(4), 3), values=np.ones(12), value_range=[1.0, 5.0])
         np.savez(tmp_path / "fractional_m.npz", **{**valid, "m": 3.7})
         np.savez(tmp_path / "nan_n.npz", **{**valid, "n": np.nan})
+        np.savez(tmp_path / "array_m.npz", **{**valid, "m": [3, 4]})
         np.savez(tmp_path / "wide_x.npz", **{**valid, "x": np.ones((5, 6))})
         np.savez(tmp_path / "no_rows.npz", **{k: v for k, v in valid.items() if k != "rows"})
         np.savez(tmp_path / "empty.npz", **{**valid, "rows": [], "cols": [], "values": []})

@@ -640,27 +640,50 @@ class TestRunPersistence:
         (lambda payload: payload.update(bogus=1),
          r"run\.json: record has unknown key\(s\) bogus$"),
         (lambda payload: payload.update(epsilon="abc"),
-         r"run\.json: epsilon must be a real, got 'abc'$"),
+         r"run\.json: record field epsilon must be float, got 'abc'$"),
         (lambda payload: payload.update(rmse_trials="ab"),
-         r"run\.json: rmse_trials must be a real array, got dtype <U2$"),
+         r"run\.json: record field rmse_trials must be list\[float\], got 'ab'$"),
         (lambda payload: payload.update(rmse_trials=[[0.5, 0.7, 0.6]]),
-         r"run\.json: rmse_trials must be a non-empty list of reals$"),
+         r"run\.json: record field rmse_trials must be list\[float\], "
+         r"got \[\[0\.5, 0\.7, 0\.6\]\]$"),
         (lambda payload: payload.update(rmse_trials=[]),
-         r"run\.json: rmse_trials must be a non-empty list of reals$"),
-        (lambda payload: payload.update(rank=2.5), r"run\.json: rank must be an integer, got 2\.5$"),
+         r"run\.json: record field rmse_trials must not be empty$"),
+        (lambda payload: payload.update(rank=2.5),
+         r"run\.json: record field rank must be int, got 2\.5$"),
         (lambda payload: payload.update(wall_clock_sec=[1]),
-         r"run\.json: wall_clock_sec must be a real, got \[1\]$"),
+         r"run\.json: record field wall_clock_sec must be float, got \[1\]$"),
+        (lambda payload: payload.update(solver=5),
+         r"run\.json: record field solver must be str, got 5$"),
+        (lambda payload: payload.update(config=[1]),
+         r"run\.json: record field config must be dict, got \[1\]$"),
+        (lambda payload: payload.update(draw_counts="z"),
+         r"run\.json: record field draw_counts must be dict, got 'z'$"),
+        (lambda payload: payload.update(rank=0),
+         r"run\.json: record field rank must be >= 1, got 0$"),
+        (lambda payload: payload.update(rmse_mean="0.6"),
+         r"run\.json: rmse_mean '0\.6' does not match its rmse_trials$"),
     ], ids=["missing-key", "unknown-key", "string-epsilon", "string-trials", "nested-trials",
-            "empty-trials", "fractional-rank", "list-wall-clock"])
+            "empty-trials", "fractional-rank", "list-wall-clock", "solver-int", "config-list",
+            "draw-counts-str", "zero-rank", "string-mean"])
     def test_malformed_record_names_its_key(self, edit, message, tmp_path):
         # a KeyError, RunRecord's TypeError, float()'s or numpy's own error
         # would name neither the file nor what is wrong with it, and a
-        # fractional rank or a listed wall clock would load without one
+        # fractional rank, a listed wall clock or a numeric solver would
+        # load without one
         path = tmp_path / "run.json"
         persist_run(make_record(), path)
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_run(path)
+
+    @pytest.mark.parametrize("content", [[1], "text", None], ids=["list", "str", "null"])
+    def test_non_object_record_rejected(self, content, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(content))
+        kind = type(content).__name__
+        message = rf"run\.json: record must hold a JSON object, got {kind}$"
         with pytest.raises(ValueError, match=message):
             load_run(path)
 
@@ -670,6 +693,27 @@ class TestRunPersistence:
     def test_no_trials_rejected(self):
         with pytest.raises(ValueError, match="rmse_trials must not be empty"):
             RunRecord(rmse_trials=[], **self.CELL)
+
+    @pytest.mark.parametrize("trials", [[math.inf], [0.5, math.nan]], ids=["inf", "nan"])
+    def test_non_finite_trials_rejected(self, trials):
+        # persist_run would write a non-standard Infinity or NaN that
+        # load_run refuses to read back
+        with pytest.raises(ValueError, match="^record field rmse_trials must be finite, got "):
+            RunRecord(rmse_trials=trials, **self.CELL)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("mechanism", None, "record field mechanism must be str, got None"),
+        ("seed", -1, "record field seed must be >= 0, got -1"),
+        ("seed", True, "record field seed must be int, got True"),
+        ("variance", "2", "record field variance must be float | None, got '2'"),
+        ("extras", [], "record field extras must be dict, got []"),
+    ], ids=["none-mechanism", "negative-seed", "bool-seed", "string-variance", "list-extras"])
+    def test_built_record_is_checked(self, field, value, message):
+        # the rule load_run reads a record by holds for every record built,
+        # so run_plan cannot write one that load_run refuses
+        with pytest.raises(ValueError) as info:
+            RunRecord(rmse_trials=[0.5], **{**self.CELL, field: value})
+        assert str(info.value) == message
 
     def test_mean_and_std_recomputable(self):
         record = make_record()

@@ -1,5 +1,7 @@
 """Tests for the ridge and regularized IRLS solvers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,6 +338,25 @@ class TestRIrls:
             huber_objective(args["y"], args["a"], args["theta"], 1.0, 0.5)
 
     @pytest.mark.parametrize(
+        "y,theta,lam,message",
+        [(np.ones((4, 1)), np.array([0.5, -0.25]), 0.5, "y must be a vector of length p"),
+         (np.ones(4), np.ones(3), 0.5, "theta must be a vector of length q"),
+         (np.ones(4), np.ones((2, 1)), 0.5, "theta must be a vector of length q"),
+         (np.ones(4), np.array([0.5, -0.25]), "0.5", "lam must be a real, got '0.5'")],
+        ids=["y-column", "theta-length", "theta-column", "string-lam"],
+    )
+    def test_bad_objective_input_is_named(self, y, theta, lam, message):
+        # a 4 x 1 y would broadcast against a @ theta to a 4 x 4 residual
+        # and sum 16 losses instead of 4
+        a = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            huber_objective(y, a, theta, 1.0, lam)
+
+    def test_objective_of_empty_design_is_the_penalty(self):
+        theta = np.array([1.0, 2.0])
+        assert huber_objective(np.empty(0), np.empty((0, 2)), theta, 1.0, 0.5) == 1.25
+
+    @pytest.mark.parametrize(
         "y,a,message",
         [(np.ones(3), np.ones(3), "a must be a p x q matrix"),
          (np.ones(4), np.eye(3), "y must be a vector of length p")],
@@ -400,10 +421,9 @@ class TestIrlsStep:
             vals=3.0 * rng.standard_normal((g, p)),
             theta=rng.standard_normal((g, q)),
             noise=rng.standard_normal((g, k, q)) if noisy else None,
-            lam_eye=0.5 * np.eye(q),
         )
         before = {name: x.copy() for name, x in inputs.items() if x is not None}
-        theta = _irls(**inputs, alpha=alpha, iterations=1 if alpha == np.inf else k)
+        theta = _irls(**inputs, lam=0.5, alpha=alpha, iterations=1 if alpha == np.inf else k)
         assert np.isfinite(theta).all()
         for name, x in before.items():
             np.testing.assert_array_equal(inputs[name], x, err_msg=name)
@@ -426,7 +446,7 @@ class TestIrlsStep:
         vals[:, -2:] = 0.0
         theta = rng.standard_normal((g, q))
         noise = rng.standard_normal((g, k, q)) if noisy else None
-        lam_eye = 0.5 * np.eye(q)
+        lam = 0.5
         solves = []
         solve = np.linalg.solve
 
@@ -440,7 +460,7 @@ class TestIrlsStep:
             """(theta, solve calls) of the stack of these systems."""
             before = len(solves)
             inputs = [None if x is None else x[members].copy() for x in (ag, vals, theta, noise)]
-            return _irls(*inputs, lam_eye, alpha, k), len(solves) - before
+            return _irls(*inputs, lam, alpha, k), len(solves) - before
 
         stacked, stack_solves = run(slice(None))
         alone = [run(slice(i, i + 1)) for i in range(g)]

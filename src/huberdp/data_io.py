@@ -460,6 +460,11 @@ class RunRecord:
             raise ValueError("record field rmse_trials must not be empty")
         if not all(map(math.isfinite, self.rmse_trials)):
             raise ValueError(f"record field rmse_trials must be finite, got {self.rmse_trials!r}")
+        # epsilon = inf is the budget of the no-noise baseline, whose variance is None
+        for name in ("variance", "fraction", "epsilon", "delta", "wall_clock_sec"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value) and (name, value) != ("epsilon", math.inf):
+                raise ValueError(f"record field {name} must be finite, got {value!r}")
 
     @property
     def rmse_mean(self) -> float:

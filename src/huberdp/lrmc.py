@@ -254,7 +254,14 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # contractions are stacked matmuls on that block, so they run on BLAS: a
 # reweighted iteration takes A^T W A and A^T W y from one product of the
 # weighted [A | y]^T and the block, a ridge step its Gram from a transposed
-# copy of the block. Each product multiplies two buffers (dgemm), never a
+# copy of the block. A group of rank r >= 8 whose count x r reaches 12,000
+# (robust_solvers._UPDATE_RANK and _UPDATE_ENTRIES) forms that product at its
+# first iteration only and then adds the weight changes of just the rows
+# whose weight changed, all targets' changed rows in one zero-padded block,
+# multiplied in batched matmuls of at most 256 rows. The update broke even on
+# 2 vCPUs at count x r of about 10,000 for ranks 8 to 64; no rank-5
+# synthetic-protocol group takes it, and at rank 32 only counts of 375 or
+# more do. Each product multiplies two buffers (dgemm), never a
 # block and its own transposed view, which matmul would send to the slower
 # syrk.
 # Per-target results match solving each system on its own up to rounding.

@@ -76,6 +76,13 @@ class IrlsConfig:
         object.__setattr__(self, "iterations", _count(self.iterations, "iterations", 1))
 
 
+# _irls updates the normal equations of a p x q system by the rows whose
+# weight changed once q >= _UPDATE_RANK and p q >= _UPDATE_ENTRIES
+_UPDATE_RANK = 8
+_UPDATE_ENTRIES = 12_000
+_CHUNK = 256  # changed rows per product of that update
+
+
 def ridge_solve(problem: RidgeProblem, noise: np.ndarray | None = None) -> np.ndarray:
     """Solve (AtA + lam I) theta = At y + t: the engine's group step (_irls)
     at alpha = infinity, K = 1, on a batch of one.
@@ -110,6 +117,45 @@ def _huber_weights(abs_residuals, alpha):
     return np.divide(alpha, abs_residuals, out=abs_residuals)
 
 
+def _weight_change(rows, w, prev_w, changed):
+    """sum_i (w_i - prev_w_i) [a_i; y_i] a_i^T per system over the rows whose
+    weight changed: rows (g, p, q+1) holds [A | y] of the g systems, w and
+    prev_w (g, p) the weights of two iterations, and changed the flat
+    positions where they differ, by system then row. The changed rows are
+    gathered into one (g, m, q+1) block, m the largest count of a system; a
+    system with fewer is padded with its row 0 at a step of 0, whose
+    products add exact zeros after its own terms. The block is multiplied
+    _CHUNK rows at a time: OpenBLAS splits a longer inner sum at places that
+    depend on its length, so padding would move the split and change a
+    system's bits (seen at rank 32 from about 1,000 rows). So a system's
+    theta is independent of its stack mates only on a BLAS that sums an
+    inner length of at most _CHUNK the same way at every length: checked on
+    1,820 padded shapes with OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell
+    kernels) on 1 and 2 threads, not on other kernels or thread counts.
+    Padding every system to a multiple of _CHUNK would fix the shapes;
+    done through the stacked branch below, it made a single 2000 x 10
+    system 1.18x slower than the full form."""
+    g, p = w.shape
+    step = np.take(w, changed) - np.take(prev_w, changed)
+    index, width = changed, changed.size
+    if g > 1:
+        starts = np.searchsorted(changed, np.arange(0, g * p, p))
+        counts = np.diff(starts, append=changed.size)
+        width = counts.max()
+        slots = np.arange(changed.size) + np.repeat(np.arange(0, g * width, width) - starts, counts)
+        index = np.repeat(np.arange(0, g * p, p), width)  # each system's row 0
+        index[slots] = changed
+        padded = np.zeros(g * width)
+        padded[slots] = step
+        step = padded
+    block = np.take(rows.reshape(g * p, -1), index, axis=0).reshape(g, width, -1)
+    weighted = np.multiply(block, step.reshape(g, width, 1)).transpose(0, 2, 1)
+    update = weighted[..., :_CHUNK] @ block[:, :_CHUNK, :-1]
+    for start in range(_CHUNK, width, _CHUNK):
+        update += weighted[..., start:start + _CHUNK] @ block[:, start:start + _CHUNK, :-1]
+    return update
+
+
 def _irls(ag, vals, theta, noise, lam, alpha, iterations):
     """Regularized Huber IRLS on a stack of g same-shape systems: designs ag
     (g, p, q), targets vals (g, p), starts theta (g, q), noise (g, K, q) or
@@ -135,14 +181,48 @@ def _irls(ag, vals, theta, noise, lam, alpha, iterations):
     a writable view of each Gram's diagonal: a full (q, q) add into the
     strided Gram view took as long as the product itself on narrow rank-32
     groups.
+
+    A reweighted stack of systems with at least _UPDATE_RANK columns and
+    _UPDATE_ENTRIES entries p q forms that product at iteration 0 only.
+    After that only rows near or beyond the Huber transition change weight,
+    so each later iteration adds sum_i (w_i - w'_i) [a_i; y_i] a_i^T
+    over just the rows whose weight changed (_weight_change) to the running
+    [A^T W A; (A^T W y)^T], and the noise and lam go into a copy of it. This
+    form keeps [A | y] row by row, (g, p, q+1), so that one take gathers the
+    changed rows, and iteration 0 multiplies its weighted copy, transposed,
+    by ag: the full form's (g, q+1, p) layout, as a strided view of it or
+    as a second copy, made r_irls on 2000 x 10 designs 5-20% slower. No row
+    changing weight means the weights repeated, so a noiseless stack stops
+    by the same rule as the full form, but not always at the same
+    iteration: the last bits of the running sums moved the stop by one on
+    1200 x 10 systems, and on 1500 x 32 systems it came after 12-13
+    iterations where the full form's weights cycled at the last bit through
+    all K = 60 (theta agreed to 3e-15 relative). Adding weight changes
+    keeps theta within about 1e-14 of the full form even with rows at 1e15,
+    where subtracting down-weighted rows from a matrix that holds them at
+    weight 1 does not. The choice reads only (p, q), so a system solves the
+    same on a stack of any size (on the BLAS builds _weight_change names).
+    The constants follow the measured crossovers (2 vCPUs, OpenBLAS on 1
+    thread, stacks of 1 and 8): the update broke even at p q of about
+    10,000 at every q from 8 to 64 (p = 1250, 800-1000, 625, 300 and 160
+    for q = 8, 10, 16, 32 and 64) and was faster above it, by 10-45% at
+    p q of 16,000-20,000; at q = 5 it did not win up to p = 6400, since the full
+    product of 6 rows is cheap. _UPDATE_ENTRIES keeps a 20% margin above
+    break-even. Every synth-irls count group (rank 5) and every ridge step
+    keeps the full form.
     """
     reweight = math.isfinite(alpha)
     g, p, q = ag.shape
+    tall = reweight and q >= _UPDATE_RANK and p * q >= _UPDATE_ENTRIES
     if reweight:
-        aty = np.empty((g, q + 1, p))
-        aty[:, :q] = ag.transpose(0, 2, 1)
-        aty[:, q] = vals
-        weighted = np.empty_like(aty)
+        if tall:
+            # [A | y] row by row, so that one take gathers the changed rows
+            rows = np.concatenate((ag, vals[..., None]), axis=2)
+        else:
+            aty = np.empty((g, q + 1, p))
+            aty[:, :q] = ag.transpose(0, 2, 1)
+            aty[:, q] = vals
+            weighted = np.empty_like(aty)
     else:
         agt = ag.copy().transpose(0, 2, 1)
     prev_w = None
@@ -151,11 +231,23 @@ def _irls(ag, vals, theta, noise, lam, alpha, iterations):
             w = (ag @ theta[..., None])[..., 0]
             np.subtract(vals, w, out=w)
             w = _huber_weights(np.abs(w, out=w), alpha)
-            if noise is None:
-                if prev_w is not None and np.array_equal(w, prev_w):
-                    break
+            if not tall:
+                if noise is None:
+                    if prev_w is not None and np.array_equal(w, prev_w):
+                        break
+                    prev_w = w
+                normal = np.multiply(aty, w[:, None, :], out=weighted) @ ag
+            else:
+                if prev_w is None:
+                    running = np.multiply(rows, w[..., None]).transpose(0, 2, 1) @ ag
+                else:
+                    changed = np.flatnonzero(w != prev_w)
+                    if changed.size:
+                        running += _weight_change(rows, w, prev_w, changed)
+                    elif noise is None:
+                        break
                 prev_w = w
-            normal = np.multiply(aty, w[:, None, :], out=weighted) @ ag
+                normal = running.copy()
             gram, rhs = normal[:, :q], normal[:, q, :, None]
         else:
             gram, rhs = agt @ ag, agt @ vals[..., None]

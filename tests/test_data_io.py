@@ -701,6 +701,14 @@ class TestRunPersistence:
         with pytest.raises(ValueError, match="^record field rmse_trials must be finite, got "):
             RunRecord(rmse_trials=trials, **self.CELL)
 
+    @pytest.mark.parametrize("field", ["variance", "fraction", "epsilon", "delta", "wall_clock_sec"])
+    def test_nan_float_fields_rejected(self, field):
+        # persist_run would write a non-standard NaN, and load_run would
+        # return a record unequal to the one written
+        with pytest.raises(ValueError) as info:
+            RunRecord(rmse_trials=[0.5], **{**self.CELL, field: math.nan})
+        assert str(info.value) == f"record field {field} must be finite, got nan"
+
     @pytest.mark.parametrize("field,value,message", [
         ("mechanism", None, "record field mechanism must be str, got None"),
         ("seed", -1, "record field seed must be >= 0, got -1"),

@@ -875,17 +875,18 @@ def _engine_and_r_irls(seed, instance, config):
 
 @pytest.mark.parametrize("mech", [MechanismConfig.none(), MechanismConfig.huber(1.2)],
                          ids=["none", "huber"])
-def test_r_irls_is_the_engine_on_one_target(mech):
+@pytest.mark.parametrize("p,r", [(30, 4), (1200, 10)], ids=["short", "weight-change"])
+def test_r_irls_is_the_engine_on_one_target(mech, p, r):
     # r_irls runs the engine's group step on a batch of one, so a half-sweep
     # over one target fed r_irls's start and noise returns its theta exactly
     rng = np.random.default_rng(41)
-    a, y = rng.standard_normal((30, 4)), 3.0 * rng.standard_normal(30)
+    a, y = rng.standard_normal((p, r)), 3.0 * rng.standard_normal(p)
     config = IrlsConfig(1.2, 0.5, 6, mech)
     expected = r_irls(y, a, config, np.random.default_rng(42))
     stream = np.random.default_rng(42)
-    init = stream.standard_normal((1, 4))
-    noise = sample(mech, 6 * 4, stream).values.reshape(1, 6, 4) if mech.kind != "none" else None
-    groups = _target_groups(np.zeros(30, dtype=np.int64), np.arange(30), y, 1, 4)
+    init = stream.standard_normal((1, r))
+    noise = sample(mech, 6 * r, stream).values.reshape(1, 6, r) if mech.kind != "none" else None
+    groups = _target_groups(np.zeros(p, dtype=np.int64), np.arange(p), y, 1, r)
     got = _half_sweep([groups], a, config.lam, config.alpha, 6, init, noise, 1)
     np.testing.assert_array_equal(got[0], expected)
 

@@ -215,6 +215,24 @@ class TestRIrls:
         expected = cholesky_irls(y, a, cfg, np.random.default_rng(15))
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("noise", [MechanismConfig.none(), MechanismConfig.huber(1.08)],
+                             ids=["none", "huber"])
+    @pytest.mark.parametrize("scale", [1e12, 1e15])
+    def test_weight_change_update_matches_cholesky_reference(self, noise, scale):
+        # a 2000 x 10 design takes the weight-change form, so after iteration 0
+        # the normal equations only add each changed weight's step; 5% outliers
+        # held at weights near 1/scale must not leave rounding behind
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal((2000, 10))
+        y = a @ rng.standard_normal(10) + 0.5 * rng.standard_normal(2000)
+        bad = rng.choice(2000, size=100, replace=False)
+        y[bad] += scale * rng.choice([-1.0, 1.0], size=100)
+        assert 10 >= robust_solvers._UPDATE_RANK and 2000 * 10 >= robust_solvers._UPDATE_ENTRIES
+        cfg = IrlsConfig(alpha=1.08, lam=1.0, iterations=20, noise=noise)
+        got = r_irls(y, a, cfg, np.random.default_rng(17))
+        expected = cholesky_irls(y, a, cfg, np.random.default_rng(17))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
     def test_matches_ridge_when_residuals_small(self):
         rng = np.random.default_rng(7)
         a, y = random_instance(rng)
@@ -412,10 +430,12 @@ class TestRIrls:
 class TestIrlsStep:
     @pytest.mark.parametrize("alpha", [np.inf, 0.5], ids=["ridge", "reweighted"])
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
-    def test_leaves_its_inputs_alone(self, alpha, noisy):
-        # the step adds the noise and lam I into its own matmul outputs only
+    @pytest.mark.parametrize("p,q", [(20, 3), (1200, 10)], ids=["short", "weight-change"])
+    def test_leaves_its_inputs_alone(self, alpha, noisy, p, q):
+        # the step adds the noise and lam I into its own matmul outputs only,
+        # and the weight-change form into copies of its running sums
         rng = np.random.default_rng(31)
-        g, p, q, k = 4, 20, 3, 3
+        g, k = 4, 3
         inputs = dict(
             ag=rng.standard_normal((g, p, q)),
             vals=3.0 * rng.standard_normal((g, p)),
@@ -433,10 +453,16 @@ class TestIrlsStep:
     # so the noiseless weights of each system repeat at an iteration of its
     # own within K = 60
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
-    @pytest.mark.parametrize("p,q", [(4, 6), (30, 5)], ids=["narrower-than-rank", "tall"])
+    @pytest.mark.parametrize("p,q", [(4, 6), (30, 5), (1200, 10), (1500, 32)],
+                             ids=["narrower-than-rank", "tall", "weight-change", "weight-change-wide"])
     def test_each_system_solves_as_on_a_stack_of_one(self, p, q, noisy, monkeypatch):
         # the threaded half-sweep deals count groups to any thread, in any
-        # split, so every system's theta may not depend on its stack mates
+        # split, so every system's theta may not depend on its stack mates;
+        # in the weight-change form that includes the zero padding of the
+        # block of changed rows, whose width is the largest count in the
+        # stack. At
+        # rank 32 a padded product wider than _CHUNK rows changed a system's
+        # bits on OpenBLAS, which split its inner sum where the padding put it
         rng = np.random.default_rng(7)
         g, k, alpha = 7, 60, 1.0
         ag = rng.standard_normal((g, p, q))
@@ -455,6 +481,10 @@ class TestIrlsStep:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        updates = []
+        weight_change = robust_solvers._weight_change
+        monkeypatch.setattr(robust_solvers, "_weight_change",
+                            lambda *args: updates.append(1) or weight_change(*args))
 
         def run(members):
             """(theta, solve calls) of the stack of these systems."""
@@ -475,3 +505,12 @@ class TestIrlsStep:
         if not noisy:
             assert stack_solves < k
             assert min(count for _, count in alone) < stack_solves
+        # only the shapes at or above _UPDATE_RANK and _UPDATE_ENTRIES take
+        # the weight-change form; on the same input the full form's theta
+        # differs by rounding only, though its noiseless stop may differ (at
+        # rank 32 its weights can cycle at the last bit through all K)
+        assert bool(updates) == (p >= 1200)
+        if updates:
+            monkeypatch.setattr(robust_solvers, "_UPDATE_ENTRIES", p * q + 1)
+            full, _ = run(slice(None))
+            np.testing.assert_allclose(full, stacked, rtol=1e-12, atol=1e-12)

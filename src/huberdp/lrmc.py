@@ -2,7 +2,8 @@
 
 Two alternating solvers estimate factors U (m x r) and V (n x r) of a
 partially observed matrix X, and both run one engine on the IRLS step of
-robust_solvers (_irls), as r_irls and ridge_solve do. Every sweep updates
+robust_solvers (_irls), as r_irls and ridge_solve do; ridge half-sweeps of
+rank at most 8 solve by robust_solvers._eliminate instead. Every sweep updates
 each row of U by a noiseless ridge solve against the fixed V, then each
 column of V by K iterations of regularized IRLS under the Huber loss with
 transition alpha against the fixed U, adding a fresh mechanism noise vector
@@ -42,7 +43,7 @@ import numpy as np
 
 from .mechanisms import (MechanismConfig, _count, _finite_array, _positive_real,
                          huber_alpha_for_variance, sample)
-from .robust_solvers import _irls
+from .robust_solvers import _eliminate, _eliminates, _irls
 
 __all__ = [
     "ObservedMatrix",
@@ -236,7 +237,8 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # ---------------------------------------------------------------------------
 # Targets (rows in the U half-sweep, columns in the V half-sweep) are grouped
 # so each group solves a stack of identically shaped r x r systems in one
-# LAPACK call. Walking the distinct observation counts in ascending order, a
+# LAPACK call (a low-rank ridge half: one elimination per part, see below).
+# Walking the distinct observation counts in ascending order, a
 # group of width w (its largest count) with g targets absorbs the next count c
 # while the padding this adds, (c - w) * g entries at r^2 multiply-adds of
 # Gram work each, stays within _MERGE_BUDGET. A group of at most
@@ -264,6 +266,21 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # more do. Each product multiplies two buffers (dgemm), never a
 # block and its own transposed view, which matmul would send to the slower
 # syrk.
+#
+# A ridge half (alpha = infinity, one iteration) of rank r <= 8
+# (robust_solvers._eliminates) skips _irls. Each group gathers its rows of
+# the fixed factor with a column more, [A | y] (g, w, r+1), and one product
+# A^T [A | y] writes its [A^T A | A^T y] into the part's (targets, r, r+1)
+# buffer; robust_solvers._eliminate adds the noise and lam once per part and
+# solves all the part's systems in one Gaussian elimination without
+# pivoting, laid out as (r, r+1, targets), so each of its steps is one numpy
+# operation over every target. The rule reads only the rank. Whole ridge
+# halves on 500-1,000 targets of 25-100 entries (2 vCPUs, BLAS on 1
+# thread) took 0.57-0.84 of the LAPACK path's time up to rank 8, 0.68-0.84
+# at ranks 10 and 12 and 0.96-1.06 at rank 16, so the crossover is near 16;
+# no workload runs ranks 9 to 15, and 8 keeps the rank-12 thread tests on
+# _irls. IRLS halves and ridge halves of higher rank (the rank-32 ratings
+# halves) keep _irls.
 # Per-target results match solving each system on its own up to rounding.
 #
 # A solve deals each half once (_deal): when the half's Gram work (padded
@@ -351,29 +368,50 @@ def _join(pool, first, *rest):
 def _half_sweep(parts, other, lam, alpha, iterations, init, noise, num_targets, pool=None):
     """Regularized Huber IRLS for every target against the fixed factor: one
     _irls call per count group, from the group's rows of init (None when
-    alpha is infinite) and noise (target, iteration, r). A target with no
-    observations solves lam I theta = noise, i.e. theta = noise / lam or 0.
-    parts come from _deal over _target_groups, whose padded slots index the
-    zero row appended here as row -1 with value 0, so a padded slot's
-    residual is 0, its weight 1, and its Gram and right-hand-side terms
-    vanish.
+    alpha is infinite) and noise (target, iteration, r). A ridge half of
+    rank at most 8 (_eliminates) instead writes every group's normal
+    equations into one buffer per part and solves the part by one
+    _eliminate. A target with no observations solves lam I theta = noise,
+    i.e. theta = noise / lam or 0. parts come from _deal over
+    _target_groups, whose padded slots index the zero row appended here as
+    row -1 with value 0, so a padded slot's residual is 0, its weight 1,
+    and its Gram and right-hand-side terms vanish.
 
     The calling thread runs the first part and the pool the others (_join),
     each part writing only its own targets' rows. An error in any part is
     raised once every part has finished.
     """
     r = other.shape[1]
-    other = np.concatenate((other, np.zeros((1, r))))
+    eliminate = _eliminates(r, alpha, iterations)
+    # the fixed factor over the zero row -1; for _eliminate with a column
+    # more, which each group's gather fills with its values
+    fixed = np.zeros((other.shape[0] + 1, r + 1 if eliminate else r))
+    fixed[:-1, :r] = other
     out = np.empty((num_targets, r))
 
     def solve_groups(part):
         for ids, oidx, vals in part:
             theta = None if init is None else np.take(init, ids, axis=0)
             gnoise = None if noise is None else np.take(noise, ids, axis=0)
-            ag = np.take(other, oidx, axis=0)
+            ag = np.take(fixed, oidx, axis=0)
             out[ids] = _irls(ag, vals, theta, gnoise, lam, alpha, iterations)
 
-    _join(pool, *(partial(solve_groups, part) for part in parts))
+    def eliminate_groups(part):
+        if not part:  # more workers than groups
+            return
+        ids = np.concatenate([group_ids for group_ids, _, _ in part])
+        normal = np.empty((ids.size, r, r + 1))
+        stop = 0
+        for group_ids, oidx, vals in part:
+            start, stop = stop, stop + group_ids.size
+            rows = np.take(fixed, oidx, axis=0)  # [A | y]
+            rows[..., r] = vals
+            np.matmul(rows[..., :r].transpose(0, 2, 1), rows, out=normal[start:stop])
+        t = None if noise is None else np.take(noise[:, 0], ids, axis=0)
+        out[ids] = _eliminate(normal, t, lam)
+
+    solve = eliminate_groups if eliminate else solve_groups
+    _join(pool, *(partial(solve, part) for part in parts))
     return out
 
 

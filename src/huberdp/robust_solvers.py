@@ -1,11 +1,13 @@
 """Ridge regression and regularized IRLS for the Huber loss.
 
-_irls is the one implementation of both, run by lrmc's half-sweeps once per
-count group and by r_irls and ridge_solve on one system: the regularized
-iteratively re-weighted least squares loop that minimizes
+_irls implements both, run by lrmc's half-sweeps once per count group and by
+r_irls and ridge_solve on one system: the regularized iteratively
+re-weighted least squares loop that minimizes
 sum_i rho_alpha(y_i - a_i theta) + (lambda/2) ||theta||^2 by repeated weighted
 ridge solves, optionally adding noise to every right-hand side. Ridge is the
-case alpha = infinity with one iteration.
+case alpha = infinity with one iteration. A half-sweep's ridge systems of
+rank at most _ELIMINATION_RANK (_eliminates) take the second implementation
+instead, _eliminate: all of a part's systems in one batched elimination.
 """
 
 from __future__ import annotations
@@ -81,11 +83,15 @@ class IrlsConfig:
 _UPDATE_RANK = 8
 _UPDATE_ENTRIES = 12_000
 _CHUNK = 256  # changed rows per product of that update
+# a half-sweep's ridge systems of rank r <= _ELIMINATION_RANK solve by _eliminate
+_ELIMINATION_RANK = 8
 
 
 def ridge_solve(problem: RidgeProblem, noise: np.ndarray | None = None) -> np.ndarray:
     """Solve (AtA + lam I) theta = At y + t: the engine's group step (_irls)
-    at alpha = infinity, K = 1, on a batch of one.
+    at alpha = infinity, K = 1, on a batch of one. Ridge half-sweeps of rank
+    at most _ELIMINATION_RANK solve by _eliminate instead, which agrees with
+    it up to rounding.
 
     t is noise, a finite length-q array; without it t is absent, not a zero
     vector. With lam = 0 the design must have full column rank; a
@@ -257,6 +263,52 @@ def _irls(ag, vals, theta, noise, lam, alpha, iterations):
         diagonal += lam
         theta = np.linalg.solve(gram, rhs)[..., 0]
     return theta
+
+
+def _eliminates(rank, alpha, iterations):
+    """Whether lrmc solves a half-sweep's systems by _eliminate rather than
+    _irls: ridge steps (alpha = infinity, one iteration) of rank at most
+    _ELIMINATION_RANK."""
+    return rank <= _ELIMINATION_RANK and alpha == math.inf and iterations == 1
+
+
+def _eliminate(normal, noise, lam):
+    """theta (n, r) of the n ridge systems (A^T A + lam I) theta = A^T y + t
+    whose [A^T A | A^T y] normal (n, r, r+1) holds, noise t (n, r) or None
+    (absent); normal gets the noise and lam added in place.
+
+    One Gaussian elimination without pivoting solves all n systems, with the
+    systems along the last axis of a (r, r+1, n) copy, so each of its
+    O(r^2) steps is one numpy operation over every system. np.linalg.solve
+    pays LAPACK's call overhead per system instead: on 500 rank-5 systems
+    (BLAS on 1 thread) it took 222 us, this layout 109 us, and the same
+    elimination laid out (n, r, r+1) 289 us. Every A^T A + lam I with
+    lam > 0 is symmetric positive definite, so its pivots stay positive
+    without row exchanges. The arithmetic is elementwise across systems, so
+    a system's theta does not depend on the others in the stack.
+
+    It runs under the policy np.linalg.solve sets for its LAPACK call:
+    overflow, division and underflow ignored. Invalid values are ignored
+    too; here they arise only from non-finite input, which LAPACK also
+    turns into NaN without a warning (np.linalg.solve raises only on an
+    exact zero pivot, which lam > 0 rules out). So this solve adds no
+    warning to a diverging run, and the solvers report its non-finite theta.
+    """
+    r = normal.shape[1]
+    if noise is not None:
+        normal[..., r] += noise
+    diagonal = np.einsum("nii->ni", normal[..., :r])  # a writable view
+    diagonal += lam
+    m = normal.transpose(1, 2, 0).copy()
+    with np.errstate(all="ignore"):
+        # row k over its pivot, then out of the rows below; then back
+        # substitution up column r, which ends as theta
+        for k in range(r):
+            m[k, k + 1:] /= m[k, k]
+            m[k + 1:, k + 1:] -= m[k + 1:, k, None] * m[k, None, k + 1:]
+        for k in range(r - 1, 0, -1):
+            m[:k, r] -= m[:k, k] * m[k, r]
+    return m[:, r].T
 
 
 def _system(y, a) -> tuple[np.ndarray, np.ndarray]:

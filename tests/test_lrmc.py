@@ -14,6 +14,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -653,17 +654,19 @@ def test_failed_draw_ahead_is_the_solve_error(monkeypatch, solve):
 @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
 def test_v_half_error_masks_a_failed_draw_ahead(monkeypatch, solve):
     # sweep 0's V half raises while sweep 1's block, drawn on the pool, raises
-    # too: the solve raises the V half's error once the draw has finished
+    # too: the solve raises the V half's error once the draw has finished.
+    # The V half fails after its own solves, whichever path they take
     _force_threads(monkeypatch)
     history = []
-    solve_one = np.linalg.solve
+    half_sweep = lrmc._half_sweep
     sample_values = lrmc.sample
     failed_draws = []
 
-    def failing_solve(a, b):
+    def failing_half_sweep(*args):
+        factor = half_sweep(*args)
         if len(history) == 1:
             raise RuntimeError("V half failed at sweep 0")
-        return solve_one(a, b)
+        return factor
 
     def failing_sample(mech, k, rng):
         if rng.bit_generator.seed_seq.entropy[-1] == 1:
@@ -671,7 +674,7 @@ def test_v_half_error_masks_a_failed_draw_ahead(monkeypatch, solve):
             raise RuntimeError("sampler failed at sweep 1")
         return sample_values(mech, k, rng)
 
-    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    monkeypatch.setattr(lrmc, "_half_sweep", failing_half_sweep)
     monkeypatch.setattr(lrmc, "sample", failing_sample)
     _, obs = generate_synthetic(20, 15, 2, 0.5, 16)
     alive = threading.active_count()
@@ -708,14 +711,18 @@ def test_noiseless_als_draws_nothing():
 
 def test_divergent_solve_raises_solver_divergence():
     # ratings scaled by 1e200 give a finite U after the first row half-sweep,
-    # but U^T U overflows in the column half-sweep that follows
+    # but U^T U overflows in the column half-sweep that follows. The Gram
+    # products warn of it; the batched elimination that solves these rank-2
+    # halves keeps np.linalg.solve's silence on non-finite systems
     x, obs = generate_synthetic(30, 25, 2, 0.5, 8)
     huge = ObservedMatrix(obs.m, obs.n, obs.rows, obs.cols, obs.values * 1e200)
     cfg = SolverConfig(rank=2, outer_iterations=3)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="warn"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(SolverDivergence) as info:
             noisy_als(huge, cfg, 1)
     assert (info.value.solver, info.value.sweep, info.value.half) == ("noisy_als", 0, "v")
+    assert all(str(w.message).endswith(" in matmul") for w in caught)
 
 
 @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
@@ -758,6 +765,8 @@ class TestEngineAgainstReference:
         lam=st.floats(0.1, 2.0),
     )
     def test_ridge_half_sweep_matches_ridge_solve(self, seed, rank, counts, lam):
+        # ranks up to 8 solve by robust_solvers._eliminate, the rest by
+        # _irls: 18 and 22 of the 40 examples on hypothesis 6.155
         other, target_idx, other_idx, values, n = _engine_instance(seed, rank, counts)
         noise = np.random.default_rng(seed + 1).standard_normal((n, 1, rank))
         groups = _target_groups(target_idx, other_idx, values, n, rank)
@@ -1118,6 +1127,93 @@ class TestThreadedHalves:
             with pytest.raises(IndexError):
                 _half_sweep(parts, other, 0.5, math.inf, 1, None, None, n, pool)
             assert sorted(finished) == [1, 1, 2, 3]
+
+
+class TestEliminatedRidgeHalves:
+    """Ridge halves of rank at most robust_solvers._ELIMINATION_RANK solve
+    each part in one batched elimination (_eliminate), never through _irls,
+    which each test here makes fail."""
+
+    @staticmethod
+    def _no_irls(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ridge half at rank <= 8 ran _irls")
+
+        monkeypatch.setattr(lrmc, "_irls", refuse)
+
+    @pytest.mark.parametrize("rank", [1, 4, 8])
+    def test_any_split_gives_the_serial_half(self, monkeypatch, rank):
+        # each target's bits do not depend on its stack mates. The targets
+        # are grouped by the merge rules of rank 8, which leave 6 groups,
+        # so that every part holds some at every rank
+        other, target_idx, other_idx, values, n = _engine_instance(
+            rank, rank, [0, 0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 60, 60] * 12
+        )
+        noise = np.random.default_rng(rank).standard_normal((n, 1, rank))
+        groups = _target_groups(target_idx, other_idx, values, n, 8)
+        assert len(groups) == 6
+        self._no_irls(monkeypatch)
+        serial = _half_sweep([groups], other, 0.5, math.inf, 1, None, noise, n)
+        monkeypatch.setattr(lrmc, "_PARALLEL_WORK", 0)
+        for workers in (2, 3, 5):
+            parts = _deal(groups, rank, 1, workers)
+            assert len(parts) == workers
+            with ThreadPoolExecutor(workers - 1) as pool:
+                split = _half_sweep(parts, other, 0.5, math.inf, 1, None, noise, n, pool)
+            np.testing.assert_array_equal(split, serial)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_threads_give_the_serial_als_factors(self, monkeypatch, workers):
+        _, obs = generate_synthetic(60, 50, 4, 0.3, 12)
+        cfg = SolverConfig(rank=4, lam=0.5, outer_iterations=3,
+                           mechanism=MechanismConfig.huber(1.3))
+        self._no_irls(monkeypatch)
+        monkeypatch.setattr(lrmc, "_usable_cpus", lambda: 1)
+        serial = noisy_als(obs, cfg, 17)
+        _force_threads(monkeypatch, workers)
+        threaded = noisy_als(obs, cfg, 17)
+        np.testing.assert_array_equal(threaded.U, serial.U)
+        np.testing.assert_array_equal(threaded.V, serial.V)
+
+    # each target within ERROR * eps * cond(A^T A + lam I) of the one-system
+    # LAPACK solve, relative to its norm: both solves are backward stable,
+    # so each lies within a small multiple of eps * cond of the exact
+    # theta. The largest multiple seen on these stacks was 52
+    ERROR = 256
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "cond-1e8"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_hard_stacks_match_per_target_solves(self, monkeypatch, rank, noisy, scaled):
+        # widths 0 to 60 and two more targets without observations; scaling
+        # one factor column by 1e4 takes the Grams of the wider targets to a
+        # condition number of 1e8 and more
+        other, target_idx, other_idx, values, n = _engine_instance(
+            rank, rank, list(range(61)) + [0]
+        )
+        if scaled:
+            other[:, 0] *= 1e4
+        noise = None
+        if noisy:
+            noise = np.random.default_rng(rank).standard_normal((n, 1, rank))
+        groups = _target_groups(target_idx, other_idx, values, n, rank)
+        self._no_irls(monkeypatch)
+        got = _half_sweep([groups], other, 0.5, math.inf, 1, None, noise, n)
+        worst_condition = 0.0
+        for j in range(n):
+            mine = target_idx == j
+            a = other[other_idx[mine]]
+            t = 0.0 if noise is None else noise[j, 0]
+            expected = _reference_ridge(a, values[mine], 0.5, t)
+            if not mine.any():
+                np.testing.assert_array_equal(got[j], expected)  # t / lam, or 0
+                continue
+            condition = np.linalg.cond(a.T @ a + 0.5 * np.eye(rank))
+            error = np.linalg.norm(got[j] - expected)
+            assert error <= self.ERROR * np.finfo(float).eps * condition * np.linalg.norm(expected)
+            worst_condition = max(worst_condition, condition)
+        if scaled and rank > 1:
+            assert worst_condition > 1e8
 
 
 class TestTargetGroups:

@@ -1,10 +1,9 @@
 """Differentially private low-rank matrix completion.
 
 Two alternating solvers estimate factors U (m x r) and V (n x r) of a
-partially observed matrix X, and both run one engine on the IRLS step of
-robust_solvers (_irls), as r_irls and ridge_solve do; ridge half-sweeps of
-rank at most 8 solve by robust_solvers._eliminate instead. Every sweep updates
-each row of U by a noiseless ridge solve against the fixed V, then each
+partially observed matrix X, and both run one engine on the ridge and IRLS
+steps of robust_solvers (_ridge, _irls), as ridge_solve and r_irls do. Every
+sweep updates each row of U by a noiseless ridge solve against the fixed V, then each
 column of V by K iterations of regularized IRLS under the Huber loss with
 transition alpha against the fixed U, adding a fresh mechanism noise vector
 to the right-hand side of every iteration. Noisy alternating least squares
@@ -43,7 +42,7 @@ import numpy as np
 
 from .mechanisms import (MechanismConfig, _count, _finite_array, _positive_real,
                          huber_alpha_for_variance, sample)
-from .robust_solvers import _eliminate, _eliminates, _irls
+from .robust_solvers import _ELIMINATION_RANK, _irls, _ridge
 
 __all__ = [
     "ObservedMatrix",
@@ -237,8 +236,7 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # ---------------------------------------------------------------------------
 # Targets (rows in the U half-sweep, columns in the V half-sweep) are grouped
 # so each group solves a stack of identically shaped r x r systems in one
-# LAPACK call (a low-rank ridge half: one elimination per part, see below).
-# Walking the distinct observation counts in ascending order, a
+# call. Walking the distinct observation counts in ascending order, a
 # group of width w (its largest count) with g targets absorbs the next count c
 # while the padding this adds, (c - w) * g entries at r^2 multiply-adds of
 # Gram work each, stays within _MERGE_BUDGET. A group of at most
@@ -251,12 +249,11 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # residual. Each group's block of fixed-factor rows is one np.take along
 # axis 0, as are the noise and IRLS-start slices: it copies the same rows as
 # the advanced index other[oidx], which sends every short r-float row through
-# numpy's generic index loop, in about a quarter of the time at rank 5. Each
-# group then runs _irls once, whose residual and normal-equation
-# contractions are stacked matmuls on that block, so they run on BLAS: a
-# reweighted iteration takes A^T W A and A^T W y from one product of the
-# weighted [A | y]^T and the block, a ridge step its Gram from a transposed
-# copy of the block. A group of rank r >= 8 whose count x r reaches 12,000
+# numpy's generic index loop, in about a quarter of the time at rank 5. An
+# IRLS group then runs _irls once, whose residual and normal-equation
+# contractions are stacked matmuls on that block, so they run on BLAS: an
+# iteration takes A^T W A and A^T W y from one product of the weighted
+# [A | y]^T and the block. A group of rank r >= 8 whose count x r reaches 12,000
 # (robust_solvers._UPDATE_RANK and _UPDATE_ENTRIES) forms that product at its
 # first iteration only and then adds the weight changes of just the rows
 # whose weight changed, all targets' changed rows in one zero-padded block,
@@ -267,20 +264,14 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # block and its own transposed view, which matmul would send to the slower
 # syrk.
 #
-# A ridge half (alpha = infinity, one iteration) of rank r <= 8
-# (robust_solvers._eliminates) skips _irls. Each group gathers its rows of
-# the fixed factor with a column more, [A | y] (g, w, r+1), and one product
-# A^T [A | y] writes its [A^T A | A^T y] into the part's (targets, r, r+1)
-# buffer; robust_solvers._eliminate adds the noise and lam once per part and
-# solves all the part's systems in one Gaussian elimination without
-# pivoting, laid out as (r, r+1, targets), so each of its steps is one numpy
-# operation over every target. The rule reads only the rank. Whole ridge
-# halves on 500-1,000 targets of 25-100 entries (2 vCPUs, BLAS on 1
-# thread) took 0.57-0.84 of the LAPACK path's time up to rank 8, 0.68-0.84
-# at ranks 10 and 12 and 0.96-1.06 at rank 16, so the crossover is near 16;
-# no workload runs ranks 9 to 15, and 8 keeps the rank-12 thread tests on
-# _irls. IRLS halves and ridge halves of higher rank (the rank-32 ratings
-# halves) keep _irls.
+# A ridge half (alpha = infinity, one iteration) gathers each group's rows
+# of the fixed factor with a column more, [A | y] (g, w, r+1), and one
+# product A^T [A | y] writes its [A^T A | A^T y]; robust_solvers._ridge adds
+# the noise and lam once and solves. Up to rank _ELIMINATION_RANK a part's
+# groups fill one (targets, r, r+1) buffer, solved by one batched
+# elimination whose steps each run over every target of the part. Above it
+# each group keeps its own buffer and LAPACK call: one buffer per part
+# raised the rank-32 ratings benchmark's peak RSS from 103 to 116 MB.
 # Per-target results match solving each system on its own up to rounding.
 #
 # A solve deals each half once (_deal): when the half's Gram work (padded
@@ -366,52 +357,54 @@ def _join(pool, first, *rest):
 
 
 def _half_sweep(parts, other, lam, alpha, iterations, init, noise, num_targets, pool=None):
-    """Regularized Huber IRLS for every target against the fixed factor: one
-    _irls call per count group, from the group's rows of init (None when
-    alpha is infinite) and noise (target, iteration, r). A ridge half of
-    rank at most 8 (_eliminates) instead writes every group's normal
-    equations into one buffer per part and solves the part by one
-    _eliminate. A target with no observations solves lam I theta = noise,
-    i.e. theta = noise / lam or 0. parts come from _deal over
-    _target_groups, whose padded slots index the zero row appended here as
-    row -1 with value 0, so a padded slot's residual is 0, its weight 1,
-    and its Gram and right-hand-side terms vanish.
+    """Every target's update against the fixed factor, from noise (target,
+    iteration, r) or None. A ridge half (alpha infinite, one iteration)
+    forms each group's normal equations and solves them by _ridge: one call
+    per part up to rank _ELIMINATION_RANK, one per group above it. An IRLS
+    half runs _irls once per count group, from the group's rows of init. A
+    target with no observations solves lam I theta = noise, i.e.
+    theta = noise / lam or 0. parts come from _deal over _target_groups,
+    whose padded slots index the zero row appended here as row -1 with
+    value 0, so a padded slot's residual is 0, its weight 1, and its Gram
+    and right-hand-side terms vanish.
 
     The calling thread runs the first part and the pool the others (_join),
     each part writing only its own targets' rows. An error in any part is
-    raised once every part has finished.
+    raised once every part has finished. Overflow and invalid values raise
+    no warning: the solvers report a non-finite half as SolverDivergence.
     """
     r = other.shape[1]
-    eliminate = _eliminates(r, alpha, iterations)
-    # the fixed factor over the zero row -1; for _eliminate with a column
+    ridge = alpha == math.inf
+    # the fixed factor over the zero row -1; for a ridge half with a column
     # more, which each group's gather fills with its values
-    fixed = np.zeros((other.shape[0] + 1, r + 1 if eliminate else r))
+    fixed = np.zeros((other.shape[0] + 1, r + 1 if ridge else r))
     fixed[:-1, :r] = other
     out = np.empty((num_targets, r))
 
-    def solve_groups(part):
+    def irls_groups(part):
         for ids, oidx, vals in part:
-            theta = None if init is None else np.take(init, ids, axis=0)
+            theta = np.take(init, ids, axis=0)
             gnoise = None if noise is None else np.take(noise, ids, axis=0)
             ag = np.take(fixed, oidx, axis=0)
             out[ids] = _irls(ag, vals, theta, gnoise, lam, alpha, iterations)
 
-    def eliminate_groups(part):
-        if not part:  # more workers than groups
-            return
-        ids = np.concatenate([group_ids for group_ids, _, _ in part])
-        normal = np.empty((ids.size, r, r + 1))
-        stop = 0
-        for group_ids, oidx, vals in part:
-            start, stop = stop, stop + group_ids.size
-            rows = np.take(fixed, oidx, axis=0)  # [A | y]
-            rows[..., r] = vals
-            np.matmul(rows[..., :r].transpose(0, 2, 1), rows, out=normal[start:stop])
-        t = None if noise is None else np.take(noise[:, 0], ids, axis=0)
-        out[ids] = _eliminate(normal, t, lam)
+    def ridge_groups(part):
+        batches = [part] if r <= _ELIMINATION_RANK else [[group] for group in part]
+        for batch in filter(None, batches):  # a part is empty with more workers than groups
+            ids = np.concatenate([group_ids for group_ids, _, _ in batch])
+            normal = np.empty((ids.size, r, r + 1))
+            stop = 0
+            for group_ids, oidx, vals in batch:
+                start, stop = stop, stop + group_ids.size
+                rows = np.take(fixed, oidx, axis=0)  # [A | y]
+                rows[..., r] = vals
+                np.matmul(rows[..., :r].transpose(0, 2, 1), rows, out=normal[start:stop])
+            t = None if noise is None else np.take(noise[:, 0], ids, axis=0)
+            out[ids] = _ridge(normal, t, lam)
 
-    solve = eliminate_groups if eliminate else solve_groups
-    _join(pool, *(partial(solve, part) for part in parts))
+    solve = ridge_groups if ridge else irls_groups
+    with np.errstate(over="ignore", invalid="ignore"):
+        _join(pool, *(partial(solve, part) for part in parts))
     return out
 
 

@@ -1,13 +1,12 @@
 """Ridge regression and regularized IRLS for the Huber loss.
 
-_irls implements both, run by lrmc's half-sweeps once per count group and by
-r_irls and ridge_solve on one system: the regularized iteratively
-re-weighted least squares loop that minimizes
+Each has one implementation. _ridge solves stacks of ridge systems from
+their normal equations [A^T A | A^T y], for lrmc's ridge half-sweeps and for
+ridge_solve. _irls runs the regularized iteratively re-weighted least
+squares loop that minimizes
 sum_i rho_alpha(y_i - a_i theta) + (lambda/2) ||theta||^2 by repeated weighted
-ridge solves, optionally adding noise to every right-hand side. Ridge is the
-case alpha = infinity with one iteration. A half-sweep's ridge systems of
-rank at most _ELIMINATION_RANK (_eliminates) take the second implementation
-instead, _eliminate: all of a part's systems in one batched elimination.
+ridge solves, optionally adding noise to every right-hand side, for lrmc's
+IRLS half-sweeps once per count group and for r_irls on one system.
 """
 
 from __future__ import annotations
@@ -83,15 +82,15 @@ class IrlsConfig:
 _UPDATE_RANK = 8
 _UPDATE_ENTRIES = 12_000
 _CHUNK = 256  # changed rows per product of that update
-# a half-sweep's ridge systems of rank r <= _ELIMINATION_RANK solve by _eliminate
+# _ridge solves systems of rank r <= _ELIMINATION_RANK by batched elimination
 _ELIMINATION_RANK = 8
 
 
 def ridge_solve(problem: RidgeProblem, noise: np.ndarray | None = None) -> np.ndarray:
-    """Solve (AtA + lam I) theta = At y + t: the engine's group step (_irls)
-    at alpha = infinity, K = 1, on a batch of one. Ridge half-sweeps of rank
-    at most _ELIMINATION_RANK solve by _eliminate instead, which agrees with
-    it up to rounding.
+    """Solve (AtA + lam I) theta = At y + t: a ridge half-sweep's step on one
+    target. Its normal [AtA | At y] is the one product At [A | y], as a
+    half-sweep's group forms it, and _ridge solves it, so a one-target ridge
+    half returns this theta bit for bit.
 
     t is noise, a finite length-q array; without it t is absent, not a zero
     vector. With lam = 0 the design must have full column rank; a
@@ -112,8 +111,9 @@ def ridge_solve(problem: RidgeProblem, noise: np.ndarray | None = None) -> np.nd
         t = _finite_array(noise, "noise")
         if t.shape != (q,):
             raise ValueError(f"noise must have length {q}, got shape {t.shape}")
-        t = t.reshape(1, 1, q)
-    return _irls(a[None], y[None], None, t, lam, math.inf, 1)[0]
+        t = t[None]
+    rows = np.concatenate((a, y[:, None]), axis=1)[None]  # [A | y]
+    return _ridge(rows[..., :q].transpose(0, 2, 1) @ rows, t, lam)[0]
 
 
 def _huber_weights(abs_residuals, alpha):
@@ -165,30 +165,24 @@ def _weight_change(rows, w, prev_w, changed):
 def _irls(ag, vals, theta, noise, lam, alpha, iterations):
     """Regularized Huber IRLS on a stack of g same-shape systems: designs ag
     (g, p, q), targets vals (g, p), starts theta (g, q), noise (g, K, q) or
-    None. Iteration k solves (A^T W A + lam I) theta = A^T W y + noise[:, k],
+    None, and a finite alpha. Iteration k solves
+    (A^T W A + lam I) theta = A^T W y + noise[:, k],
     W = diag(min(1, alpha/|y - A theta|)) from the previous iterate, in one
-    np.linalg.solve. An infinite alpha skips the weights (theta is unread),
-    so one iteration is the ridge update. Without noise the weights fix the
-    next theta, so once they repeat exactly the loop stops: every later
-    iteration would recompute the same theta bit for bit.
+    np.linalg.solve. Without noise the weights fix the next theta, so once
+    they repeat exactly the loop stops: every later iteration would
+    recompute the same theta bit for bit.
 
-    The reweighted branch stacks the targets under the transposed design
-    once, [A | y]^T (g, q+1, p). Each iteration scales it by the weights into
-    one buffer and multiplies that by ag, one BLAS dgemm per system: rows :q
-    of the product are A^T W A and row q is (A^T W y)^T. The residual, its
+    The full form stacks the targets under the transposed design once,
+    [A | y]^T (g, q+1, p). Each iteration scales it by the weights into one
+    buffer and multiplies that by ag, one BLAS dgemm per system: rows :q of
+    the product are A^T W A and row q is (A^T W y)^T. The residual, its
     absolute value and the weights are written in place into the product
-    ag @ theta. The ridge branch runs once on an unweighted design, so it
-    keeps a transposed plain copy of ag and forms A^T y apart: filling the
-    augmented buffer is a transposed write that costs more than the one
-    matrix-vector product it saves (13-15% on the group steps of the rank-32
-    ratings halves). Its Gram, too, multiplies two buffers: matmul sends a
-    buffer times its own transposed view to syrk, which is slower. The noise
-    is added in place into the right-hand side, and lam I as lam added to
-    a writable view of each Gram's diagonal: a full (q, q) add into the
-    strided Gram view took as long as the product itself on narrow rank-32
-    groups.
+    ag @ theta. The noise is added in place into the right-hand side, and
+    lam I as lam added to a writable view of each Gram's diagonal: a full
+    (q, q) add into the strided Gram view took as long as the product itself
+    on narrow rank-32 groups.
 
-    A reweighted stack of systems with at least _UPDATE_RANK columns and
+    A stack of systems with at least _UPDATE_RANK columns and
     _UPDATE_ENTRIES entries p q forms that product at iteration 0 only.
     After that only rows near or beyond the Huber transition change weight,
     so each later iteration adds sum_i (w_i - w'_i) [a_i; y_i] a_i^T
@@ -214,49 +208,41 @@ def _irls(ag, vals, theta, noise, lam, alpha, iterations):
     for q = 8, 10, 16, 32 and 64) and was faster above it, by 10-45% at
     p q of 16,000-20,000; at q = 5 it did not win up to p = 6400, since the full
     product of 6 rows is cheap. _UPDATE_ENTRIES keeps a 20% margin above
-    break-even. Every synth-irls count group (rank 5) and every ridge step
-    keeps the full form.
+    break-even. Every synth-irls count group (rank 5) keeps the full form.
     """
-    reweight = math.isfinite(alpha)
     g, p, q = ag.shape
-    tall = reweight and q >= _UPDATE_RANK and p * q >= _UPDATE_ENTRIES
-    if reweight:
-        if tall:
-            # [A | y] row by row, so that one take gathers the changed rows
-            rows = np.concatenate((ag, vals[..., None]), axis=2)
-        else:
-            aty = np.empty((g, q + 1, p))
-            aty[:, :q] = ag.transpose(0, 2, 1)
-            aty[:, q] = vals
-            weighted = np.empty_like(aty)
+    tall = q >= _UPDATE_RANK and p * q >= _UPDATE_ENTRIES
+    if tall:
+        # [A | y] row by row, so that one take gathers the changed rows
+        rows = np.concatenate((ag, vals[..., None]), axis=2)
     else:
-        agt = ag.copy().transpose(0, 2, 1)
+        aty = np.empty((g, q + 1, p))
+        aty[:, :q] = ag.transpose(0, 2, 1)
+        aty[:, q] = vals
+        weighted = np.empty_like(aty)
     prev_w = None
     for k in range(iterations):
-        if reweight:
-            w = (ag @ theta[..., None])[..., 0]
-            np.subtract(vals, w, out=w)
-            w = _huber_weights(np.abs(w, out=w), alpha)
-            if not tall:
-                if noise is None:
-                    if prev_w is not None and np.array_equal(w, prev_w):
-                        break
-                    prev_w = w
-                normal = np.multiply(aty, w[:, None, :], out=weighted) @ ag
-            else:
-                if prev_w is None:
-                    running = np.multiply(rows, w[..., None]).transpose(0, 2, 1) @ ag
-                else:
-                    changed = np.flatnonzero(w != prev_w)
-                    if changed.size:
-                        running += _weight_change(rows, w, prev_w, changed)
-                    elif noise is None:
-                        break
+        w = (ag @ theta[..., None])[..., 0]
+        np.subtract(vals, w, out=w)
+        w = _huber_weights(np.abs(w, out=w), alpha)
+        if not tall:
+            if noise is None:
+                if prev_w is not None and np.array_equal(w, prev_w):
+                    break
                 prev_w = w
-                normal = running.copy()
-            gram, rhs = normal[:, :q], normal[:, q, :, None]
+            normal = np.multiply(aty, w[:, None, :], out=weighted) @ ag
         else:
-            gram, rhs = agt @ ag, agt @ vals[..., None]
+            if prev_w is None:
+                running = np.multiply(rows, w[..., None]).transpose(0, 2, 1) @ ag
+            else:
+                changed = np.flatnonzero(w != prev_w)
+                if changed.size:
+                    running += _weight_change(rows, w, prev_w, changed)
+                elif noise is None:
+                    break
+            prev_w = w
+            normal = running.copy()
+        gram, rhs = normal[:, :q], normal[:, q, :, None]
         if noise is not None:
             rhs += noise[:, k, :, None]
         diagonal = np.einsum("gii->gi", gram)  # a writable view
@@ -265,40 +251,40 @@ def _irls(ag, vals, theta, noise, lam, alpha, iterations):
     return theta
 
 
-def _eliminates(rank, alpha, iterations):
-    """Whether lrmc solves a half-sweep's systems by _eliminate rather than
-    _irls: ridge steps (alpha = infinity, one iteration) of rank at most
-    _ELIMINATION_RANK."""
-    return rank <= _ELIMINATION_RANK and alpha == math.inf and iterations == 1
-
-
-def _eliminate(normal, noise, lam):
+def _ridge(normal, noise, lam):
     """theta (n, r) of the n ridge systems (A^T A + lam I) theta = A^T y + t
     whose [A^T A | A^T y] normal (n, r, r+1) holds, noise t (n, r) or None
-    (absent); normal gets the noise and lam added in place.
+    (absent); normal gets the noise and lam added in place, once.
 
-    One Gaussian elimination without pivoting solves all n systems, with the
-    systems along the last axis of a (r, r+1, n) copy, so each of its
+    Above rank _ELIMINATION_RANK one np.linalg.solve solves the stack. Up to
+    it one Gaussian elimination without pivoting solves all n systems, with
+    the systems along the last axis of a (r, r+1, n) copy, so each of its
     O(r^2) steps is one numpy operation over every system. np.linalg.solve
     pays LAPACK's call overhead per system instead: on 500 rank-5 systems
     (BLAS on 1 thread) it took 222 us, this layout 109 us, and the same
-    elimination laid out (n, r, r+1) 289 us. Every A^T A + lam I with
-    lam > 0 is symmetric positive definite, so its pivots stay positive
-    without row exchanges. The arithmetic is elementwise across systems, so
+    elimination laid out (n, r, r+1) 289 us. Whole ridge halves on 500-1,000
+    targets of 25-100 entries (2 vCPUs, BLAS on 1 thread) took 0.57-0.84 of
+    the LAPACK time up to rank 8, 0.68-0.84 at ranks 10 and 12 and 0.96-1.06
+    at rank 16, so the crossover is near 16; 8 keeps the rank-12 thread
+    tests on LAPACK. Every A^T A + lam I with lam > 0 is symmetric positive
+    definite, so its pivots stay positive without row exchanges. Either way
     a system's theta does not depend on the others in the stack.
 
-    It runs under the policy np.linalg.solve sets for its LAPACK call:
-    overflow, division and underflow ignored. Invalid values are ignored
-    too; here they arise only from non-finite input, which LAPACK also
-    turns into NaN without a warning (np.linalg.solve raises only on an
-    exact zero pivot, which lam > 0 rules out). So this solve adds no
-    warning to a diverging run, and the solvers report its non-finite theta.
+    The elimination runs under the policy np.linalg.solve sets for its
+    LAPACK call: overflow, division and underflow ignored. Invalid values
+    are ignored too; here they arise only from non-finite input, which
+    LAPACK also turns into NaN without a warning (np.linalg.solve raises
+    only on an exact zero pivot, which lam > 0 rules out). So neither solve
+    adds a warning to a diverging run, and the solvers report its
+    non-finite theta.
     """
     r = normal.shape[1]
     if noise is not None:
         normal[..., r] += noise
     diagonal = np.einsum("nii->ni", normal[..., :r])  # a writable view
     diagonal += lam
+    if r > _ELIMINATION_RANK:
+        return np.linalg.solve(normal[..., :r], normal[..., r:])[..., 0]
     m = normal.transpose(1, 2, 0).copy()
     with np.errstate(all="ignore"):
         # row k over its pivot, then out of the rows below; then back

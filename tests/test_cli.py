@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -936,13 +937,23 @@ class TestRunPlanApi:
 
     def test_divergent_solve_fails_cell(self, tmp_path):
         plan = _divergent_plan(tmp_path)
-        with np.errstate(over="ignore", invalid="ignore"):
-            records, failures = run_plan(plan)
+        records, failures = run_plan(plan)
         assert not records
         assert failures == [
             "als-none-f1: SolverDivergence: noisy_als diverged: "
             "non-finite factors after the v half of sweep 0"
         ]
+
+    def test_divergent_solves_raise_no_warning(self, tmp_path):
+        # every solver with and without noise reports only SolverDivergence:
+        # a numpy warning, raised here, would fail its cell as a RuntimeWarning
+        plan = dataclasses.replace(_divergent_plan(tmp_path), solvers=["als", "irls"],
+                                   mechanisms=["none", "huber"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records, failures = run_plan(plan)
+        assert not records
+        assert [failure.split(": ")[1] for failure in failures] == ["SolverDivergence"] * 4
 
     def test_failed_cell_logs_its_traceback(self, tmp_path, caplog):
         plan = _divergent_plan(tmp_path)

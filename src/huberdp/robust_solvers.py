@@ -11,13 +11,11 @@ IRLS half-sweeps once per count group and for r_irls on one system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import (MechanismConfig, _count, _finite_array, _positive_real, _real,
-                         huber_loss, sample)
+from .mechanisms import MechanismConfig, _count, _finite_array, _positive_real, huber_loss, sample
 
 __all__ = [
     "RidgeProblem",
@@ -33,8 +31,9 @@ __all__ = [
 class RidgeProblem:
     """A dense least-squares system with Tikhonov regularizer lambda.
 
-    lam > 0 guarantees that the normal-equation matrix AtA + lambda I is
-    positive definite regardless of the rank of the design.
+    lam must be a positive real, as for every ridge system the package
+    solves: it makes the normal-equation matrix AtA + lambda I positive
+    definite regardless of the rank of the design.
     """
 
     design: np.ndarray
@@ -48,12 +47,9 @@ class RidgeProblem:
             raise ValueError("design must be a p x q matrix with p, q >= 1")
         if y.shape != (a.shape[0],):
             raise ValueError("targets must be a vector of length p")
-        lam = _real(self.lam, "lam")
-        if not 0 <= lam < math.inf:
-            raise ValueError("lam must be a nonnegative real")
         object.__setattr__(self, "design", a)
         object.__setattr__(self, "targets", y)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _positive_real(self.lam, "lam"))
 
 
 @dataclass(frozen=True)
@@ -93,19 +89,12 @@ def ridge_solve(problem: RidgeProblem, noise: np.ndarray | None = None) -> np.nd
     half returns this theta bit for bit.
 
     t is noise, a finite length-q array; without it t is absent, not a zero
-    vector. With lam = 0 the design must have full column rank; a
-    rank-deficient one raises numpy's LinAlgError naming its rank, where the
-    solve alone would often return a theta with an arbitrary null-space part,
-    the Gram being singular only up to rounding.
+    vector. Both steps run under the policy a half-sweep sets, overflow and
+    invalid values ignored, so finite input that overflows raises only
+    FloatingPointError for its non-finite theta, as r_irls does.
     """
-    a, y, lam = problem.design, problem.targets, problem.lam
+    a, y = problem.design, problem.targets
     q = a.shape[1]
-    if lam == 0:
-        rank = np.linalg.matrix_rank(a)
-        if rank < q:
-            raise np.linalg.LinAlgError(
-                f"design has rank {rank} < {q} columns; lam = 0 needs full column rank"
-            )
     t = None
     if noise is not None:
         t = _finite_array(noise, "noise")
@@ -113,7 +102,11 @@ def ridge_solve(problem: RidgeProblem, noise: np.ndarray | None = None) -> np.nd
             raise ValueError(f"noise must have length {q}, got shape {t.shape}")
         t = t[None]
     rows = np.concatenate((a, y[:, None]), axis=1)[None]  # [A | y]
-    return _ridge(rows[..., :q].transpose(0, 2, 1) @ rows, t, lam)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = _ridge(rows[..., :q].transpose(0, 2, 1) @ rows, t, problem.lam)[0]
+    if not np.isfinite(theta).all():
+        raise FloatingPointError("ridge_solve diverged: non-finite theta")
+    return theta
 
 
 def _huber_weights(abs_residuals, alpha):
@@ -169,8 +162,8 @@ def _irls(ag, vals, theta, noise, lam, alpha, iterations):
     (A^T W A + lam I) theta = A^T W y + noise[:, k],
     W = diag(min(1, alpha/|y - A theta|)) from the previous iterate, in one
     np.linalg.solve. Without noise the weights fix the next theta, so once
-    they repeat exactly the loop stops: every later iteration would
-    recompute the same theta bit for bit.
+    they repeat exactly the loop stops, by one check for both forms below:
+    every later iteration would recompute the same theta bit for bit.
 
     The full form stacks the targets under the transposed design once,
     [A | y]^T (g, q+1, p). Each iteration scales it by the weights into one
@@ -191,13 +184,12 @@ def _irls(ag, vals, theta, noise, lam, alpha, iterations):
     form keeps [A | y] row by row, (g, p, q+1), so that one take gathers the
     changed rows, and iteration 0 multiplies its weighted copy, transposed,
     by ag: the full form's (g, q+1, p) layout, as a strided view of it or
-    as a second copy, made r_irls on 2000 x 10 designs 5-20% slower. No row
-    changing weight means the weights repeated, so a noiseless stack stops
-    by the same rule as the full form, but not always at the same
-    iteration: the last bits of the running sums moved the stop by one on
-    1200 x 10 systems, and on 1500 x 32 systems it came after 12-13
-    iterations where the full form's weights cycled at the last bit through
-    all K = 60 (theta agreed to 3e-15 relative). Adding weight changes
+    as a second copy, made r_irls on 2000 x 10 designs 5-20% slower. A
+    noiseless stack stops by the same check as the full form, but not
+    always at the same iteration: the last bits of the running sums moved
+    the stop by one on 1200 x 10 systems, and on 1500 x 32 systems it came
+    after 12-13 iterations where the full form's weights cycled at the last
+    bit through all K = 60 (theta agreed to 3e-15 relative). Adding weight changes
     keeps theta within about 1e-14 of the full form even with rows at 1e15,
     where subtracting down-weighted rows from a matrix that holds them at
     weight 1 does not. The choice reads only (p, q), so a system solves the
@@ -225,11 +217,9 @@ def _irls(ag, vals, theta, noise, lam, alpha, iterations):
         w = (ag @ theta[..., None])[..., 0]
         np.subtract(vals, w, out=w)
         w = _huber_weights(np.abs(w, out=w), alpha)
+        if noise is None and prev_w is not None and np.array_equal(w, prev_w):
+            break
         if not tall:
-            if noise is None:
-                if prev_w is not None and np.array_equal(w, prev_w):
-                    break
-                prev_w = w
             normal = np.multiply(aty, w[:, None, :], out=weighted) @ ag
         else:
             if prev_w is None:
@@ -238,10 +228,8 @@ def _irls(ag, vals, theta, noise, lam, alpha, iterations):
                 changed = np.flatnonzero(w != prev_w)
                 if changed.size:
                     running += _weight_change(rows, w, prev_w, changed)
-                elif noise is None:
-                    break
-            prev_w = w
             normal = running.copy()
+        prev_w = w
         gram, rhs = normal[:, :q], normal[:, q, :, None]
         if noise is not None:
             rhs += noise[:, k, :, None]
@@ -274,7 +262,8 @@ def _ridge(normal, noise, lam):
     LAPACK call: overflow, division and underflow ignored. Invalid values
     are ignored too; here they arise only from non-finite input, which
     LAPACK also turns into NaN without a warning (np.linalg.solve raises
-    only on an exact zero pivot, which lam > 0 rules out). So neither solve
+    only on an exact zero pivot, which lam > 0 rules out unless rounding
+    loses lam against the Gram's diagonal). So neither solve
     adds a warning to a diverging run, and the solvers report its
     non-finite theta.
     """
@@ -333,8 +322,9 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator | int) -> np.ndarr
     weights repeat, as a noiseless engine group does; the iteration
     is then the classical majorize-minimize scheme for the regularized Huber
     objective and never increases it. Raises ValueError when y or a has a
-    non-finite entry, and FloatingPointError when finite input overflows
-    into a non-finite theta.
+    non-finite entry, and FloatingPointError, with no warning (the loop runs
+    under ridge_solve's error policy), when finite input overflows into a
+    non-finite theta.
     """
     y, a = _system(y, a)
     q, k = a.shape[1], config.iterations
@@ -343,7 +333,8 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator | int) -> np.ndarr
     noise = None
     if config.noise.kind != "none":
         noise = sample(config.noise, k * q, rng).values.reshape(1, k, q)
-    theta = _irls(a[None], y[None], start, noise, config.lam, config.alpha, k)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = _irls(a[None], y[None], start, noise, config.lam, config.alpha, k)[0]
     if not np.isfinite(theta).all():
         raise FloatingPointError("r_irls diverged: non-finite theta")
     return theta
@@ -351,10 +342,10 @@ def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator | int) -> np.ndarr
 
 def huber_objective(y, a, theta, alpha: float, lam: float) -> float:
     """Objective descended by the noiseless IRLS iteration:
-    sum_i rho_alpha(y_i - a_i theta) + (lam/2) ||theta||^2."""
+    sum_i rho_alpha(y_i - a_i theta) + (lam/2) ||theta||^2, lam > 0."""
     y, a = _system(y, a)
     theta = _finite_array(theta, "theta")
     if theta.shape != (a.shape[1],):
         raise ValueError("theta must be a vector of length q")
-    resid = y - a @ theta
-    return float(np.sum(huber_loss(resid, alpha)) + 0.5 * _real(lam, "lam") * float(theta @ theta))
+    penalty = 0.5 * _positive_real(lam, "lam") * float(theta @ theta)
+    return float(np.sum(huber_loss(y - a @ theta, alpha)) + penalty)

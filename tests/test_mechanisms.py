@@ -40,7 +40,7 @@ from huberdp.mechanisms import (
     privacy_gap,
     sample,
 )
-from huberdp.robust_solvers import IrlsConfig, RidgeProblem, irls_weights, r_irls
+from huberdp.robust_solvers import IrlsConfig, RidgeProblem, huber_objective, irls_weights, r_irls
 
 ALPHA_GRID = [0.25, 0.5, 1.0, 2.0, 3.0, 8.0]
 
@@ -757,6 +757,8 @@ REAL_FIELDS = [
     ("huber_loss_alpha", lambda v: SolverConfig(rank=1, huber_loss_alpha=v),
      lambda c: c.huber_loss_alpha),
     ("delta_f", bench_cli._sensitivity, None),
+    ("lam", lambda v: RidgeProblem(np.eye(2), np.ones(2), v), lambda p: p.lam),
+    ("lam", lambda v: huber_objective(np.ones(2), np.eye(2), np.ones(2), 1.0, v), None),
 ]
 
 # a plan's fields pass the JSON type check first, which refuses a bool or a
@@ -773,7 +775,6 @@ NONNEGATIVE_REAL_FIELDS = [
     ("l2", lambda v: Sensitivity(5.0, v), lambda s: s.l2),
     ("epsilon", PrivacyBudget, lambda b: b.epsilon),
     ("delta", lambda v: PrivacyBudget(1.0, v), lambda b: b.delta),
-    ("lam", lambda v: RidgeProblem(np.eye(2), np.ones(2), v), lambda p: p.lam),
     ("variance", huber_alpha_for_variance, None),
 ]
 

@@ -475,26 +475,12 @@ class RunRecord:
         return float(np.std(self.rmse_trials))
 
 
-def _encode_float(x):
-    if x is None:
-        return None
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
-def _decode_float(x):
-    if isinstance(x, str):
-        return {"inf": math.inf, "-inf": -math.inf}.get(x, x)
-    return x
-
-
 def persist_run(record: RunRecord, path) -> None:
     """Write a RunRecord, its derived statistics too, as pretty-printed JSON."""
     payload = asdict(record)
     payload.update({key: getattr(record, key) for key in _DERIVED})
-    payload["epsilon"] = _encode_float(record.epsilon)
-    payload["variance"] = _encode_float(record.variance)
+    if record.epsilon == math.inf:  # the one non-finite float a record holds
+        payload["epsilon"] = "inf"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
@@ -514,7 +500,8 @@ def load_run(path) -> RunRecord:
             f"record schema version {version!r} is not supported "
             f"(this code reads version {SCHEMA_VERSION})"
         )
-    payload.update({key: _decode_float(payload[key]) for key in ("epsilon", "variance")})
+    if payload["epsilon"] == "inf":
+        payload["epsilon"] = math.inf
     stored = {key: payload.pop(key) for key in _DERIVED}
     try:
         record = RunRecord(**payload)

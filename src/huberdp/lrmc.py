@@ -14,19 +14,20 @@ once its IRLS weights repeat exactly, which leaves the result of all K
 iterations unchanged. Noise enters only the column half-sweep; the row
 half-sweep draws nothing, and FactorPair.noise_draws counts the column draws.
 
-Sweep s draws from one stream, split from (solver entropy, s) by a
-SeedSequence, in at most two block calls: the (n, r) IRLS starting points
-N(0, I) first, then the (n, K, r) mechanism noise (K = 1 for ALS). Column j
-reads slice j of each block, so results are independent of the order in
-which columns are processed. A solver call deals each half-sweep once
-(_deal): a larger one is split into parts for a thread per usable CPU, and
-one join (_join) runs the parts and waits for all of them before the half
-returns; the factors are the same bit for bit on any number of CPUs. When
-the column half-sweep runs on threads, the same join also makes the draws of
-sweep s + 1 on the solver's pool while the column half-sweep of sweep s
-runs; sweep 0 draws on the calling thread. A sweep's stream depends only on
-(solver entropy, s), so the blocks are the same on any thread, and every
-draw still ends inside a column half-sweep.
+Each IRLS column update starts from the column's row of the previous V,
+already released, so the start costs no privacy and draws nothing. Sweep s
+draws only its (n, K, r) mechanism noise (K = 1 for ALS), in one block call
+from one stream split from (solver entropy, s) by a SeedSequence; without
+noise it draws nothing. Column j reads slice j of the block, so results are
+independent of the order in which columns are processed. A solver call
+deals each half-sweep once (_deal): a larger one is split into parts for a
+thread per usable CPU, and one join (_join) runs the parts and waits for all
+of them before the half returns; the factors are the same bit for bit on
+any number of CPUs. When the column half-sweep runs on threads, the same
+join also draws the noise of sweep s + 1 on the solver's pool while the
+column half-sweep of sweep s runs; sweep 0 draws on the calling thread. A
+sweep's stream depends only on (solver entropy, s), so its block is the same
+on any thread, and every draw still ends inside a column half-sweep.
 """
 
 from __future__ import annotations
@@ -247,12 +248,12 @@ def resolve_loss_alpha(config: SolverConfig) -> float:
 # index a zero row appended to the fixed factor (index -1) and carry the
 # value 0, so they add nothing to the Gram, the right-hand side or the
 # residual. Each group's block of fixed-factor rows is one np.take along
-# axis 0, as are the noise and IRLS-start slices: it copies the same rows as
-# the advanced index other[oidx], which sends every short r-float row through
-# numpy's generic index loop, in about a quarter of the time at rank 5. An
-# IRLS group then runs _irls once, whose residual and normal-equation
-# contractions are stacked matmuls on that block, so they run on BLAS: an
-# iteration takes A^T W A and A^T W y from one product of the weighted
+# axis 0, as are its rows of the noise and of the IRLS start: it copies the
+# same rows as the advanced index other[oidx], which sends every short
+# r-float row through numpy's generic index loop, in about a quarter of the
+# time at rank 5. An IRLS group then runs _irls once, whose residual and
+# normal-equation contractions are stacked matmuls on that block, so they run
+# on BLAS: an iteration takes A^T W A and A^T W y from one product of the weighted
 # [A | y]^T and the block. A group of rank r >= 8 whose count x r reaches 12,000
 # (robust_solvers._UPDATE_RANK and _UPDATE_ENTRIES) forms that product at its
 # first iteration only and then adds the weight changes of just the rows
@@ -408,23 +409,14 @@ def _half_sweep(parts, other, lam, alpha, iterations, init, noise, num_targets, 
     return out
 
 
-def _column_draws(mech, e0, e1, sweep, n, iterations, r, draw_init):
-    """IRLS starts (n, r) and noise (n, iterations, r) for one V half-sweep.
-
-    Both come from the sweep's one stream, the N(0, I) starts first (when
-    draw_init), then every column's noise in a single sample call; column j
-    owns row j of each block. Either result is None when not drawn; without
-    either, no stream is built.
-    """
-    draw_noise = mech.kind != "none"
-    if not (draw_init or draw_noise):
-        return None, None
+def _column_draws(mech, e0, e1, sweep, n, iterations, r):
+    """The noise (n, iterations, r) of one V half-sweep, every column's in a
+    single sample call from the sweep's one stream; column j owns row j.
+    None without noise, when no stream is built."""
+    if mech.kind == "none":
+        return None
     stream = np.random.default_rng(np.random.SeedSequence((e0, e1, sweep)))
-    init = stream.standard_normal((n, r)) if draw_init else None
-    noise = None
-    if draw_noise:
-        noise = sample(mech, n * iterations * r, stream).values.reshape(n, iterations, r)
-    return init, noise
+    return sample(mech, n * iterations * r, stream).values.reshape(n, iterations, r)
 
 
 def _alternate(solver, obs, config, rng, init, history, alpha, iterations):
@@ -448,9 +440,7 @@ def _alternate(solver, obs, config, rng, init, history, alpha, iterations):
     drawn = 0
 
     def draw(sweep):
-        return _column_draws(
-            config.mechanism, e0, e1, sweep, obs.n, iterations, r, math.isfinite(alpha)
-        )
+        return _column_draws(config.mechanism, e0, e1, sweep, obs.n, iterations, r)
 
     row_parts = _deal(row_groups, r, 1, workers)
     col_parts = _deal(col_groups, r, iterations, workers)
@@ -462,16 +452,14 @@ def _alternate(solver, obs, config, rng, init, history, alpha, iterations):
                 raise SolverDivergence(solver, sweep, "u")
             if history is not None:
                 history.append(completion_objective(obs, u, v, lam))
-            starts, noise = ahead[0] if ahead else draw(sweep)
+            noise = ahead[0] if ahead else draw(sweep)
             drawn += 0 if noise is None else noise.size
             # a threaded V half hands the pool the next sweep's draw ahead of
             # its own parts
             prefetch = len(col_parts) > 1 and sweep + 1 < sweeps
             v, *ahead = _join(
                 pool,
-                partial(
-                    _half_sweep, col_parts, u, lam, alpha, iterations, starts, noise, obs.n, pool
-                ),
+                partial(_half_sweep, col_parts, u, lam, alpha, iterations, v, noise, obs.n, pool),
                 *([partial(draw, sweep + 1)] if prefetch else []),
             )
             if not np.isfinite(v).all():
@@ -516,9 +504,10 @@ def irls_huber(
     Rows of U are updated by plain (noiseless) least squares; each column of
     V is re-estimated by regularized IRLS under the Huber loss with a fresh
     noise vector inside every inner iteration: the r_irls update, started
-    from the column's slice of the sweep's start block and fed its slices of
-    the sweep's noise block. Without noise, a group of columns stops once its
-    weights repeat exactly; the factors equal those of all K iterations.
+    from the column's row of the previous V (in sweep 0, of init or the
+    drawn V start) and fed its slices of the sweep's noise block. Without
+    noise, a group of columns stops once its weights repeat exactly; the
+    factors equal those of all K iterations.
     rng, init, history and SolverDivergence are as in noisy_als.
     """
     return _alternate(

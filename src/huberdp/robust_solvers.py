@@ -235,8 +235,16 @@ def _irls(ag, vals, theta, noise, lam, alpha, iterations):
             rhs += noise[:, k, :, None]
         diagonal = np.einsum("gii->gi", gram)  # a writable view
         diagonal += lam
-        theta = np.linalg.solve(gram, rhs)[..., 0]
+        theta = _solve(gram, rhs)[..., 0]
     return theta
+
+
+def _solve(gram, rhs):
+    """np.linalg.solve, but NaN for a stack LAPACK finds singular (lam lost in rounding)."""
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return np.full(rhs.shape, np.nan)
 
 
 def _ridge(normal, noise, lam):
@@ -258,14 +266,10 @@ def _ridge(normal, noise, lam):
     definite, so its pivots stay positive without row exchanges. Either way
     a system's theta does not depend on the others in the stack.
 
-    The elimination runs under the policy np.linalg.solve sets for its
-    LAPACK call: overflow, division and underflow ignored. Invalid values
-    are ignored too; here they arise only from non-finite input, which
-    LAPACK also turns into NaN without a warning (np.linalg.solve raises
-    only on an exact zero pivot, which lam > 0 rules out unless rounding
-    loses lam against the Gram's diagonal). So neither solve
-    adds a warning to a diverging run, and the solvers report its
-    non-finite theta.
+    Neither solve warns or raises on a diverging run, and the solvers report
+    its non-finite theta: the elimination runs under the policy
+    np.linalg.solve sets for its LAPACK call, every floating-point error
+    ignored, and _solve turns LAPACK's zero-pivot error into NaN.
     """
     r = normal.shape[1]
     if noise is not None:
@@ -273,7 +277,7 @@ def _ridge(normal, noise, lam):
     diagonal = np.einsum("nii->ni", normal[..., :r])  # a writable view
     diagonal += lam
     if r > _ELIMINATION_RANK:
-        return np.linalg.solve(normal[..., :r], normal[..., r:])[..., 0]
+        return _solve(normal[..., :r], normal[..., r:])[..., 0]
     m = normal.transpose(1, 2, 0).copy()
     with np.errstate(all="ignore"):
         # row k over its pivot, then out of the rows below; then back
@@ -310,31 +314,26 @@ def irls_weights(residuals, alpha: float) -> np.ndarray:
 
 
 def r_irls(y, a, config: IrlsConfig, rng: np.random.Generator | int) -> np.ndarray:
-    """Regularized IRLS estimate of theta from y ~ A theta.
+    """Regularized IRLS estimate of theta from y ~ A theta, from theta = 0.
 
-    Draws from rng, a seed or Generator, the start theta ~ N(0, I), then the
-    noise of all K = config.iterations rounds in one sample call (row k is
-    round k's t), and runs the engine's group step, _irls, on this one
-    system: K rounds of residual weights, then
-    theta <- (At W A + lam I)^-1 (At W y + t). This is the layout of one
-    target in an lrmc column half-sweep. With noise kind "none" nothing
-    follows the start draw and t is absent, so the loop stops once its
-    weights repeat, as a noiseless engine group does; the iteration
-    is then the classical majorize-minimize scheme for the regularized Huber
-    objective and never increases it. Raises ValueError when y or a has a
-    non-finite entry, and FloatingPointError, with no warning (the loop runs
-    under ridge_solve's error policy), when finite input overflows into a
-    non-finite theta.
+    Draws the noise of all K = config.iterations rounds from rng, a seed or
+    Generator, in one sample call (row k is round k's t), and runs _irls on
+    this one system as an lrmc column half-sweep does on one target from
+    its row of the previous V: K rounds of residual weights, then
+    theta <- (At W A + lam I)^-1 (At W y + t). With noise kind "none" rng is
+    untouched and t absent, so the loop stops once its weights repeat; it is
+    then the classical majorize-minimize scheme for the regularized Huber
+    objective and never increases it. Raises ValueError for a non-finite
+    entry of y or a, and FloatingPointError, with no warning (ridge_solve's
+    error policy), when finite input gives a non-finite theta.
     """
     y, a = _system(y, a)
     q, k = a.shape[1], config.iterations
-    rng = np.random.default_rng(rng)
-    start = rng.standard_normal((1, q))
     noise = None
     if config.noise.kind != "none":
         noise = sample(config.noise, k * q, rng).values.reshape(1, k, q)
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = _irls(a[None], y[None], start, noise, config.lam, config.alpha, k)[0]
+        theta = _irls(a[None], y[None], np.zeros((1, q)), noise, config.lam, config.alpha, k)[0]
     if not np.isfinite(theta).all():
         raise FloatingPointError("r_irls diverged: non-finite theta")
     return theta

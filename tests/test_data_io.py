@@ -678,6 +678,21 @@ class TestRunPersistence:
         with pytest.raises(ValueError, match=message):
             load_run(path)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("variance", "inf", r"run\.json: record field variance must be float \| None, got 'inf'$"),
+        ("epsilon", "-inf", r"run\.json: record field epsilon must be float, got '-inf'$"),
+    ], ids=["inf-variance", "minus-inf-epsilon"])
+    def test_only_epsilon_reads_inf(self, key, value, message, tmp_path):
+        # epsilon = inf is the one non-finite float a record holds, so it is
+        # the one string load_run reads as a number
+        path = tmp_path / "run.json"
+        persist_run(make_record(), path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_run(path)
+
     @pytest.mark.parametrize("content", [[1], "text", None], ids=["list", "str", "null"])
     def test_non_object_record_rejected(self, content, tmp_path):
         path = tmp_path / "run.json"

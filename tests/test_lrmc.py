@@ -5,8 +5,8 @@ literal single-target ridge and IRLS solves written out below (r_irls and
 ridge_solve run the engine's own steps, _irls and _ridge, so they cannot be
 its oracle), fed with identical starts and noise, so the fast path and the
 per-column algorithm stay interchangeable. Solver runs are replayed from
-their seed: the initial factors, then one stream per sweep holding the
-(n, r) IRLS start block and the (n, K, r) noise block, in that order.
+their seed: the initial factors, then one stream per sweep holding only the
+(n, K, r) noise block; each IRLS column starts from its row of the previous V.
 """
 
 import math
@@ -52,15 +52,13 @@ def _reference_ridge(a, y, lam, t=0.0):
     return np.linalg.solve(a.T @ a + lam * np.eye(a.shape[1]), a.T @ y + t)
 
 
-def _reference_irls(y, a, config, rng):
-    """r_irls written out one system at a time: the start, then one block of
-    every iteration's noise, then K weighted ridge solves with the Huber
-    weights alpha / max(|r|, alpha)."""
+def _reference_irls(y, a, config, theta, noise):
+    """One target's IRLS update written out one system at a time: from the
+    start theta, K weighted ridge solves with the Huber weights
+    alpha / max(|r|, alpha), adding noise[k] (K, q) in solve k."""
     q = a.shape[1]
     eye = config.lam * np.eye(q)
-    theta = rng.standard_normal(q)
-    noise = sample(config.noise, config.iterations * q, rng).values
-    for t in noise.reshape(config.iterations, q):
+    for t in noise:
         awt = a.T * (config.alpha / np.maximum(np.abs(y - a @ theta), config.alpha))
         theta = np.linalg.solve(awt @ a + eye, awt @ y + t)
     return theta
@@ -409,7 +407,7 @@ class TestIrlsHuber:
 
     def test_column_update_matches_r_irls(self):
         # the batched engine must reproduce literal per-column IRLS solves
-        # when fed the start and noise each call draws from its stream
+        # from the same starts and noise
         x, obs = generate_synthetic(15, 12, 2, 0.5, 15)
         mech = MechanismConfig.huber(1.5)
         lam, iterations, r = 0.6, 4, 2
@@ -421,10 +419,10 @@ class TestIrlsHuber:
         for j in range(obs.n):
             mine = obs.cols == j
             a, y = u[obs.rows[mine]], obs.values[mine]
-            expected[j] = _reference_irls(y, a, irls_config, np.random.default_rng(j))
             stream = np.random.default_rng(j)
             init[j] = stream.standard_normal(r)
             noise[j] = sample(mech, iterations * r, stream).values.reshape(iterations, r)
+            expected[j] = _reference_irls(y, a, irls_config, init[j], noise[j])
         groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, r)
         got = _half_sweep([groups], u, lam, 1.5, iterations, init, noise, obs.n)
         np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -455,6 +453,26 @@ class TestIrlsHuber:
         factors = irls_huber(obs, cfg, 12)
         np.testing.assert_array_equal(factors.V[2], np.zeros(2))
 
+    def test_noiseless_factors_match_cold_starts(self):
+        # without noise each column's IRLS runs to the minimizer of its
+        # strictly convex objective, so the solve, which starts every column
+        # from its row of the previous V, matches per-column solves that
+        # start each V half from fresh N(0, I) points
+        _, obs = generate_synthetic(30, 25, 2, 0.5, 20)
+        cfg = SolverConfig(rank=2, lam=0.5, outer_iterations=4, inner_iterations=20)
+        irls = IrlsConfig(resolve_loss_alpha(cfg), cfg.lam, cfg.inner_iterations)
+        cold = np.random.default_rng(7)
+        _, v, _ = _replay(5, obs, 2, sweep=0)
+        for _ in range(cfg.outer_iterations):
+            u = np.array([_reference_ridge(v[obs.cols[obs.rows == i]], obs.values[obs.rows == i],
+                                           cfg.lam) for i in range(obs.m)])
+            v = np.array([_reference_irls(obs.values[obs.cols == j], u[obs.rows[obs.cols == j]],
+                                          irls, cold.standard_normal(2), np.zeros((irls.iterations, 2)))
+                          for j in range(obs.n)])
+        factors = irls_huber(obs, cfg, 5)
+        np.testing.assert_allclose(factors.U, u, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(factors.V, v, rtol=0, atol=1e-9)
+
 
 @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
 def test_empty_column_under_noise_is_last_draw_over_lam(solve):
@@ -468,37 +486,36 @@ def test_empty_column_under_noise_is_last_draw_over_lam(solve):
     )
     factors = solve(obs, cfg, 14)
     *_, stream = _replay(14, obs, 2, sweep=cfg.outer_iterations - 1)
-    iterations = 1
-    if solve is irls_huber:
-        stream.standard_normal((obs.n, 2))  # the IRLS start block comes first
-        iterations = cfg.inner_iterations
+    iterations = cfg.inner_iterations if solve is irls_huber else 1
     noise = sample(mech, obs.n * iterations * 2, stream).values.reshape(obs.n, iterations, 2)
     np.testing.assert_allclose(factors.V[2], noise[2, -1] / cfg.lam, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("solve", [noisy_als, irls_huber])
-def test_sweep_draws_start_block_then_noise_block(solve):
-    # pins the draw layout: one stream per sweep, the (n, r) IRLS starts
-    # first, then every column's noise in one sample call
+def test_sweep_draws_only_its_noise_block(solve):
+    # pins the draw layout: one stream per sweep holding every column's
+    # noise from one sample call, and no IRLS start: each column starts from
+    # its row of the V the previous sweep left (sweep 0: the V start)
     x, obs = generate_synthetic(15, 12, 2, 0.5, 19)
     mech = MechanismConfig.huber(1.5)
     cfg = SolverConfig(
-        rank=2, lam=0.6, outer_iterations=1, inner_iterations=4,
+        rank=2, lam=0.6, outer_iterations=2, inner_iterations=4,
         mechanism=mech,
     )
     factors = solve(obs, cfg, 15)
-    _, v0, stream = _replay(15, obs, 2, sweep=0)
-    alpha, iterations, init = math.inf, 1, None
+    alpha, iterations = math.inf, 1
     if solve is irls_huber:
         alpha, iterations = resolve_loss_alpha(cfg), cfg.inner_iterations
-        init = stream.standard_normal((obs.n, 2))
-    noise = sample(mech, obs.n * iterations * 2, stream).values.reshape(obs.n, iterations, 2)
     row_groups = _target_groups(obs.rows, obs.cols, obs.values, obs.m, cfg.rank)
     col_groups = _target_groups(obs.cols, obs.rows, obs.values, obs.n, cfg.rank)
-    u1 = _half_sweep([row_groups], v0, cfg.lam, math.inf, 1, None, None, obs.m)
-    v1 = _half_sweep([col_groups], u1, cfg.lam, alpha, iterations, init, noise, obs.n)
-    np.testing.assert_array_equal(factors.U, u1)
-    np.testing.assert_array_equal(factors.V, v1)
+    _, v, _ = _replay(15, obs, 2, sweep=0)
+    for sweep in range(cfg.outer_iterations):
+        *_, stream = _replay(15, obs, 2, sweep)
+        noise = sample(mech, obs.n * iterations * 2, stream).values.reshape(obs.n, iterations, 2)
+        u = _half_sweep([row_groups], v, cfg.lam, math.inf, 1, None, None, obs.m)
+        v = _half_sweep([col_groups], u, cfg.lam, alpha, iterations, v, noise, obs.n)
+    np.testing.assert_array_equal(factors.U, u)
+    np.testing.assert_array_equal(factors.V, v)
 
 
 @pytest.mark.parametrize("solve,iterations", [(noisy_als, 1), (irls_huber, 5)])
@@ -704,9 +721,23 @@ def test_init_is_the_v_start_a_sweep_reads(solve):
     np.testing.assert_array_equal(started.V, drawn.V)
 
 
-def test_noiseless_als_draws_nothing():
-    draws = _column_draws(MechanismConfig.none(), 1, 2, 0, 15, 1, 2, draw_init=False)
-    assert draws == (None, None)
+@pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+def test_noiseless_solves_build_no_stream(monkeypatch, solve):
+    # the generator made from the solve's seed is the only one built: no
+    # sweep draws, so none builds a stream
+    _, obs = generate_synthetic(20, 15, 2, 0.5, 16)
+    default_rng = np.random.default_rng
+    built = []
+
+    def recording_rng(*args):
+        built.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    factors = solve(obs, SolverConfig(rank=2, outer_iterations=3, inner_iterations=4), 3)
+    assert built == [(3,)]
+    assert factors.noise_draws == 0
+    assert _column_draws(MechanismConfig.none(), 1, 2, 0, 15, 4, 2) is None
 
 
 def test_divergent_solve_raises_solver_divergence():
@@ -735,6 +766,22 @@ def test_row_half_divergence_names_u(solve):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverDivergence) as info:
             solve(huge, cfg, 1)
+    assert (info.value.solver, info.value.sweep, info.value.half) == (solve.__name__, 0, "u")
+
+
+@pytest.mark.parametrize("solve", [noisy_als, irls_huber])
+@pytest.mark.parametrize("rank", [5, 12], ids=["eliminated", "lapack"])
+def test_singular_row_half_is_solver_divergence(solve, rank):
+    # an all-ones V start makes every row's Gram a multiple of the all-ones
+    # matrix, and lam = 1e-20 is lost against its diagonal: the elimination
+    # (rank <= 8) and LAPACK (above) both meet an exact zero pivot, and the
+    # solve reports either as the U half's divergence, not as LinAlgError
+    _, obs = generate_synthetic(40, 30, 5, 0.5, 0)
+    cfg = SolverConfig(rank, lam=1e-20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverDivergence) as info:
+            solve(obs, cfg, 0, init=np.ones((30, rank)))
     assert (info.value.solver, info.value.sweep, info.value.half) == (solve.__name__, 0, "u")
 
 
@@ -861,9 +908,8 @@ class TestWideRidgeGroups:
 
 
 def _engine_and_r_irls(seed, instance, config):
-    """_half_sweep against _reference_irls(..., default_rng((seed, j))) for
-    every target j, replaying each stream into the engine's start and noise
-    blocks."""
+    """_half_sweep against _reference_irls for every target j, both fed the
+    start and then the noise drawn from default_rng((seed, j))."""
     other, target_idx, other_idx, values, n = instance
     rank, iterations = other.shape[1], config.iterations
     expected = np.empty((n, rank))
@@ -872,10 +918,10 @@ def _engine_and_r_irls(seed, instance, config):
     for j in range(n):
         mine = target_idx == j
         a, y = other[other_idx[mine]], values[mine]
-        expected[j] = _reference_irls(y, a, config, np.random.default_rng((seed, j)))
         stream = np.random.default_rng((seed, j))
         init[j] = stream.standard_normal(rank)
         noise[j] = sample(config.noise, iterations * rank, stream).values.reshape(iterations, rank)
+        expected[j] = _reference_irls(y, a, config, init[j], noise[j])
     if config.noise.kind == "none":
         noise = None
     groups = _target_groups(target_idx, other_idx, values, n, rank)
@@ -906,16 +952,16 @@ def test_ridge_solve_is_the_engine_on_one_target(r, shape, noisy):
 @pytest.mark.parametrize("p,r", [(30, 4), (1200, 10)], ids=["short", "weight-change"])
 def test_r_irls_is_the_engine_on_one_target(mech, p, r):
     # r_irls runs the engine's group step on a batch of one, so a half-sweep
-    # over one target fed r_irls's start and noise returns its theta exactly
+    # over one target started at 0 and fed r_irls's noise, the one block its
+    # stream holds, returns its theta exactly
     rng = np.random.default_rng(41)
     a, y = rng.standard_normal((p, r)), 3.0 * rng.standard_normal(p)
     config = IrlsConfig(1.2, 0.5, 6, mech)
     expected = r_irls(y, a, config, np.random.default_rng(42))
     stream = np.random.default_rng(42)
-    init = stream.standard_normal((1, r))
     noise = sample(mech, 6 * r, stream).values.reshape(1, 6, r) if mech.kind != "none" else None
     groups = _target_groups(np.zeros(p, dtype=np.int64), np.arange(p), y, 1, r)
-    got = _half_sweep([groups], a, config.lam, config.alpha, 6, init, noise, 1)
+    got = _half_sweep([groups], a, config.lam, config.alpha, 6, np.zeros((1, r)), noise, 1)
     np.testing.assert_array_equal(got[0], expected)
 
 

@@ -119,12 +119,20 @@ class TestRidgeSolve:
         # rounding loses lam against the rank-one Gram's diagonal, so the
         # elimination meets a zero pivot
         ("ridge_solve", lambda: ridge_solve(RidgeProblem(np.ones((4, 2)), np.ones(4), 1e-20))),
+        # the same above rank 8, where LAPACK meets that pivot
+        ("ridge_solve", lambda: ridge_solve(RidgeProblem(np.ones((40, 12)), np.ones(40), 1e-20))),
         ("r_irls", lambda: r_irls(np.full(3, 1e200), np.full((3, 2), 1e200),
                                   IrlsConfig(alpha=1e300, lam=1.0), 0)),
-    ], ids=["ridge-overflow", "ridge-zero-pivot", "r_irls-overflow"])
+        # weights near 1e-200 leave the rank-one Gram near 1e200, against
+        # which lam = 1 is lost: LAPACK meets a zero pivot there too
+        ("r_irls", lambda: r_irls(np.full(3, 1e200), np.full((3, 2), 1e200),
+                                  IrlsConfig(alpha=1.0, lam=1.0), 0)),
+    ], ids=["ridge-overflow", "ridge-zero-pivot", "ridge-lapack-zero-pivot", "r_irls-overflow",
+            "r_irls-zero-pivot"])
     def test_divergence_raises_without_warning(self, solver, call):
         # without the error policy the overflows print a RuntimeWarning from
-        # the matmul, and ridge_solve returns [nan nan]
+        # the matmul, and ridge_solve returns [nan nan]; a zero pivot raises
+        # this error, not numpy's LinAlgError, at every rank
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match=f"^{solver} diverged: non-finite theta$"):
@@ -208,10 +216,10 @@ def random_instance(rng, p=30, q=5, outliers=0):
 
 
 def cholesky_irls(y, a, cfg, rng):
-    """r_irls replayed on scipy's Cholesky solve: the same stream (the start,
-    then one block of every iteration's noise) and weights psi(r)/r."""
+    """r_irls replayed on scipy's Cholesky solve: the same start theta = 0,
+    stream (one block of every iteration's noise) and weights psi(r)/r."""
     q = a.shape[1]
-    theta = rng.standard_normal(q)
+    theta = np.zeros(q)
     noise = sample(cfg.noise, cfg.iterations * q, rng).values.reshape(cfg.iterations, q)
     for t in noise:
         r = np.abs(y - a @ theta)
@@ -275,12 +283,19 @@ class TestRIrls:
         mech = MechanismConfig.huber(2.0)
         cfg = IrlsConfig(alpha=1e9, lam=0.5, iterations=1, noise=mech)
         got = r_irls(y, a, cfg, np.random.default_rng(3))
-        # replay the stream: init draw first, then the noise vector
-        replay = np.random.default_rng(3)
-        replay.standard_normal(a.shape[1])
-        t = sample(mech, a.shape[1], replay)
+        # replay the stream: the noise vector is its only draw
+        t = sample(mech, a.shape[1], np.random.default_rng(3))
         expected = ridge_solve(RidgeProblem(a, y, 0.5), t.values)
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_noiseless_leaves_the_generator_alone(self):
+        # without noise r_irls starts at theta = 0 and draws nothing
+        rng = np.random.default_rng(12)
+        a, y = random_instance(rng, outliers=3)
+        state = rng.bit_generator.state
+        theta = r_irls(y, a, IrlsConfig(alpha=1.0, lam=0.3), rng)
+        assert rng.bit_generator.state == state
+        assert np.isfinite(theta).all()
 
     def test_noiseless_descent(self):
         rng = np.random.default_rng(10)
